@@ -27,6 +27,7 @@
 use crate::detect::DetectConfig;
 use crate::diff::DiffConfig;
 use crate::error::SealError;
+use crate::facts::ModuleFacts;
 use crate::patch::{CompiledPatch, Patch};
 use crate::report::{BugReport, BugType};
 use crate::warm::{snapshot_cost, WarmMemory, WarmValue};
@@ -275,28 +276,24 @@ impl AnalysisCache {
         h.finish()
     }
 
-    /// Looks up a lowered module by `(name, raw source)`. The `Arc` lets
-    /// a warm hit share the decoded module instead of cloning it.
-    pub fn get_module(&self, name: &str, source: &str) -> Option<Arc<Module>> {
+    /// Looks up a lowered module by `(name, raw source)`, with its derived
+    /// [`ModuleFacts`]. A warm hit shares both `Arc`s, so the call graph
+    /// and every body hash already computed for this module are reused; a
+    /// store hit decodes the module and builds fresh facts.
+    pub fn get_module(&self, name: &str, source: &str) -> Option<(Arc<Module>, Arc<ModuleFacts>)> {
         let key = Self::module_key(name, source);
-        if let Some(WarmValue::Module(m)) =
+        if let Some(WarmValue::Module(m, facts)) =
             self.warm.as_ref().and_then(|w| w.get(KIND_MODULE, &key))
         {
-            return Some(m);
+            return Some((m, facts));
         }
         let bytes = self.store.get(KIND_MODULE, &key)?;
         match seal_ir::codec::decode_module(&bytes) {
             Ok(m) => {
                 let m = Arc::new(m);
-                if let Some(warm) = &self.warm {
-                    warm.put(
-                        KIND_MODULE,
-                        key,
-                        WarmValue::Module(m.clone()),
-                        bytes.len() as u64,
-                    );
-                }
-                Some(m)
+                let facts = Arc::new(ModuleFacts::new(&m));
+                self.put_warm_module(key, &m, &facts, bytes.len() as u64);
+                Some((m, facts))
             }
             Err(_) => {
                 self.store.note_invalidation();
@@ -305,19 +302,38 @@ impl AnalysisCache {
         }
     }
 
-    /// Stores a lowered module under its `(name, raw source)` key.
-    pub fn put_module(&self, name: &str, source: &str, module: &Arc<Module>) {
+    /// Stores a lowered module under its `(name, raw source)` key; the
+    /// warm layer also keeps its facts.
+    pub fn put_module(
+        &self,
+        name: &str,
+        source: &str,
+        module: &Arc<Module>,
+        facts: &Arc<ModuleFacts>,
+    ) {
         let key = Self::module_key(name, source);
         let bytes = seal_ir::codec::encode_module(module);
+        self.put_warm_module(key, module, facts, bytes.len() as u64);
+        self.store.put(KIND_MODULE, key, bytes);
+    }
+
+    /// Warm module entry, charged the module's encoded size plus the
+    /// facts' resident size.
+    fn put_warm_module(
+        &self,
+        key: ContentHash,
+        module: &Arc<Module>,
+        facts: &Arc<ModuleFacts>,
+        encoded: u64,
+    ) {
         if let Some(warm) = &self.warm {
             warm.put(
                 KIND_MODULE,
                 key,
-                WarmValue::Module(module.clone()),
-                bytes.len() as u64,
+                WarmValue::Module(module.clone(), facts.clone()),
+                encoded + facts.approx_bytes(),
             );
         }
-        self.store.put(KIND_MODULE, key, bytes);
     }
 
     // ---- detection shards ---------------------------------------------
@@ -387,11 +403,14 @@ impl AnalysisCache {
 /// PDG storage toggle, and the identity of each `(spec, region)` item.
 /// Bodies *outside* the scope are deliberately absent, which is what makes
 /// warm-run misses proportional to the edit set: mutating one function
-/// only invalidates the shards whose scope contains it.
+/// only invalidates the shards whose scope contains it — and, since
+/// `body_hash` is asked only for scope members, what keeps a key's cost
+/// proportional to its scope: detection passes [`ModuleFacts::body_hash`],
+/// which hashes each body on first request.
 pub(crate) fn shard_key(
     fp: u64,
     env_hash: &ContentHash,
-    body_hashes: &[ContentHash],
+    body_hash: impl Fn(FuncId) -> Option<ContentHash>,
     spec_hashes: &[ContentHash],
     arena_pdg: bool,
     scope: &BTreeSet<FuncId>,
@@ -405,7 +424,7 @@ pub(crate) fn shard_key(
     h.update_u64(scope.len() as u64);
     for &fid in scope {
         h.update_u32(fid.0);
-        match body_hashes.get(fid.index()) {
+        match body_hash(fid) {
             Some(bh) => h.update(bh.as_bytes()),
             None => h.update_str("<missing>"),
         }
@@ -585,6 +604,12 @@ mod tests {
         assert_ne!(fp0, diff_fingerprint(&d));
     }
 
+    /// Body hashes read from an eagerly computed per-function vector, the
+    /// way shard keys were fed before [`ModuleFacts`].
+    fn eager(bodies: &[ContentHash]) -> impl Fn(FuncId) -> Option<ContentHash> + '_ {
+        |fid| bodies.get(fid.index()).copied()
+    }
+
     #[test]
     fn shard_key_ignores_spec_renumbering_but_sees_content() {
         let fp = 7u64;
@@ -597,7 +622,7 @@ mod tests {
         let k1 = shard_key(
             fp,
             &env,
-            &bodies,
+            eager(&bodies),
             &[s_a, s_b],
             true,
             &scope,
@@ -606,7 +631,7 @@ mod tests {
         let k2 = shard_key(
             fp,
             &env,
-            &bodies,
+            eager(&bodies),
             &[s_b, s_a],
             true,
             &scope,
@@ -617,7 +642,7 @@ mod tests {
         let k3 = shard_key(
             fp,
             &env,
-            &bodies,
+            eager(&bodies),
             &[s_b, s_a],
             true,
             &scope,
@@ -629,13 +654,53 @@ mod tests {
         let k4 = shard_key(
             fp,
             &env,
-            &edited,
+            eager(&edited),
             &[s_a, s_b],
             true,
             &scope,
             &[(0, 0, FuncId(0))],
         );
         assert_ne!(k1, k4);
+    }
+
+    /// Shard keys read body hashes through [`ModuleFacts`] now, lazily and
+    /// only for scope members; their bytes must stay those of the eager
+    /// per-function vector, so a store written before the facts existed
+    /// keeps hitting (no store version bump). The pinned key is the one
+    /// the eager code produced for this module.
+    #[test]
+    fn shard_keys_through_module_facts_keep_their_bytes() {
+        let m = crate::facts::tests::module();
+        let facts = ModuleFacts::new(&m);
+        let bodies: Vec<ContentHash> = m.functions.iter().map(seal_ir::codec::body_hash).collect();
+        for f in &m.functions {
+            assert_eq!(facts.body_hash(&m, f.id), Some(bodies[f.id.index()]));
+        }
+        let env = seal_ir::codec::env_hash(&m);
+        assert_eq!(facts.env_hash(&m), env);
+        let specs = [ContentHash::of(b"specA")];
+        let scope: BTreeSet<FuncId> = m.functions.iter().map(|f| f.id).collect();
+        let items: Vec<(usize, usize, FuncId)> = m
+            .functions
+            .iter()
+            .enumerate()
+            .map(|(ri, f)| (0, ri, f.id))
+            .collect();
+        let through_facts = shard_key(
+            7,
+            &facts.env_hash(&m),
+            |fid| facts.body_hash(&m, fid),
+            &specs,
+            true,
+            &scope,
+            &items,
+        );
+        let from_vector = shard_key(7, &env, eager(&bodies), &specs, true, &scope, &items);
+        assert_eq!(through_facts, from_vector);
+        assert_eq!(
+            through_facts.to_string(),
+            "47a479c372a13fa4cea295a13a8e80fb"
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::cache::{self, AnalysisCache, ShardPayload};
 use crate::error::{DetectError, SealError};
+use crate::facts::ModuleFacts;
 use crate::report::{classify_spec, BugReport};
 use crate::roles;
 use seal_ir::callgraph::CallGraph;
@@ -173,7 +174,8 @@ pub fn detect_bugs_with_stats_jobs_cached(
     jobs: usize,
     cache: &AnalysisCache,
 ) -> (Vec<BugReport>, DetectStats) {
-    let (reports, stats, errors) = detect_inner(module, specs, cfg, jobs, false, cache);
+    let facts = ModuleFacts::new(module);
+    let (reports, stats, errors) = detect_inner(module, &facts, specs, cfg, jobs, false, cache);
     if let Some(e) = errors.into_iter().next() {
         // Non-isolated contract: a failed shard is a caller bug, not data.
         panic!("{e}");
@@ -192,30 +194,49 @@ pub fn detect_bugs_isolated(
     cfg: &DetectConfig,
     jobs: usize,
 ) -> (Vec<BugReport>, DetectStats, Vec<SealError>) {
-    detect_inner(module, specs, cfg, jobs, true, &AnalysisCache::disabled())
+    let facts = ModuleFacts::new(module);
+    detect_inner(
+        module,
+        &facts,
+        specs,
+        cfg,
+        jobs,
+        true,
+        &AnalysisCache::disabled(),
+    )
 }
 
 /// [`detect_bugs_isolated`] backed by an artifact cache (see
-/// [`detect_bugs_with_stats_jobs_cached`] for the replay contract).
+/// [`detect_bugs_with_stats_jobs_cached`] for the replay contract), over
+/// the caller's [`ModuleFacts`] for `module` — the ones a warm module
+/// entry carries, so repeated requests against one target share its call
+/// graph and every body hash computed so far.
+///
+/// # Panics
+///
+/// If `facts` were built for a module with a different function count.
 pub fn detect_bugs_isolated_cached(
     module: &Module,
+    facts: &ModuleFacts,
     specs: &[Specification],
     cfg: &DetectConfig,
     jobs: usize,
     cache: &AnalysisCache,
 ) -> (Vec<BugReport>, DetectStats, Vec<SealError>) {
-    detect_inner(module, specs, cfg, jobs, true, cache)
+    assert!(facts.fits(module), "module facts built for another module");
+    detect_inner(module, facts, specs, cfg, jobs, true, cache)
 }
 
 fn detect_inner(
     module: &Module,
+    facts: &ModuleFacts,
     specs: &[Specification],
     cfg: &DetectConfig,
     jobs: usize,
     isolate: bool,
     cache: &AnalysisCache,
 ) -> (Vec<BugReport>, DetectStats, Vec<SealError>) {
-    let cg = CallGraph::build(module);
+    let cg = facts.call_graph();
 
     // Spec-identity memoization: detection sees a spec only through its
     // interface and constraints, so groups that agree on both are checked
@@ -241,13 +262,13 @@ fn detect_inner(
     let mut stats = DetectStats::default();
     for &si in &spec_indices {
         let spec = &specs[si];
-        for (ri, region) in regions_for_with_cg(module, &cg, spec)
+        for (ri, region) in regions_for_with_cg(module, cg, spec)
             .into_iter()
             .take(cfg.max_regions)
             .enumerate()
         {
             stats.regions += 1;
-            let scope = region_scope(&cg, region);
+            let scope = region_scope(cg, region);
             shards.entry(scope).or_default().push((si, ri, region));
         }
     }
@@ -298,23 +319,15 @@ fn detect_inner(
         });
     let spec_cond_snapshot = spec_cond_snapshot.as_deref();
 
-    // Cache-key ingredients, hashed once and shared read-only across
-    // workers. The environment hash plus per-scope body hashes (instead of
-    // one whole-module hash) are what keep invalidation proportional to
-    // the edit set: a mutated function only moves the keys of shards whose
-    // scope contains it.
+    // Cache-key ingredients. The environment hash plus per-scope body
+    // hashes (instead of one whole-module hash) are what keep invalidation
+    // proportional to the edit set: a mutated function only moves the keys
+    // of shards whose scope contains it. Both come from the module facts,
+    // which hash each body the first time a shard key reads it and keep it
+    // for every later key, shard and request.
     let cache_on = cache.is_enabled();
     let detect_fp = cache_on.then(|| cache::detect_fingerprint(cfg));
-    let env_hash = cache_on.then(|| seal_ir::codec::env_hash(module));
-    let body_hashes: Vec<seal_store::ContentHash> = if cache_on {
-        module
-            .functions
-            .iter()
-            .map(seal_ir::codec::body_hash)
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let env_hash = cache_on.then(|| facts.env_hash(module));
     let spec_hashes: Vec<seal_store::ContentHash> = if cache_on {
         specs
             .iter()
@@ -340,7 +353,7 @@ fn detect_inner(
             cache::shard_key(
                 fp,
                 env_hash.as_ref().unwrap(),
-                &body_hashes,
+                |fid| facts.body_hash(module, fid),
                 &spec_hashes,
                 cfg.arena_pdg,
                 &shard.scope,
@@ -365,7 +378,7 @@ fn detect_inner(
         };
         if cfg.reuse_pdg_cache {
             let t0 = std::time::Instant::now();
-            let pdg = Pdg::try_build_opts(module, &cg, &shard.scope, cfg.arena_pdg)?;
+            let pdg = Pdg::try_build_opts(module, cg, &shard.scope, cfg.arena_pdg)?;
             o.pdg_time += t0.elapsed();
             let mut paths = PathCache::new(&pdg, cfg, spec_cond_snapshot);
             let _search = seal_obs::span!("detect.search", items = shard.items.len());
@@ -381,7 +394,7 @@ fn detect_inner(
             // no-summary-reuse baseline of §8.4.
             for &(si, ri, region) in &shard.items {
                 let t0 = std::time::Instant::now();
-                let pdg = Pdg::try_build_opts(module, &cg, &shard.scope, cfg.arena_pdg)?;
+                let pdg = Pdg::try_build_opts(module, cg, &shard.scope, cfg.arena_pdg)?;
                 o.pdg_time += t0.elapsed();
                 let mut paths = PathCache::new(&pdg, cfg, spec_cond_snapshot);
                 let t1 = std::time::Instant::now();

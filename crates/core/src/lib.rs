@@ -37,6 +37,7 @@ pub mod detect;
 pub mod diff;
 pub mod error;
 pub mod extract;
+pub mod facts;
 pub mod patch;
 pub mod report;
 pub mod roles;
@@ -51,6 +52,7 @@ pub use detect::{
 };
 pub use diff::{ChangedPaths, DiffConfig};
 pub use error::{DetectError, SealError, Stage};
+pub use facts::ModuleFacts;
 pub use patch::{CompiledPatch, Patch};
 pub use report::{BugReport, BugType};
 pub use warm::{WarmMemory, WarmStats};

@@ -6,7 +6,9 @@
 //! [`FormulaSnapshot`] — and paying a disk read plus a decode for each
 //! repeat visit throws away most of the warm-state win. [`WarmMemory`] is
 //! a byte-budgeted LRU holding the *decoded* artifacts behind `Arc`s, so
-//! a hit is a map lookup and a pointer bump.
+//! a hit is a map lookup and a pointer bump. A module entry also carries
+//! the module's [`ModuleFacts`], so a warm request reuses its call graph
+//! and every content hash an earlier request already computed.
 //!
 //! Keys are the exact `(kind, ContentHash)` pairs the store uses (see
 //! [`crate::cache`]), so warm entries inherit the store's correctness
@@ -27,9 +29,10 @@
 //!
 //! Eviction is least-recently-used under a byte budget, per shard. Costs
 //! are the encoded payload sizes (what the artifact costs in the store),
-//! with the snapshot — never persisted — charged a fixed per-node
-//! estimate; the sum of the shard budgets never exceeds the configured
-//! budget, so total resident warm bytes stay strictly bounded. An entry
+//! plus the facts' resident size for a module entry, with the snapshot —
+//! never persisted — charged a fixed per-node estimate; the sum of the
+//! shard budgets never exceeds the configured budget, so total resident
+//! warm bytes stay strictly bounded. An entry
 //! larger than its shard's budget is refused outright rather than
 //! evicting everything else.
 //!
@@ -39,6 +42,7 @@
 //! timing-dependent even though every *served value* is content-addressed
 //! and exact.
 
+use crate::facts::ModuleFacts;
 use seal_ir::module::Module;
 use seal_solver::FormulaSnapshot;
 use seal_spec::{SpecValue, Specification};
@@ -65,8 +69,9 @@ pub const MIN_SHARD_BUDGET: u64 = 8 * 1024 * 1024;
 /// One warm artifact. Values are `Arc`s: a hit shares, never copies.
 #[derive(Clone)]
 pub enum WarmValue {
-    /// A lowered target module ([`crate::cache::KIND_MODULE`]).
-    Module(Arc<Module>),
+    /// A lowered target module ([`crate::cache::KIND_MODULE`]) with its
+    /// derived facts (call graph, memoized env and body hashes).
+    Module(Arc<Module>, Arc<ModuleFacts>),
     /// An inferred spec list (both spec kinds).
     Specs(Arc<Vec<Specification>>),
     /// An encoded shard-result payload ([`crate::cache::KIND_SHARD`]).

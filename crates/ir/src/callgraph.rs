@@ -79,6 +79,42 @@ impl CallGraph {
         self.callers.get(&f).into_iter().flatten().copied()
     }
 
+    /// Approximate resident size in bytes: the sites with their targets'
+    /// owned names, plus the two adjacency maps. Byte-budgeted caches
+    /// charge a held call graph at this cost.
+    pub fn approx_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let sites: usize = self
+            .sites
+            .iter()
+            .map(|s| {
+                let targets: usize = s
+                    .targets
+                    .iter()
+                    .map(|t| match t {
+                        CallTarget::Api(name) => size_of::<CallTarget>() + name.len(),
+                        CallTarget::Defined(_) => size_of::<CallTarget>(),
+                    })
+                    .sum();
+                let iface = s
+                    .interface
+                    .as_ref()
+                    .map_or(0, |i| i.struct_name.len() + i.field.len());
+                size_of::<CallSite>() + targets + iface
+            })
+            .sum();
+        // One map entry (key plus set header) per function with edges, and
+        // one set slot per edge; 2x covers hash-map and B-tree slack.
+        let entry = size_of::<FuncId>() + size_of::<BTreeSet<FuncId>>();
+        let adjacency: usize = self
+            .callees
+            .values()
+            .chain(self.callers.values())
+            .map(|set| 2 * (entry + set.len() * size_of::<FuncId>()))
+            .sum();
+        (size_of::<CallGraph>() + sites + adjacency) as u64
+    }
+
     /// The resolved call site at a location, if it is a call.
     pub fn site_at(&self, loc: InstLoc) -> Option<&CallSite> {
         self.sites.iter().find(|s| s.loc == loc)

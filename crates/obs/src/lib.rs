@@ -30,7 +30,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::MetricsSnapshot;
-pub use trace::{Span, SpanRec, Trace, TraceData};
+pub use trace::{Span, SpanRec, SpanTotals, Trace, TraceData};
 
 /// Opens a regular span: nests under the innermost open span on the
 /// current thread (or becomes a root when there is none). Bind the result

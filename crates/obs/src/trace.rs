@@ -29,6 +29,7 @@
 //! worker must sit inside a `task_span!`.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::thread::ThreadId;
@@ -320,6 +321,62 @@ impl TraceData {
     }
 }
 
+/// Per-name aggregate of one trace ([`TraceData::span_totals`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SpanTotals {
+    /// Spans with this name.
+    pub count: u64,
+    /// Sum of their durations.
+    pub total_us: u64,
+    /// Sum of their self times (see [`TraceData::span_totals`]).
+    pub self_us: u64,
+}
+
+impl TraceData {
+    /// Count, total and self time per span name.
+    ///
+    /// A span's self time is its duration minus its attached children,
+    /// and minus the detached task roots it issued. A task root is opened
+    /// with `task_span!`, so it lands in the forest as a separate root
+    /// rather than as a child of the call that started it; `issuers` maps
+    /// a task-root name to the name of the span that issues it, and each
+    /// such root's duration is taken off that name's self time when the
+    /// trace holds it. At `jobs = 1` the self times then partition the
+    /// wall time of the non-issued roots. At `jobs > 1` the issued busy
+    /// time can exceed the issuer's wall time, so each name's self time
+    /// is clamped at zero.
+    pub fn span_totals(&self, issuers: &[(&str, &str)]) -> BTreeMap<&'static str, SpanTotals> {
+        // Signed and wide: self time can go negative before the clamp, and
+        // durations come from a file.
+        fn walk(r: &SpanRec, by: &mut BTreeMap<&'static str, (SpanTotals, i128)>) {
+            let children: i128 = r.children.iter().map(|c| i128::from(c.dur_us)).sum();
+            let (t, self_us) = by.entry(r.name).or_default();
+            t.count += 1;
+            t.total_us = t.total_us.saturating_add(r.dur_us);
+            *self_us += i128::from(r.dur_us) - children;
+            for c in &r.children {
+                walk(c, by);
+            }
+        }
+        let mut by = BTreeMap::new();
+        for r in &self.roots {
+            walk(r, &mut by);
+        }
+        for r in &self.roots {
+            let issuer = issuers.iter().find(|(root, _)| *root == r.name);
+            if let Some((_, self_us)) = issuer.and_then(|(_, i)| by.get_mut(*i)) {
+                *self_us -= i128::from(r.dur_us);
+            }
+        }
+        by.into_iter()
+            .map(|(name, (mut t, self_us))| {
+                t.self_us = u64::try_from(self_us.max(0)).unwrap_or(u64::MAX);
+                (name, t)
+            })
+            .collect()
+    }
+}
+
 /// Replaces every `"dur_us":<digits>` value in a serialized trace with
 /// `"dur_us":0` — the masking golden comparisons apply before diffing.
 pub fn mask_durations(jsonl: &str) -> String {
@@ -579,5 +636,57 @@ mod tests {
         drop(t1); // dropping uninstalls
         let t2 = Trace::install().unwrap();
         t2.finish();
+    }
+
+    fn rec(name: &'static str, dur_ms: u64, children: Vec<SpanRec>) -> SpanRec {
+        SpanRec {
+            name,
+            fields: Vec::new(),
+            dur_us: dur_ms * 1000,
+            children,
+        }
+    }
+
+    #[test]
+    fn self_time_subtracts_issued_task_roots() {
+        // A jobs = 1 hunt: `cli.detect` took 466 ms, 33 of them in its own
+        // lowering child and 400 in two detached `detect.shard` roots.
+        // Counting attached children only books 433 ms to `cli.detect`.
+        let trace = TraceData {
+            roots: vec![
+                rec("cli.infer", 30, vec![]),
+                rec("cli.detect", 466, vec![rec("ir.lower", 33, vec![])]),
+                rec("infer.patch", 25, vec![rec("infer.diff", 9, vec![])]),
+                rec("detect.shard", 250, vec![rec("pdg.build", 100, vec![])]),
+                rec("detect.shard", 150, vec![rec("pdg.build", 60, vec![])]),
+            ],
+        };
+        let issuers = [("infer.patch", "cli.infer"), ("detect.shard", "cli.detect")];
+        let t = trace.span_totals(&issuers);
+        assert_eq!(t["cli.detect"].self_us, 33_000);
+        assert_eq!(t["cli.detect"].total_us, 466_000);
+        assert_eq!(t["cli.infer"].self_us, 5_000);
+        assert_eq!(t["detect.shard"].count, 2);
+        assert_eq!(t["detect.shard"].self_us, 240_000);
+        // The self times partition the issuing roots' wall time.
+        let self_sum: u64 = t.values().map(|x| x.self_us).sum();
+        assert_eq!(self_sum, 496_000);
+        // Without the table, issued time stays with the issuer.
+        assert_eq!(trace.span_totals(&[])["cli.detect"].self_us, 433_000);
+    }
+
+    #[test]
+    fn issued_time_beyond_the_issuer_clamps_at_zero() {
+        // Two workers: 300 ms of shard busy time inside a 200 ms call.
+        let trace = TraceData {
+            roots: vec![
+                rec("cli.detect", 200, vec![]),
+                rec("detect.shard", 150, vec![]),
+                rec("detect.shard", 150, vec![]),
+            ],
+        };
+        let t = trace.span_totals(&[("detect.shard", "cli.detect")]);
+        assert_eq!(t["cli.detect"].self_us, 0);
+        assert_eq!(t["detect.shard"].self_us, 300_000);
     }
 }

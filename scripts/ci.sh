@@ -9,6 +9,11 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
+# The benchmark is a package of its own (sealbench/); its unit tests run a
+# traced hunt through the per-layer ledger, so a span name missing from the
+# ledger's table fails here instead of silently landing in its residual.
+cargo test --release --offline --manifest-path sealbench/Cargo.toml
+
 # Tier-1 suites must carry no ignored tests: slow work is gated at runtime
 # by env vars (SEAL_SCALE=1) instead, so `cargo test` exercises everything.
 if grep -rn '^[[:space:]]*#\[ignore' tests crates/*/tests crates/*/src src 2>/dev/null; then

@@ -16,7 +16,7 @@
 //! usage or fatal error, `2` completed but some items failed.
 
 use seal::core::AnalysisCache;
-use seal::request::{run_request, ItemFailure, RequestKind, RunCtx, RunResult};
+use seal::request::{run_request, ItemFailure, RequestKind, RunCtx, RunResult, TASK_ROOT_ISSUERS};
 use seal_spec::merge::merge_specs;
 use seal_spec::parse::{parse_lines, to_line};
 use std::collections::HashMap;
@@ -336,8 +336,6 @@ impl ObsRun {
 /// the `cache.*` session counters), and a `--cache-dir` (on-disk artifact
 /// store summary). At least one source is required.
 fn stats(opts: &HashMap<String, String>) -> Result<Outcome, String> {
-    use std::collections::BTreeMap;
-
     if !["trace", "metrics", "cache-dir"]
         .iter()
         .any(|k| opts.contains_key(*k))
@@ -352,26 +350,9 @@ fn stats(opts: &HashMap<String, String>) -> Result<Outcome, String> {
         let data = seal_obs::TraceData::parse_jsonl(&read_file(trace_path)?)
             .map_err(|e| format!("malformed trace file {trace_path}: {e}"))?;
 
-        #[derive(Default)]
-        struct Agg {
-            count: u64,
-            total_us: u64,
-            self_us: u64,
-        }
-        fn walk<'a>(r: &'a seal_obs::SpanRec, by: &mut BTreeMap<&'a str, Agg>) {
-            let child_us: u64 = r.children.iter().map(|c| c.dur_us).sum();
-            let a = by.entry(r.name).or_default();
-            a.count += 1;
-            a.total_us += r.dur_us;
-            a.self_us += r.dur_us.saturating_sub(child_us);
-            for c in &r.children {
-                walk(c, by);
-            }
-        }
-        let mut by_name: BTreeMap<&str, Agg> = BTreeMap::new();
-        for r in &data.roots {
-            walk(r, &mut by_name);
-        }
+        // Self time subtracts the detached task roots a span issued (the
+        // per-patch and per-shard roots), so the column partitions the run.
+        let by_name = data.span_totals(TASK_ROOT_ISSUERS);
         println!(
             "{:<24} {:>8} {:>12} {:>12}",
             "span", "count", "total_ms", "self_ms"

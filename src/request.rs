@@ -12,11 +12,19 @@
 //! shared substrate (unreadable target, malformed spec file) is a fatal
 //! `Err` (class 1).
 
-use seal_core::{AnalysisCache, Patch, Seal, SealError};
+use seal_core::{AnalysisCache, ModuleFacts, Patch, Seal, SealError};
 use seal_spec::merge::merge_specs;
 use seal_spec::parse::{parse_lines, to_line};
 use seal_spec::Specification;
 use std::sync::Arc;
+
+/// The detached task roots a request issues, each with the span that
+/// issues it: inference runs one `infer.patch` root per patch under
+/// `cli.infer`, detection one `detect.shard` root per shard under
+/// `cli.detect`. `seal stats` subtracts them from the issuer's self time
+/// ([`seal_obs::TraceData::span_totals`]).
+pub const TASK_ROOT_ISSUERS: &[(&str, &str)] =
+    &[("infer.patch", "cli.infer"), ("detect.shard", "cli.detect")];
 
 /// One failed batch item, for the stderr summary (CLI) or the per-item
 /// `failures` array (daemon).
@@ -214,19 +222,31 @@ fn detect_into(
         }
         (name, src)
     };
-    let module: Arc<seal_ir::Module> = match ctx.cache.get_module(&module_name, &module_src) {
-        Some(m) => m,
+    // The entry carries the module's facts (call graph, memoized hashes),
+    // so a warm request re-derives nothing about a target it already holds.
+    let (module, facts) = match ctx.cache.get_module(&module_name, &module_src) {
+        Some(hit) => hit,
         None => {
-            let tu = seal_kir::compile_many(&borrowed)
-                .map_err(|e| format!("target does not compile:\n{e}"))?;
-            let module = Arc::new(
-                seal_ir::lower_checked(&tu)
-                    .map_err(|e| format!("target lowers to an invalid module: {e}"))?,
-            );
+            let module = {
+                let tu = {
+                    let _span = seal_obs::span!("frontend.compile", ver = "target");
+                    seal_kir::compile_many(&borrowed)
+                        .map_err(|e| format!("target does not compile:\n{e}"))?
+                };
+                Arc::new(
+                    seal_ir::lower_checked(&tu)
+                        .map_err(|e| format!("target lowers to an invalid module: {e}"))?,
+                )
+            };
+            // Built once the syntax tree is freed, so the facts (held as
+            // long as the module) reuse its memory instead of pinning the
+            // heap above it.
+            let facts = Arc::new(ModuleFacts::new(&module));
             if ctx.cache.is_enabled() {
-                ctx.cache.put_module(&module_name, &module_src, &module);
+                ctx.cache
+                    .put_module(&module_name, &module_src, &module, &facts);
             }
-            module
+            (module, facts)
         }
     };
     let seal = Seal {
@@ -235,6 +255,7 @@ fn detect_into(
     };
     let (reports, _, errors) = seal_core::detect::detect_bugs_isolated_cached(
         &module,
+        &facts,
         specs,
         &seal.detect,
         ctx.jobs,

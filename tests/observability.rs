@@ -217,6 +217,81 @@ fn trace_has_the_expected_span_tree() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// On a cold hunt the target frontend runs inside `cli.detect`, under its
+/// own `frontend.compile` span (next to the patches' pre/post compiles),
+/// so the ledger books it to the frontend layer instead of request glue.
+#[test]
+fn target_frontend_is_attributed_under_cli_detect() {
+    let dir = temp_dir("target-frontend");
+    let (trace, _) = hunt(&dir, 1, 1);
+    let data = TraceData::parse_jsonl(&trace).expect("trace file parses");
+    let detect: Vec<_> = data
+        .roots
+        .iter()
+        .filter(|r| r.name == "cli.detect")
+        .collect();
+    assert_eq!(detect.len(), 1, "one cli.detect root per hunt");
+    let fronts: Vec<_> = detect[0]
+        .children
+        .iter()
+        .filter(|c| c.name == "frontend.compile")
+        .collect();
+    assert_eq!(fronts.len(), 1, "cli.detect children: {:?}", detect[0]);
+    assert!(
+        fronts[0]
+            .fields
+            .iter()
+            .any(|(k, v)| *k == "ver" && v == "target"),
+        "target compile is tagged ver=target: {:?}",
+        fronts[0]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `seal stats` self times on a traced jobs=1 hunt: subtracting the
+/// detached `infer.patch`/`detect.shard` roots from the request spans that
+/// issued them makes the self times sum to the wall time of the request
+/// spans, and leaves `cli.detect` with only its own glue.
+#[test]
+fn self_times_partition_a_jobs_1_hunt() {
+    let dir = temp_dir("self-time");
+    let (trace, _) = hunt(&dir, 1, 1);
+    let data = TraceData::parse_jsonl(&trace).expect("trace file parses");
+    let issuers = seal::request::TASK_ROOT_ISSUERS;
+    let totals = data.span_totals(issuers);
+    let issued = |name: &str| issuers.iter().any(|(root, _)| *root == name);
+    let root_us: u64 = data
+        .roots
+        .iter()
+        .filter(|r| !issued(r.name))
+        .map(|r| r.dur_us)
+        .sum();
+    let self_us: u64 = totals.values().map(|t| t.self_us).sum();
+    // Durations are truncated to whole microseconds per span, so a child
+    // can read up to 1 us longer than its share of the parent; the clamp
+    // at zero may keep that much per name.
+    let slack = totals.len() as u64;
+    assert!(
+        self_us >= root_us && self_us <= root_us + slack,
+        "self times {self_us} us do not partition the {root_us} us of request spans"
+    );
+    let shards: u64 = data
+        .roots
+        .iter()
+        .filter(|r| r.name == "detect.shard")
+        .map(|r| r.dur_us)
+        .sum();
+    let detect = totals["cli.detect"];
+    assert!(shards > 0, "the hunt ran detection shards");
+    assert!(
+        detect.self_us + shards <= detect.total_us,
+        "cli.detect self time {} still includes the shards' {} us",
+        detect.self_us,
+        shards
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn metrics_cover_every_instrumented_subsystem() {
     let dir = temp_dir("metrics");
@@ -237,6 +312,7 @@ fn metrics_cover_every_instrumented_subsystem() {
         "solver.cache.hits",
         "solver.interner.nodes",
         "solver.sat.calls",
+        "detect.callgraph_builds",
         "detect.regions",
         "detect.shards",
         "detect.reports",

@@ -558,6 +558,156 @@ fn invalid_serve_config_is_a_fatal_startup_error() {
     fatal(&["--max-conns", "many"], &[], "--max-conns");
 }
 
+/// Committed corpus data: two patch pairs and the target kernel they
+/// are hunted against (the npd-check patch flags `ks7180_fw_probe`).
+fn data(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data")
+        .join(name)
+}
+
+/// The committed target after an in-place edit: one line inserted at the
+/// top (every span shifts) and one statement added to the flagged
+/// function (its body changes), so a stale module, call graph or body
+/// hash would replay the old report.
+fn edited_target() -> String {
+    let text = std::fs::read_to_string(data("target.c")).unwrap();
+    let anchor = "int ks7180_fw_probe(int id) {\n";
+    assert!(text.contains(anchor), "target.c lost its flagged function");
+    format!(
+        "/* edited in place */\n{}",
+        text.replacen(anchor, &format!("{anchor}    id = id + 1;\n"), 1)
+    )
+}
+
+/// Hunts over the committed patches against `target`: each patch alone,
+/// then both together, and the whole list again, so every distinct
+/// request is also answered warm.
+fn hunt_requests(target: &Path) -> Vec<seal::request::RequestKind> {
+    let path = |p: PathBuf| p.display().to_string();
+    let sets: [&[&str]; 3] = [&["npd-check"], &["uaf-order"], &["npd-check", "uaf-order"]];
+    sets.iter()
+        .chain(&sets)
+        .map(|names| seal::request::RequestKind::Hunt {
+            pre: names
+                .iter()
+                .map(|n| path(data(&format!("{n}.pre.c"))))
+                .collect(),
+            post: names
+                .iter()
+                .map(|n| path(data(&format!("{n}.post.c"))))
+                .collect(),
+            id: "patch".to_string(),
+            target: vec![path(target.to_path_buf())],
+        })
+        .collect()
+}
+
+/// One warm request context answers every hunt byte-identically to an
+/// uncached run, at jobs 1 and 2 — and after the target file is rewritten
+/// at the same path, the next requests equal uncached runs on the new
+/// text: the module entry, its call graph and its memoized body hashes
+/// all follow the content, never the path.
+#[test]
+fn warm_context_matches_uncached_runs_across_in_place_target_edits() {
+    use seal::core::{AnalysisCache, WarmMemory};
+    use seal::request::{run_request, RunCtx};
+    for jobs in [1, 2] {
+        let dir = temp_dir(&format!("facts-j{jobs}"));
+        let target = dir.join("target.c");
+        std::fs::copy(data("target.c"), &target).unwrap();
+        let hunts = hunt_requests(&target);
+        let warm = RunCtx {
+            cache: AnalysisCache::disabled().with_warm(WarmMemory::with_default_budget()),
+            jobs,
+        };
+        let cold = RunCtx {
+            cache: AnalysisCache::disabled(),
+            jobs,
+        };
+        let run = |ctx: &RunCtx, k| run_request(ctx, k).unwrap().stdout;
+
+        let before: Vec<String> = hunts.iter().map(|k| run(&warm, k)).collect();
+        for (k, out) in hunts.iter().zip(&before) {
+            assert_eq!(*out, run(&cold, k), "warm output drifted at jobs={jobs}");
+        }
+        assert!(before[0].contains("ks7180_fw_probe"), "{}", before[0]);
+        assert!(warm.cache.warm().unwrap().stats().hits > 0);
+
+        std::fs::write(&target, edited_target()).unwrap();
+        for (i, k) in hunts.iter().enumerate() {
+            let out = run(&warm, k);
+            assert_eq!(
+                out,
+                run(&cold, k),
+                "stale answer after the edit at jobs={jobs}"
+            );
+            if before[i].contains("violation(s)") {
+                assert_ne!(out, before[i], "the edit moved no report");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The daemon builds one call graph per distinct target text, however
+/// many requests it answers against it (`detect.callgraph_builds`), and
+/// its answers stay byte-identical to uncached runs across an in-place
+/// rewrite of the target.
+#[test]
+fn daemon_builds_one_call_graph_per_distinct_target() {
+    use seal::request::{run_request, RequestKind, RunCtx};
+    let dir = temp_dir("callgraph-builds");
+    let target = dir.join("target.c");
+    std::fs::copy(data("target.c"), &target).unwrap();
+    let metrics = dir.join("metrics.json");
+    let hunts = hunt_requests(&target);
+    let batch = format!(
+        r#"{{"cmd":"batch","items":[{}]}}"#,
+        hunts
+            .iter()
+            .map(|k| match k {
+                RequestKind::Hunt {
+                    pre, post, target, ..
+                } => format!(
+                    r#"{{"cmd":"hunt","pre":"{}","post":"{}","target":"{}","jobs":1}}"#,
+                    pre.join(","),
+                    post.join(","),
+                    target[0]
+                ),
+                _ => unreachable!(),
+            })
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+    let cold = RunCtx {
+        cache: seal::core::AnalysisCache::disabled(),
+        jobs: 1,
+    };
+    let mut daemon = Daemon::spawn(&["--metrics", metrics.to_str().unwrap()], &[]);
+    for pass in 0..2 {
+        if pass == 1 {
+            std::fs::write(&target, edited_target()).unwrap();
+        }
+        let responses = daemon.request(&batch, hunts.len());
+        for (r, k) in responses.iter().zip(&hunts) {
+            assert_ok_item(r);
+            let reference = run_request(&cold, k).unwrap().stdout;
+            assert_eq!(output(r), reference, "daemon drifted in pass {pass}");
+        }
+    }
+    assert_eq!(daemon.shutdown(), 0);
+    let snap = seal::obs::MetricsSnapshot::parse(&std::fs::read_to_string(&metrics).unwrap())
+        .expect("metrics file parses");
+    assert_eq!(
+        snap.metrics["detect.callgraph_builds"].value,
+        seal::obs::metrics::MetricValue::Counter(2),
+        "one call graph per distinct target across {} requests",
+        2 * hunts.len()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[cfg(unix)]
 mod socket {
     use super::*;
