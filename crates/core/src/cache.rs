@@ -11,7 +11,7 @@
 //! |------|----------|----------|
 //! | [`KIND_SPECS_RAW`] | inferred specs | patch id + raw pre/post text + diff fp |
 //! | [`KIND_SPECS_SEM`] | inferred specs | patch id + KIR unit hashes + diff fp |
-//! | [`KIND_SHARD`]     | detection shard results | env hash + scoped body hashes + items + detect fp |
+//! | [`KIND_SHARD`]     | detection shard results | position-free env hash + per scope body: body hash + sites of the globals it names + items + detect fp |
 //! | [`KIND_MODULE`]    | lowered module | module name + raw source text |
 //!
 //! The two spec kinds form a two-level lookup: the raw key is a pure text
@@ -27,7 +27,7 @@
 use crate::detect::DetectConfig;
 use crate::diff::DiffConfig;
 use crate::error::SealError;
-use crate::facts::ModuleFacts;
+use crate::facts::{BodyKey, ModuleFacts};
 use crate::patch::{CompiledPatch, Patch};
 use crate::report::{BugReport, BugType};
 use crate::warm::{snapshot_cost, WarmMemory, WarmValue};
@@ -398,34 +398,40 @@ impl AnalysisCache {
 /// Key of one detection shard's results.
 ///
 /// Covers exactly the inputs the shard's output is a function of: the
-/// detection config fingerprint, the module environment, the bodies of the
-/// scope functions (positional hashes — reports carry line numbers), the
-/// PDG storage toggle, and the identity of each `(spec, region)` item.
-/// Bodies *outside* the scope are deliberately absent, which is what makes
-/// warm-run misses proportional to the edit set: mutating one function
-/// only invalidates the shards whose scope contains it — and, since
-/// `body_hash` is asked only for scope members, what keeps a key's cost
-/// proportional to its scope: detection passes [`ModuleFacts::body_hash`],
-/// which hashes each body on first request.
+/// detection config fingerprint, the position-free module environment,
+/// each scope function's [`BodyKey`] (its positional body hash — reports
+/// carry line numbers — and the definition sites of the globals it names,
+/// the only global sites a report can cite), the PDG storage toggle, and
+/// the identity of each `(spec, region)` item. Bodies *outside* the scope
+/// and the sites of globals no scope body names are deliberately absent,
+/// which is what makes warm-run misses proportional to the edit set:
+/// mutating one function, or moving it or a global it names, only
+/// invalidates the shards whose scope contains it — and, since `body_key`
+/// is asked only for scope members, what keeps a key's cost proportional
+/// to its scope: detection passes [`ModuleFacts::body_key`], which hashes
+/// each body on first request.
 pub(crate) fn shard_key(
     fp: u64,
     env_hash: &ContentHash,
-    body_hash: impl Fn(FuncId) -> Option<ContentHash>,
+    body_key: impl Fn(FuncId) -> Option<BodyKey>,
     spec_hashes: &[ContentHash],
     arena_pdg: bool,
     scope: &BTreeSet<FuncId>,
     items: &[(usize, usize, FuncId)],
 ) -> ContentHash {
     let mut h = Hasher128::new();
-    h.update_str("core.shard.v1");
+    h.update_str("core.shard.v2");
     h.update_u64(fp);
     h.update(env_hash.as_bytes());
     h.update_u8(arena_pdg as u8);
     h.update_u64(scope.len() as u64);
     for &fid in scope {
         h.update_u32(fid.0);
-        match body_hash(fid) {
-            Some(bh) => h.update(bh.as_bytes()),
+        match body_key(fid) {
+            Some(bk) => {
+                h.update(bk.body.as_bytes());
+                h.update(bk.globals.as_bytes());
+            }
             None => h.update_str("<missing>"),
         }
     }
@@ -604,17 +610,24 @@ mod tests {
         assert_ne!(fp0, diff_fingerprint(&d));
     }
 
-    /// Body hashes read from an eagerly computed per-function vector, the
-    /// way shard keys were fed before [`ModuleFacts`].
-    fn eager(bodies: &[ContentHash]) -> impl Fn(FuncId) -> Option<ContentHash> + '_ {
+    /// Body keys read from an eagerly computed per-function vector.
+    fn eager(bodies: &[BodyKey]) -> impl Fn(FuncId) -> Option<BodyKey> + '_ {
         |fid| bodies.get(fid.index()).copied()
+    }
+
+    /// A body key of two made-up hashes.
+    fn bk(body: &[u8], globals: &[u8]) -> BodyKey {
+        BodyKey {
+            body: ContentHash::of(body),
+            globals: ContentHash::of(globals),
+        }
     }
 
     #[test]
     fn shard_key_ignores_spec_renumbering_but_sees_content() {
         let fp = 7u64;
         let env = ContentHash::of(b"env");
-        let bodies = vec![ContentHash::of(b"f0"), ContentHash::of(b"f1")];
+        let bodies = vec![bk(b"f0", b"g0"), bk(b"f1", b"g1")];
         let scope: BTreeSet<FuncId> = [FuncId(0), FuncId(1)].into_iter().collect();
         let s_a = ContentHash::of(b"specA");
         let s_b = ContentHash::of(b"specB");
@@ -650,7 +663,7 @@ mod tests {
         );
         assert_ne!(k1, k3);
         // Body edit inside the scope: different key.
-        let edited = vec![ContentHash::of(b"f0'"), ContentHash::of(b"f1")];
+        let edited = vec![bk(b"f0'", b"g0"), bk(b"f1", b"g1")];
         let k4 = shard_key(
             fp,
             &env,
@@ -661,20 +674,34 @@ mod tests {
             &[(0, 0, FuncId(0))],
         );
         assert_ne!(k1, k4);
+        // A named global moved, body bytes unchanged: different key.
+        let moved = vec![bk(b"f0", b"g0'"), bk(b"f1", b"g1")];
+        let k5 = shard_key(
+            fp,
+            &env,
+            eager(&moved),
+            &[s_a, s_b],
+            true,
+            &scope,
+            &[(0, 0, FuncId(0))],
+        );
+        assert_ne!(k1, k5);
     }
 
-    /// Shard keys read body hashes through [`ModuleFacts`] now, lazily and
-    /// only for scope members; their bytes must stay those of the eager
-    /// per-function vector, so a store written before the facts existed
-    /// keeps hitting (no store version bump). The pinned key is the one
-    /// the eager code produced for this module.
+    /// Shard keys read body keys through [`ModuleFacts`], lazily and only
+    /// for scope members; their bytes must be those of the eager
+    /// per-function vector of [`BodyKey::of`]. The key literal pins the
+    /// derivation: new bytes make every existing store miss once, so they
+    /// must come with a bumped domain tag (`ir.env.*`, `ir.globals.*`,
+    /// `core.shard.*`), never by accident — a record of an older
+    /// derivation is then never replayed.
     #[test]
     fn shard_keys_through_module_facts_keep_their_bytes() {
         let m = crate::facts::tests::module();
         let facts = ModuleFacts::new(&m);
-        let bodies: Vec<ContentHash> = m.functions.iter().map(seal_ir::codec::body_hash).collect();
+        let bodies: Vec<BodyKey> = m.functions.iter().map(|f| BodyKey::of(&m, f)).collect();
         for f in &m.functions {
-            assert_eq!(facts.body_hash(&m, f.id), Some(bodies[f.id.index()]));
+            assert_eq!(facts.body_key(&m, f.id), Some(bodies[f.id.index()]));
         }
         let env = seal_ir::codec::env_hash(&m);
         assert_eq!(facts.env_hash(&m), env);
@@ -689,7 +716,7 @@ mod tests {
         let through_facts = shard_key(
             7,
             &facts.env_hash(&m),
-            |fid| facts.body_hash(&m, fid),
+            |fid| facts.body_key(&m, fid),
             &specs,
             true,
             &scope,
@@ -699,7 +726,7 @@ mod tests {
         assert_eq!(through_facts, from_vector);
         assert_eq!(
             through_facts.to_string(),
-            "47a479c372a13fa4cea295a13a8e80fb"
+            "5acedda192b24c94b7b4866f941524de"
         );
     }
 

@@ -319,12 +319,13 @@ fn detect_inner(
         });
     let spec_cond_snapshot = spec_cond_snapshot.as_deref();
 
-    // Cache-key ingredients. The environment hash plus per-scope body
-    // hashes (instead of one whole-module hash) are what keep invalidation
-    // proportional to the edit set: a mutated function only moves the keys
-    // of shards whose scope contains it. Both come from the module facts,
-    // which hash each body the first time a shard key reads it and keep it
-    // for every later key, shard and request.
+    // Cache-key ingredients. The position-free environment hash plus
+    // per-scope body keys (instead of one whole-module hash) are what keep
+    // invalidation proportional to the edit set: a mutated or moved
+    // function, or a moved global it names, only moves the keys of shards
+    // whose scope contains it. Both come from the module facts, which hash
+    // each body the first time a shard key reads it and keep it for every
+    // later key, shard and request.
     let cache_on = cache.is_enabled();
     let detect_fp = cache_on.then(|| cache::detect_fingerprint(cfg));
     let env_hash = cache_on.then(|| facts.env_hash(module));
@@ -353,22 +354,29 @@ fn detect_inner(
             cache::shard_key(
                 fp,
                 env_hash.as_ref().unwrap(),
-                |fid| facts.body_hash(module, fid),
+                |fid| facts.body_key(module, fid),
                 &spec_hashes,
                 cfg.arena_pdg,
                 &shard.scope,
                 &shard.items,
             )
         });
-        if let Some(key) = &key {
-            if let Some(bytes) = cache.get_shard(key) {
-                match decode_shard(&bytes[..], &shard.items) {
-                    Some(o) => return Ok(o),
-                    // Undecodable or mis-shaped payload: degrade to a
-                    // recompute, exactly like on-disk corruption.
-                    None => cache.note_invalidation(),
-                }
+        let replayed = key.as_ref().and_then(|key| {
+            let bytes = cache.get_shard(key)?;
+            let o = decode_shard(&bytes[..], &shard.items);
+            if o.is_none() {
+                // Undecodable or mis-shaped payload: degrade to a
+                // recompute, exactly like on-disk corruption.
+                cache.note_invalidation();
             }
+            o
+        });
+        // Every shard is a hit or a miss, cache or not, so the two sum to
+        // `detect.shards`.
+        seal_obs::metrics::counter_add("detect.shard_hits", replayed.is_some() as u64);
+        seal_obs::metrics::counter_add("detect.shard_misses", replayed.is_none() as u64);
+        if let Some(o) = replayed {
+            return Ok(o);
         }
         let mut o = ShardOut {
             results: Vec::with_capacity(shard.items.len()),

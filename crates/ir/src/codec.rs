@@ -11,7 +11,9 @@
 //! hashes in `seal_kir::hash`: semantic keys decide whether *analysis
 //! results* (specs) can be reused, positional keys decide whether
 //! *line-bearing artifacts* (lowered bodies, bug reports) can be reused
-//! byte-for-byte.
+//! byte-for-byte. [`env_hash`] is the exception: it leaves global
+//! definition sites out, and [`global_refs_hash`] puts back, per body, the
+//! sites of the globals that body names.
 
 use crate::body::{BasicBlock, FuncBody, LocalDecl};
 use crate::ids::{BlockId, FuncId, LocalId};
@@ -21,6 +23,7 @@ use seal_kir::ast::{BinOp, UnOp};
 use seal_kir::span::Span;
 use seal_kir::types::{Field, FuncSig, StructDef, StructRegistry, Type};
 use seal_store::{CodecError, ContentHash, Dec, Enc, Hasher128};
+use std::collections::BTreeSet;
 
 const BINOPS: [BinOp; 18] = [
     BinOp::Add,
@@ -550,8 +553,10 @@ pub fn decode_body(d: &mut Dec) -> Result<FuncBody, CodecError> {
 
 /// Encodes everything about a module *except* its function bodies: name,
 /// struct layouts (sorted by tag), globals, APIs, interfaces, bindings —
-/// the environment every per-function analysis reads.
-fn enc_env(e: &mut Enc, m: &Module) {
+/// the environment every per-function analysis reads. `global_spans`
+/// selects whether each global's definition site is written: the module
+/// codec keeps it, [`env_hash`] leaves it to [`global_refs_hash`].
+fn enc_env(e: &mut Enc, m: &Module, global_spans: bool) {
     e.str(&m.name);
 
     let mut defs: Vec<&StructDef> = m.structs.iter().collect();
@@ -580,7 +585,9 @@ fn enc_env(e: &mut Enc, m: &Module) {
             }
             None => e.bool(false),
         }
-        enc_span(e, g.span);
+        if global_spans {
+            enc_span(e, g.span);
+        }
     }
 
     e.u32(m.apis.len() as u32);
@@ -613,7 +620,7 @@ fn enc_env(e: &mut Enc, m: &Module) {
 /// definitions sorted by tag; everything else in module order).
 pub fn encode_module(m: &Module) -> Vec<u8> {
     let mut e = Enc::new();
-    enc_env(&mut e, m);
+    enc_env(&mut e, m, true);
     e.u32(m.functions.len() as u32);
     for f in &m.functions {
         encode_body(&mut e, f);
@@ -717,6 +724,7 @@ pub fn decode_module(bytes: &[u8]) -> Result<Module, CodecError> {
         interfaces,
         bindings,
         name_index: std::sync::OnceLock::new(),
+        global_index: std::sync::OnceLock::new(),
     })
 }
 
@@ -733,13 +741,93 @@ pub fn module_hash(m: &Module) -> ContentHash {
 /// analyses read except function bodies (name, struct layouts, globals,
 /// APIs, interfaces, bindings). Lets callers build keys that survive edits
 /// to unrelated functions.
+///
+/// Position-free: global definition sites are left out, so inserting a
+/// line above a global keeps the hash. A global's site reaches analysis
+/// output only as the line of its PDG definition node, and that node
+/// exists only in a PDG whose scope body names the global — a key covers
+/// it with [`global_refs_hash`] of those bodies.
 pub fn env_hash(m: &Module) -> ContentHash {
     let mut e = Enc::new();
-    enc_env(&mut e, m);
+    enc_env(&mut e, m, false);
     let mut h = Hasher128::new();
-    h.update_str("ir.env.v1");
+    h.update_str("ir.env.v2");
     h.update_bytes(&e.into_bytes());
     h.finish()
+}
+
+/// Positional hash of the definition sites of the globals one body names:
+/// `(name, span)` of each, in name order, looked up in `m` (a name with no
+/// definition hashes as absent). Unlike [`body_hash`] it moves when a
+/// named global's definition moves, and only then.
+pub fn global_refs_hash(m: &Module, f: &FuncBody) -> ContentHash {
+    let mut names = BTreeSet::new();
+    for b in &f.blocks {
+        for inst in &b.insts {
+            inst_globals(inst, &mut names);
+        }
+        if let Some(op) = b.terminator.operand() {
+            operand_global(op, &mut names);
+        }
+    }
+    let mut e = Enc::new();
+    e.u32(names.len() as u32);
+    for name in names {
+        e.str(name);
+        match m.global(name) {
+            Some(g) => {
+                e.bool(true);
+                enc_span(&mut e, g.span);
+            }
+            None => e.bool(false),
+        }
+    }
+    let mut h = Hasher128::new();
+    h.update_str("ir.globals.v1");
+    h.update_bytes(&e.into_bytes());
+    h.finish()
+}
+
+/// Adds the globals an instruction names — operands, place bases, index
+/// operands and an indirect callee — to `out`.
+fn inst_globals<'a>(i: &'a Inst, out: &mut BTreeSet<&'a str>) {
+    match i {
+        Inst::Assign { rv, .. } => {
+            for op in rv.operands() {
+                operand_global(op, out);
+            }
+        }
+        Inst::Load { place, .. } | Inst::AddrOf { place, .. } => place_globals(place, out),
+        Inst::Store { place, value } => {
+            place_globals(place, out);
+            operand_global(value, out);
+        }
+        Inst::Call { callee, args, .. } => {
+            if let Callee::Indirect { ptr, .. } = callee {
+                operand_global(ptr, out);
+            }
+            for a in args {
+                operand_global(a, out);
+            }
+        }
+    }
+}
+
+fn place_globals<'a>(p: &'a Place, out: &mut BTreeSet<&'a str>) {
+    if let PlaceBase::Global(g) = &p.base {
+        out.insert(g);
+    }
+    for proj in &p.projections {
+        if let Projection::Index { index, .. } = proj {
+            operand_global(index, out);
+        }
+    }
+}
+
+fn operand_global<'a>(o: &'a Operand, out: &mut BTreeSet<&'a str>) {
+    if let Operand::Global(g) = o {
+        out.insert(g);
+    }
 }
 
 /// Positional content hash of one lowered body (spans included).
@@ -848,6 +936,75 @@ mod tests {
         let f2 = m2.function("prep_impl").unwrap();
         assert_ne!(body_hash(f1), body_hash(f2));
         assert_eq!(body_hash(f1), body_hash(m1.function("prep_impl").unwrap()));
+    }
+
+    /// `int g_a`, `int g_b`, one API declaration placed by `order`, and
+    /// three functions at fixed lines: one names `g_a`, one stores to
+    /// `g_b`, one names no global.
+    fn globals_module(order: &str, g_b: &str) -> Module {
+        let line = |c: char| match c {
+            'a' => "int g_a = 1;\n".to_string(),
+            'b' => format!("{g_b}\n"),
+            _ => "void ext(int x);\n".to_string(),
+        };
+        let mut src: String = order.chars().map(line).collect();
+        src.push_str(
+            "int use_a(int x) { return x + g_a; }\n\
+             int use_b(int x) { g_b = x; return 0; }\n\
+             int use_none(int x) { ext(x); return x; }\n",
+        );
+        lower(&seal_kir::compile(&src, "drivers/globals.c").unwrap())
+    }
+
+    #[test]
+    fn env_hash_ignores_global_sites_but_sees_types_and_initializers() {
+        let m = globals_module("abd", "int g_b = 2;");
+        // `g_b` one line lower, every function where it was.
+        let moved = globals_module("adb", "int g_b = 2;");
+        assert_ne!(
+            m.global("g_b").unwrap().span,
+            moved.global("g_b").unwrap().span
+        );
+        assert_eq!(
+            m.global("g_a").unwrap().span,
+            moved.global("g_a").unwrap().span
+        );
+        assert_eq!(env_hash(&m), env_hash(&moved));
+        // The module codec keeps the sites.
+        assert_ne!(module_hash(&m), module_hash(&moved));
+        assert_eq!(
+            decode_module(&encode_module(&moved)).unwrap().globals,
+            moved.globals
+        );
+
+        assert_ne!(
+            env_hash(&m),
+            env_hash(&globals_module("abd", "long g_b = 2;"))
+        );
+        assert_ne!(
+            env_hash(&m),
+            env_hash(&globals_module("abd", "int g_b = 5;"))
+        );
+    }
+
+    #[test]
+    fn global_refs_hash_moves_only_for_bodies_naming_the_moved_global() {
+        let m = globals_module("abd", "int g_b = 2;");
+        let moved = globals_module("adb", "int g_b = 2;");
+        let refs = |m: &Module, f: &str| global_refs_hash(m, m.function(f).unwrap());
+        let body = |m: &Module, f: &str| body_hash(m.function(f).unwrap());
+        for f in ["use_a", "use_b", "use_none"] {
+            assert_eq!(body(&m, f), body(&moved, f), "{f} body moved");
+        }
+        assert_ne!(refs(&m, "use_b"), refs(&moved, "use_b"));
+        assert_eq!(refs(&m, "use_a"), refs(&moved, "use_a"));
+        assert_eq!(refs(&m, "use_none"), refs(&moved, "use_none"));
+        // Only names and sites count: a new initializer keeps the hash
+        // (the environment hash sees it).
+        let reinit = globals_module("abd", "int g_b = 5;");
+        assert_eq!(refs(&m, "use_b"), refs(&reinit, "use_b"));
+        // And bodies naming different globals hash apart.
+        assert_ne!(refs(&m, "use_a"), refs(&m, "use_none"));
     }
 
     #[test]

@@ -99,6 +99,9 @@ pub struct Module {
     /// lookup (name-based lookups are on the detection hot path, where a
     /// linear scan over `functions` shows up in profiles).
     pub(crate) name_index: std::sync::OnceLock<std::collections::HashMap<String, FuncId>>,
+    /// Lazily built name → position index for [`Module::global`] (shard
+    /// keys look up every global a body names).
+    pub(crate) global_index: std::sync::OnceLock<std::collections::HashMap<String, usize>>,
 }
 
 impl Module {
@@ -120,6 +123,19 @@ impl Module {
     /// Looks up a function id by name.
     pub fn func_id(&self, name: &str) -> Option<FuncId> {
         self.name_index().get(name).copied()
+    }
+
+    /// Looks up a global by name (the first definition, should a name
+    /// repeat).
+    pub fn global(&self, name: &str) -> Option<&GlobalVar> {
+        let index = self.global_index.get_or_init(|| {
+            let mut index = std::collections::HashMap::with_capacity(self.globals.len());
+            for (i, g) in self.globals.iter().enumerate() {
+                index.entry(g.name.clone()).or_insert(i);
+            }
+            index
+        });
+        index.get(name).map(|&i| &self.globals[i])
     }
 
     /// The body for an id.

@@ -428,13 +428,7 @@ impl<'m> Pdg<'m> {
                     .unwrap_or(body.span.line)
             }
             NodeKind::Ret { func } => self.module.body(*func).span.line,
-            NodeKind::GlobalDef { name } => self
-                .module
-                .globals
-                .iter()
-                .find(|g| &g.name == name)
-                .map(|g| g.span.line)
-                .unwrap_or(0),
+            NodeKind::GlobalDef { name } => self.module.global(name).map_or(0, |g| g.span.line),
         }
     }
 

@@ -23,7 +23,6 @@ pub mod cond;
 pub mod domtree;
 pub mod graph;
 pub mod points_to;
-pub mod sig;
 pub mod slice;
 
 pub use cell::{Cell, CellRoot, PathElem};

@@ -146,6 +146,44 @@ if misses != 0:
 print(f"warm-cache smoke: ok (hits={hits}, misses=0, reports identical)")
 EOF
 
+# Line-shift smoke: populate a store, insert an empty line at 90% of the
+# target, rerun read-only. Reports must equal an uncached run, and the rerun
+# must mostly replay (cache.hits > cache.misses): only shards whose bodies,
+# or the globals those bodies name, moved may miss.
+SHIFT_DIR=$(mktemp -d)
+cp tests/data/target.c "$SHIFT_DIR/target.c"
+"$SEAL" hunt --pre "$PRE" --post "$POST" --target "$SHIFT_DIR/target.c" \
+    --cache-dir "$SHIFT_DIR/store" >/dev/null
+SHIFT_AT=$(( $(wc -l <"$SHIFT_DIR/target.c") * 9 / 10 + 1 ))
+awk -v at="$SHIFT_AT" 'NR == at { print "" } { print }' "$SHIFT_DIR/target.c" \
+    >"$SHIFT_DIR/target.shifted"
+mv "$SHIFT_DIR/target.shifted" "$SHIFT_DIR/target.c"
+"$SEAL" hunt --pre "$PRE" --post "$POST" --target "$SHIFT_DIR/target.c" \
+    --cache-dir "$SHIFT_DIR/store" --cache ro --metrics "$SHIFT_DIR/m.json" \
+    >"$SHIFT_DIR/reports.cached"
+"$SEAL" hunt --pre "$PRE" --post "$POST" --target "$SHIFT_DIR/target.c" \
+    >"$SHIFT_DIR/reports.nocache"
+if ! diff -u "$SHIFT_DIR/reports.nocache" "$SHIFT_DIR/reports.cached"; then
+    echo "line-shift smoke: cached reports differ from uncached" >&2
+    rm -rf "$SHIFT_DIR"
+    exit 1
+fi
+if ! python3 - "$SHIFT_DIR/m.json" <<'EOF'
+import json, sys
+entries = json.load(open(sys.argv[1]))["metrics"]
+by_name = {e["name"]: e.get("value", 0) for e in entries}
+hits = by_name.get("cache.hits", 0)
+misses = by_name.get("cache.misses", 0)
+if hits <= misses:
+    sys.exit(f"line-shift smoke: {hits} hits vs {misses} misses after a one-line shift")
+print(f"line-shift smoke: ok (hits={hits}, misses={misses}, reports identical)")
+EOF
+then
+    rm -rf "$SHIFT_DIR"
+    exit 1
+fi
+rm -rf "$SHIFT_DIR"
+
 # Cache-corruption smoke: truncate and then scribble over the store file;
 # the pipeline must degrade to recompute — same reports, exit 0 or 2,
 # and no panic backtrace.

@@ -170,6 +170,128 @@ fn config_fingerprint_change_invalidates_without_stale_reuse() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+// ------------------------------------------------------ moved globals ----
+
+/// A target whose one kmalloc region reaches its dereference through the
+/// global `g_buf`, so the report's witness cites `g_buf`'s definition
+/// line. `globals` orders three lines before the functions: `b` defines
+/// `g_buf`, `o` defines `g_other` (named only by a function with no
+/// region), `d` declares an API. Every function stays on its line.
+fn global_target(globals: &str) -> seal_ir::Module {
+    let mut src = String::from("void *kmalloc(unsigned long n);\n");
+    for c in globals.chars() {
+        src.push_str(match c {
+            'b' => "int *g_buf;\n",
+            'o' => "int g_other = 5;\n",
+            _ => "void ext(int x);\n",
+        });
+    }
+    src.push_str(
+        "int unchecked(int x) {\n\
+         \x20   g_buf = (int *)kmalloc(8);\n\
+         \x20   int *p = g_buf;\n\
+         \x20   *p = x;\n\
+         \x20   return 0;\n\
+         }\n\
+         int other(int x) { ext(x); return g_other; }\n",
+    );
+    seal_ir::lower(&seal_kir::compile(&src, "t.c").unwrap())
+}
+
+/// A hand-written NULL-dereference spec on `kmalloc`'s result.
+fn kmalloc_npd_spec() -> Specification {
+    use seal_solver::{CmpOp, Formula};
+    use seal_spec::{Constraint, Provenance, Quantifier, Relation, SpecUse, SpecValue};
+    Specification {
+        interface: None,
+        constraints: vec![Constraint {
+            quantifier: Quantifier::NotExists,
+            relation: Relation::Reach {
+                value: SpecValue::ret_of("kmalloc"),
+                use_: SpecUse::Deref,
+                cond: Formula::cmp(SpecValue::ret_of("kmalloc"), CmpOp::Eq, 0),
+            },
+        }],
+        origin_patch: "hand-written".into(),
+        provenance: Provenance::CondChanged,
+    }
+}
+
+fn detect_rendered(target: &seal_ir::Module, jobs: usize, cache: &AnalysisCache) -> String {
+    let (reports, _) = detect_bugs_with_stats_jobs_cached(
+        target,
+        &[kmalloc_npd_spec()],
+        &DetectConfig::default(),
+        jobs,
+        cache,
+    );
+    reports.iter().map(|r| format!("{r}\n")).collect()
+}
+
+/// A global's definition line reaches a report only through a scope body
+/// that names it, so moving that global — no body byte changes — must miss
+/// the shard and print the new line, while moving a global no scope body
+/// names must hit.
+#[test]
+fn moved_global_invalidates_exactly_the_shards_whose_bodies_name_it() {
+    let dir = temp_dir("moved-global");
+    let base = global_target("bdo");
+    let populate = AnalysisCache::open(&dir, CacheMode::ReadWrite).unwrap();
+    let before = detect_rendered(&base, 1, &populate);
+    populate.flush().unwrap();
+    let g_buf_line = |m: &seal_ir::Module| m.global("g_buf").unwrap().span.line;
+    let witness_of = |line: u32| format!("-> {line} ->");
+    assert!(
+        before.contains(&witness_of(g_buf_line(&base))),
+        "witness does not cite g_buf's line {}:\n{before}",
+        g_buf_line(&base)
+    );
+
+    let named_moved = global_target("dbo");
+    let unrelated_moved = global_target("bod");
+    assert_ne!(g_buf_line(&base), g_buf_line(&named_moved));
+    assert_eq!(g_buf_line(&base), g_buf_line(&unrelated_moved));
+    for m in [&named_moved, &unrelated_moved] {
+        for f in &base.functions {
+            let g = m.function(&f.name).unwrap();
+            assert_eq!(seal_ir::codec::body_hash(f), seal_ir::codec::body_hash(g));
+        }
+    }
+
+    for jobs in [1usize, 2] {
+        let cache = AnalysisCache::open(&dir, CacheMode::ReadOnly).unwrap();
+        let got = detect_rendered(&named_moved, jobs, &cache);
+        assert_eq!(
+            got,
+            detect_rendered(&named_moved, jobs, &AnalysisCache::disabled()),
+            "jobs={jobs}"
+        );
+        assert!(got.contains(&witness_of(g_buf_line(&named_moved))), "{got}");
+        let s = cache.stats();
+        assert_eq!(
+            (s.hits, s.misses),
+            (0, 1),
+            "jobs={jobs}: named global moved"
+        );
+
+        let cache = AnalysisCache::open(&dir, CacheMode::ReadOnly).unwrap();
+        let got = detect_rendered(&unrelated_moved, jobs, &cache);
+        assert_eq!(
+            got,
+            detect_rendered(&unrelated_moved, jobs, &AnalysisCache::disabled()),
+            "jobs={jobs}"
+        );
+        assert_eq!(got, before, "jobs={jobs}");
+        let s = cache.stats();
+        assert_eq!(
+            (s.hits, s.misses),
+            (1, 0),
+            "jobs={jobs}: unrelated global moved"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------- CLI ----
 
 fn seal_bin() -> &'static str {
@@ -186,6 +308,114 @@ struct ops { int (*prep)(int *p); };
 int do_prep(int *p) { if (p == NULL) return -22; return *p; }
 struct ops t = { .prep = do_prep, };
 ";
+
+/// The text with an empty line inserted before the line at 90% of it:
+/// the program is unchanged, every function and global below moves.
+fn insert_blank_line_at_90pct(text: &str) -> String {
+    let lines: Vec<&str> = text.split_inclusive('\n').collect();
+    let at = lines.len() * 9 / 10;
+    let mut out = String::with_capacity(text.len() + 1);
+    for (i, line) in lines.iter().enumerate() {
+        if i == at {
+            out.push('\n');
+        }
+        out.push_str(line);
+    }
+    out
+}
+
+fn counter(snap: &seal::obs::MetricsSnapshot, name: &str) -> u64 {
+    match snap.metrics.get(name).map(|m| &m.value) {
+        Some(seal::obs::metrics::MetricValue::Counter(c)) => *c,
+        other => panic!("counter `{name}` missing or mistyped: {other:?}"),
+    }
+}
+
+/// The common edit: one line inserted near the end of the target. Only
+/// shards whose scope bodies, or the globals they name, sit below the
+/// line may miss; the cached rerun must print what an uncached run does.
+#[test]
+fn line_inserted_near_the_end_of_the_target_reuses_most_shards() {
+    let dir = temp_dir("line-shift");
+    let corpus = seal_corpus::generate(&seal_corpus::CorpusConfig {
+        seed: 5,
+        drivers_per_template: 8,
+        bug_rate: 0.3,
+        patches_per_template: 2,
+        refactor_patches: 1,
+        scale: 1,
+    });
+    let tree = seal_corpus::files::write_to_dir(&corpus, &dir.join("tree")).unwrap();
+    let list = |paths: Vec<&PathBuf>| {
+        let v: Vec<String> = paths.iter().map(|p| p.display().to_string()).collect();
+        v.join(",")
+    };
+    let pre = list(tree.patch_files.iter().map(|(_, p, _)| p).collect());
+    let post = list(tree.patch_files.iter().map(|(_, _, p)| p).collect());
+    let target = &tree.kernel_files[0];
+    let store = dir.join("store");
+    let hunt = |jobs: usize, extra: &[&std::ffi::OsStr]| {
+        let out = Command::new(seal_bin())
+            .args([
+                "hunt",
+                "--jobs",
+                &jobs.to_string(),
+                "--pre",
+                &pre,
+                "--post",
+                &post,
+            ])
+            .arg("--target")
+            .arg(target)
+            .args(extra)
+            .env_remove("SEAL_CACHE_DIR")
+            .env_remove("SEAL_CACHE")
+            .env_remove("SEAL_JOBS")
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "hunt failed (jobs={jobs}):\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+
+    hunt(1, &["--cache-dir".as_ref(), store.as_os_str()]);
+    let text = std::fs::read_to_string(target).unwrap();
+    std::fs::write(target, insert_blank_line_at_90pct(&text)).unwrap();
+    let uncached = hunt(1, &[]);
+
+    for jobs in [1usize, 2] {
+        let metrics = dir.join(format!("metrics-j{jobs}.json"));
+        let got = hunt(
+            jobs,
+            &[
+                "--cache-dir".as_ref(),
+                store.as_os_str(),
+                "--cache".as_ref(),
+                "ro".as_ref(),
+                "--metrics".as_ref(),
+                metrics.as_os_str(),
+            ],
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&got),
+            String::from_utf8_lossy(&uncached),
+            "jobs={jobs}"
+        );
+        let snap =
+            seal::obs::MetricsSnapshot::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        let shards = counter(&snap, "detect.shards");
+        let hits = counter(&snap, "detect.shard_hits");
+        assert_eq!(hits + counter(&snap, "detect.shard_misses"), shards);
+        assert!(
+            shards > 0 && hits * 5 >= shards * 4,
+            "jobs={jobs}: {hits} of {shards} shards replayed"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
 #[test]
 fn cli_cache_mode_without_dir_is_an_error() {

@@ -315,6 +315,8 @@ fn metrics_cover_every_instrumented_subsystem() {
         "detect.callgraph_builds",
         "detect.regions",
         "detect.shards",
+        "detect.shard_hits",
+        "detect.shard_misses",
         "detect.reports",
         "detect.solver_queries",
         "detect.solver_cache_hits",
@@ -326,6 +328,19 @@ fn metrics_cover_every_instrumented_subsystem() {
             snap.metrics.keys().collect::<Vec<_>>()
         );
     }
+
+    // Every shard is replayed or computed: the reuse counters partition
+    // `detect.shards` (all misses here, the run has no cache).
+    let count = |name: &str| match snap.metrics[name].value {
+        MetricValue::Counter(c) => c,
+        ref other => panic!("{name} is not a counter: {other:?}"),
+    };
+    assert!(count("detect.shards") > 0);
+    assert_eq!(
+        count("detect.shard_hits") + count("detect.shard_misses"),
+        count("detect.shards")
+    );
+    assert_eq!(count("detect.shard_hits"), 0);
 
     // Spot-check semantics: 2 patches × 2 versions compiled, and the
     // committed npd-check patch yields exactly one report in the target.
