@@ -45,8 +45,9 @@ fn main() {
          search-phase counters: {} solver queries ({} answered by the memo),\n\
          {} UNSAT subtrees pruned, {} sources skipped with an empty sink cone\n\
          note: absolute numbers differ (synthetic corpus vs Linux v6.2); the\n\
-         reproduced shape is the phase split — PDG generation dominates path\n\
-         searching, and patch processing is a reusable one-time cost.",
+         reproduced shape is the phase split into PDG generation and path\n\
+         searching, and patch processing as a reusable one-time cost. Phase\n\
+         times sum over workers; detection (wall) is elapsed time.",
         r.detect_stats.regions,
         r.detect_stats.skipped,
         r.detect_stats.solver_queries,

@@ -22,6 +22,7 @@ use seal_pdg::graph::{NodeId, Pdg};
 use seal_pdg::slice::{
     forward_paths, forward_paths_pruned, SinkReach, SliceConfig, SliceStats, ValueFlowPath,
 };
+use seal_runtime::FxHashMap;
 use seal_solver::{Formula, IncrementalTheory, SolverCache, Verdict};
 use seal_spec::{Quantifier, Relation, SpecUse, SpecValue, Specification};
 use std::collections::{BTreeSet, HashMap};
@@ -646,8 +647,8 @@ impl SearchCounters {
 struct PathCache<'p, 'm> {
     pdg: &'p Pdg<'m>,
     cctx: CondCtx<'p, 'm>,
-    memo_full: HashMap<NodeId, std::rc::Rc<Vec<ValueFlowPath>>>,
-    memo_cone: HashMap<NodeId, std::rc::Rc<Vec<ValueFlowPath>>>,
+    memo_full: FxHashMap<NodeId, std::rc::Rc<Vec<ValueFlowPath>>>,
+    memo_cone: FxHashMap<NodeId, std::rc::Rc<Vec<ValueFlowPath>>>,
     reuse: bool,
     path_sensitive: bool,
     slice: SliceConfig,
@@ -655,9 +656,11 @@ struct PathCache<'p, 'm> {
     theory: Option<IncrementalTheory<CondVar>>,
     cond_solver: Option<SolverCache<CondVar>>,
     spec_solver: Option<SolverCache<SpecValue>>,
-    psi_memo: HashMap<PathKey, Formula<SpecValue>>,
-    consistency_memo: HashMap<(PathKey, seal_solver::FormulaId, bool), bool>,
-    roles_memo: HashMap<PathKey, PathRoles>,
+    psi_memo: FxHashMap<PathKey, Formula<SpecValue>>,
+    consistency_memo: FxHashMap<(PathKey, seal_solver::FormulaId, bool), bool>,
+    roles_memo: FxHashMap<PathKey, PathRoles>,
+    /// Keyed on spec values, whose names come from the patches: the
+    /// collision-resistant default hasher.
     instantiate_memo: HashMap<(FuncId, SpecValue), std::rc::Rc<Vec<NodeId>>>,
     counters: SearchCounters,
 }
@@ -683,8 +686,8 @@ impl<'p, 'm> PathCache<'p, 'm> {
         PathCache {
             pdg,
             cctx: CondCtx::new(pdg),
-            memo_full: HashMap::new(),
-            memo_cone: HashMap::new(),
+            memo_full: FxHashMap::default(),
+            memo_cone: FxHashMap::default(),
             reuse: cfg.reuse_path_cache,
             path_sensitive: cfg.path_sensitive,
             slice: cfg.slice,
@@ -695,9 +698,9 @@ impl<'p, 'm> PathCache<'p, 'm> {
                 Some(base) => SolverCache::with_base(base),
                 None => SolverCache::new(),
             }),
-            psi_memo: HashMap::new(),
-            consistency_memo: HashMap::new(),
-            roles_memo: HashMap::new(),
+            psi_memo: FxHashMap::default(),
+            consistency_memo: FxHashMap::default(),
+            roles_memo: FxHashMap::default(),
             instantiate_memo: HashMap::new(),
             counters: SearchCounters::default(),
         }

@@ -18,7 +18,7 @@ use seal_spec::{SpecUse, SpecValue};
 pub fn interface_of_func(module: &Module, func: &str) -> Option<String> {
     module
         .interfaces_of(func)
-        .first()
+        .next()
         .map(|i| format!("{}::{}", i.struct_name, i.field))
 }
 

@@ -21,7 +21,7 @@ pub enum CallTarget {
 }
 
 /// One call site with its resolved targets.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallSite {
     /// Calling function.
     pub caller: FuncId,
@@ -36,8 +36,11 @@ pub struct CallSite {
 /// Whole-module call graph.
 #[derive(Debug, Default)]
 pub struct CallGraph {
-    /// All call sites in the module.
-    pub sites: Vec<CallSite>,
+    /// All call sites in the module, grouped by caller in function order.
+    sites: Vec<CallSite>,
+    /// Compressed-row offsets into `sites`: the sites of function `f` are
+    /// `sites[site_offsets[f]..site_offsets[f + 1]]`.
+    site_offsets: Vec<u32>,
     callees: HashMap<FuncId, BTreeSet<FuncId>>,
     callers: HashMap<FuncId, BTreeSet<FuncId>>,
 }
@@ -46,7 +49,9 @@ impl CallGraph {
     /// Builds the call graph for a module.
     pub fn build(module: &Module) -> Self {
         let mut cg = CallGraph::default();
+        cg.site_offsets.reserve(module.functions.len() + 1);
         for f in &module.functions {
+            cg.site_offsets.push(cg.sites.len() as u32);
             for loc in f.inst_locs() {
                 let Some(Inst::Call { callee, .. }) = f.inst_at(loc) else {
                     continue;
@@ -66,7 +71,22 @@ impl CallGraph {
                 });
             }
         }
+        cg.site_offsets.push(cg.sites.len() as u32);
         cg
+    }
+
+    /// All call sites in the module, grouped by caller in function order.
+    pub fn sites(&self) -> &[CallSite] {
+        &self.sites
+    }
+
+    /// The call sites inside `f`, in instruction order (empty for an id
+    /// outside the module).
+    pub fn sites_of(&self, f: FuncId) -> &[CallSite] {
+        match self.site_offsets.get(f.index()..f.index() + 2) {
+            Some(&[start, end]) => &self.sites[start as usize..end as usize],
+            _ => &[],
+        }
     }
 
     /// Defined functions directly called by `f`.
@@ -80,8 +100,8 @@ impl CallGraph {
     }
 
     /// Approximate resident size in bytes: the sites with their targets'
-    /// owned names, plus the two adjacency maps. Byte-budgeted caches
-    /// charge a held call graph at this cost.
+    /// owned names and per-caller offsets, plus the two adjacency maps.
+    /// Byte-budgeted caches charge a held call graph at this cost.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
         let sites: usize = self
@@ -112,12 +132,8 @@ impl CallGraph {
             .chain(self.callers.values())
             .map(|set| 2 * (entry + set.len() * size_of::<FuncId>()))
             .sum();
-        (size_of::<CallGraph>() + sites + adjacency) as u64
-    }
-
-    /// The resolved call site at a location, if it is a call.
-    pub fn site_at(&self, loc: InstLoc) -> Option<&CallSite> {
-        self.sites.iter().find(|s| s.loc == loc)
+        let offsets = self.site_offsets.len() * size_of::<u32>();
+        (size_of::<CallGraph>() + sites + offsets + adjacency) as u64
     }
 
     /// Functions reachable from `roots` through defined-function edges,
@@ -220,7 +236,7 @@ fn ptr_arity(caller: &FuncBody, ptr: &crate::tac::Operand) -> Option<usize> {
 /// Whether a function's address escapes (appears as a `FuncRef` operand or
 /// in a binding).
 fn address_taken(module: &Module, name: &str) -> bool {
-    if module.bindings.iter().any(|b| b.func == name) {
+    if module.interfaces_of(name).next().is_some() {
         return true;
     }
     module.functions.iter().any(|f| {
@@ -261,7 +277,7 @@ mod tests {
         let (_, cg) =
             graph("void *kmalloc(unsigned long n);\nvoid *f(void) { return kmalloc(4); }");
         let api_sites: Vec<_> = cg
-            .sites
+            .sites()
             .iter()
             .filter(|s| {
                 s.targets
@@ -283,7 +299,7 @@ mod tests {
              int call_it(struct ops *o) { return o->prep(3); }",
         );
         let site = cg
-            .sites
+            .sites()
             .iter()
             .find(|s| s.interface.is_some())
             .expect("indirect site");
@@ -306,7 +322,7 @@ mod tests {
              int call_it(int (*fp)(int x)) { return fp(1); }",
         );
         let site = cg
-            .sites
+            .sites()
             .iter()
             .find(|s| s.interface.is_none() && !s.targets.is_empty())
             .expect("fallback site");
@@ -330,6 +346,47 @@ mod tests {
         let pos = |f: FuncId| order.iter().position(|&x| x == f).unwrap();
         assert!(pos(c) < pos(b));
         assert!(pos(b) < pos(a));
+    }
+
+    #[test]
+    fn sites_of_equals_the_filtered_walk_for_every_function() {
+        let (m, cg) = graph(
+            "void *kmalloc(unsigned long n);\n\
+             struct ops { int (*prep)(int v); };\n\
+             int impl_a(int v) { return v; }\n\
+             int impl_b(int v) { kmalloc(4); return v + 1; }\n\
+             struct ops ta = { .prep = impl_a, };\n\
+             struct ops tb = { .prep = impl_b, };\n\
+             int leaf(int x) { return x * 2; }\n\
+             int rec(int x) { if (x > 0) return rec(x - 1) + leaf(x); return 0; }\n\
+             int via_iface(struct ops *o) { kmalloc(8); return o->prep(3); }\n\
+             int via_ptr(int (*fp)(int x)) { return fp(1) + leaf(2); }",
+        );
+        let kinds = |f: &str| {
+            let sites = cg.sites_of(m.func_id(f).unwrap());
+            (
+                sites.len(),
+                sites.iter().filter(|s| s.interface.is_some()).count(),
+            )
+        };
+        // No calls; recursion plus a direct call; an interface site plus
+        // an API call; a signature-fallback site plus a direct call.
+        assert_eq!(kinds("leaf"), (0, 0));
+        assert_eq!(kinds("rec"), (2, 0));
+        assert_eq!(kinds("via_iface"), (2, 1));
+        assert_eq!(kinds("via_ptr"), (2, 0));
+        let fallback = &cg.sites_of(m.func_id("via_ptr").unwrap())[0];
+        assert!(fallback.interface.is_none() && fallback.targets.len() == 2);
+
+        for f in &m.functions {
+            let walked: Vec<&CallSite> = cg.sites().iter().filter(|s| s.caller == f.id).collect();
+            let indexed: Vec<&CallSite> = cg.sites_of(f.id).iter().collect();
+            assert_eq!(indexed, walked, "sites of {}", f.name);
+        }
+        let total: usize = m.functions.iter().map(|f| cg.sites_of(f.id).len()).sum();
+        assert_eq!(total, cg.sites().len());
+        assert!(cg.sites_of(FuncId(m.functions.len() as u32)).is_empty());
+        assert!(CallGraph::default().sites_of(FuncId(0)).is_empty());
     }
 
     #[test]

@@ -725,6 +725,8 @@ pub fn decode_module(bytes: &[u8]) -> Result<Module, CodecError> {
         bindings,
         name_index: std::sync::OnceLock::new(),
         global_index: std::sync::OnceLock::new(),
+        binding_index: std::sync::OnceLock::new(),
+        direct_callers: std::sync::OnceLock::new(),
     })
 }
 
@@ -890,6 +892,36 @@ mod tests {
         // And the decoded module behaves (name index rebuilt lazily).
         assert!(back.function("prep_impl").is_some());
         assert_eq!(back.dump(), m.dump());
+    }
+
+    #[test]
+    fn lazy_indexes_survive_a_round_trip() {
+        use crate::callgraph::CallGraph;
+        let m = crate::module::tests::indexed_module();
+        // Build every index on the original first: the decoded module
+        // must rebuild its own rather than start from stale ones.
+        crate::module::tests::assert_indexes_match_scans(&m);
+        let back = decode_module(&encode_module(&m)).unwrap();
+        crate::module::tests::assert_indexes_match_scans(&back);
+        assert_eq!(
+            back.interfaces_of("twice").collect::<Vec<_>>(),
+            m.interfaces_of("twice").collect::<Vec<_>>()
+        );
+        let callers = |m: &Module| -> Vec<(FuncId, usize)> {
+            m.callers_of_api("kmalloc")
+                .map(|(f, n)| (f.id, n))
+                .collect()
+        };
+        assert_eq!(callers(&back), callers(&m));
+        let (cg, cg_back) = (CallGraph::build(&m), CallGraph::build(&back));
+        for f in &m.functions {
+            assert_eq!(
+                cg_back.sites_of(f.id),
+                cg.sites_of(f.id),
+                "sites of {}",
+                f.name
+            );
+        }
     }
 
     #[test]

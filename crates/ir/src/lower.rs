@@ -1237,7 +1237,10 @@ mod tests {
         let iface = InterfaceId::new("vb2_ops", "buf_prepare");
         assert!(m.interface(&iface).is_some());
         assert_eq!(m.implementations(&iface).len(), 1);
-        assert_eq!(m.interfaces_of("buffer_prepare"), vec![&iface]);
+        assert_eq!(
+            m.interfaces_of("buffer_prepare").collect::<Vec<_>>(),
+            vec![&iface]
+        );
     }
 
     #[test]

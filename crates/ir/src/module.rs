@@ -64,6 +64,14 @@ pub struct Binding {
     pub func: String,
 }
 
+/// Positions in [`Module::bindings`], grouped by implementing function and
+/// by interface, each group in binding order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BindingIndex {
+    by_func: std::collections::HashMap<String, Vec<u32>>,
+    by_interface: std::collections::HashMap<InterfaceId, Vec<u32>>,
+}
+
 /// A global variable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalVar {
@@ -102,6 +110,16 @@ pub struct Module {
     /// Lazily built name → position index for [`Module::global`] (shard
     /// keys look up every global a body names).
     pub(crate) global_index: std::sync::OnceLock<std::collections::HashMap<String, usize>>,
+    /// Lazily built binding positions by implementing function and by
+    /// interface, for [`Module::interfaces_of`] (every parameter node of
+    /// every PDG asks whether its function implements an interface) and
+    /// [`Module::implementations`] (region enumeration, once per spec).
+    pub(crate) binding_index: std::sync::OnceLock<BindingIndex>,
+    /// Lazily built callee name → `(caller, direct call count)` index for
+    /// [`Module::callers_of_api`], callers in function order (region
+    /// enumeration asks it for every API of every spec).
+    pub(crate) direct_callers:
+        std::sync::OnceLock<std::collections::HashMap<String, Vec<(FuncId, usize)>>>,
 }
 
 impl Module {
@@ -160,41 +178,75 @@ impl Module {
         self.interfaces.iter().find(|i| &i.id == id)
     }
 
-    /// All implementations bound to an interface.
+    fn binding_index(&self) -> &BindingIndex {
+        self.binding_index.get_or_init(|| {
+            let mut index = BindingIndex::default();
+            for (i, b) in self.bindings.iter().enumerate() {
+                index
+                    .by_func
+                    .entry(b.func.clone())
+                    .or_default()
+                    .push(i as u32);
+                index
+                    .by_interface
+                    .entry(b.interface.clone())
+                    .or_default()
+                    .push(i as u32);
+            }
+            index
+        })
+    }
+
+    /// All implementations bound to an interface, in binding order.
     pub fn implementations(&self, id: &InterfaceId) -> Vec<&FuncBody> {
-        self.bindings
-            .iter()
-            .filter(|b| &b.interface == id)
-            .filter_map(|b| self.function(&b.func))
+        self.binding_index()
+            .by_interface
+            .get(id)
+            .into_iter()
+            .flatten()
+            .filter_map(|&i| self.function(&self.bindings[i as usize].func))
             .collect()
     }
 
-    /// The interfaces a function is bound to (usually zero or one).
-    pub fn interfaces_of(&self, func: &str) -> Vec<&InterfaceId> {
-        self.bindings
-            .iter()
-            .filter(|b| b.func == func)
-            .map(|b| &b.interface)
-            .collect()
+    /// The interfaces a function is bound to (usually zero or one), in
+    /// binding order.
+    pub fn interfaces_of(&self, func: &str) -> impl Iterator<Item = &InterfaceId> + '_ {
+        self.binding_index()
+            .by_func
+            .get(func)
+            .into_iter()
+            .flatten()
+            .map(|&i| &self.bindings[i as usize].interface)
     }
 
     /// All function bodies that call the named API directly, with the
-    /// number of such call sites.
-    pub fn callers_of_api(&self, api: &str) -> Vec<(&FuncBody, usize)> {
-        self.functions
-            .iter()
-            .filter_map(|f| {
-                let n = f
-                    .blocks
-                    .iter()
-                    .flat_map(|b| &b.insts)
-                    .filter(|i| {
-                        matches!(i, crate::tac::Inst::Call { callee: crate::tac::Callee::Direct(name), .. } if name == api)
-                    })
-                    .count();
-                (n > 0).then_some((f, n))
-            })
-            .collect()
+    /// number of such call sites, in function order.
+    pub fn callers_of_api(&self, api: &str) -> impl Iterator<Item = (&FuncBody, usize)> + '_ {
+        let index = self.direct_callers.get_or_init(|| {
+            let mut index = std::collections::HashMap::<String, Vec<(FuncId, usize)>>::new();
+            for f in &self.functions {
+                for inst in f.blocks.iter().flat_map(|b| &b.insts) {
+                    let crate::tac::Inst::Call {
+                        callee: crate::tac::Callee::Direct(name),
+                        ..
+                    } = inst
+                    else {
+                        continue;
+                    };
+                    let callers = index.entry(name.clone()).or_default();
+                    match callers.last_mut() {
+                        Some((id, n)) if *id == f.id => *n += 1,
+                        _ => callers.push((f.id, 1)),
+                    }
+                }
+            }
+            index
+        });
+        index
+            .get(api)
+            .into_iter()
+            .flatten()
+            .map(|&(id, n)| (self.body(id), n))
     }
 }
 
@@ -245,7 +297,7 @@ impl Module {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -273,6 +325,99 @@ mod tests {
         assert!(st.blocks >= 3);
         assert!(st.instructions >= 2);
         assert!(m.dump().contains("impl_a"));
+    }
+
+    /// Interfaces: `twice` implements two fields, `once` one, `never`
+    /// none. Calls: `kmalloc` twice from `twice`, once from `once`, never
+    /// from `never`; `once` also calls the defined `never`.
+    const INDEXED: &str = "void *kmalloc(unsigned long n);\n\
+         void kfree(void *p);\n\
+         struct ops { int (*open)(int v); int (*probe)(int v); };\n\
+         int never(int v) { return v; }\n\
+         int twice(int v) { kmalloc(1); kfree(kmalloc(2)); return v; }\n\
+         int once(int v) { kmalloc(3); return never(v); }\n\
+         struct ops a = { .open = twice, .probe = twice, };\n\
+         struct ops b = { .open = once, };";
+
+    pub(crate) fn indexed_module() -> Module {
+        crate::lower::lower(&seal_kir::compile(INDEXED, "t.c").unwrap())
+    }
+
+    /// The linear scans the lazy indexes replace.
+    fn scanned_interfaces<'m>(m: &'m Module, func: &str) -> Vec<&'m InterfaceId> {
+        m.bindings
+            .iter()
+            .filter(|b| b.func == func)
+            .map(|b| &b.interface)
+            .collect()
+    }
+
+    fn scanned_callers(m: &Module, api: &str) -> Vec<(FuncId, usize)> {
+        m.functions
+            .iter()
+            .filter_map(|f| {
+                let n = f
+                    .blocks
+                    .iter()
+                    .flat_map(|b| &b.insts)
+                    .filter(|i| {
+                        matches!(i, crate::tac::Inst::Call { callee: crate::tac::Callee::Direct(name), .. } if name == api)
+                    })
+                    .count();
+                (n > 0).then_some((f.id, n))
+            })
+            .collect()
+    }
+
+    /// Asserts every index answer of `m` equals the scan over `m`.
+    pub(crate) fn assert_indexes_match_scans(m: &Module) {
+        for func in ["twice", "once", "never", "kmalloc"] {
+            assert_eq!(
+                m.interfaces_of(func).collect::<Vec<_>>(),
+                scanned_interfaces(m, func),
+                "interfaces of {func}"
+            );
+        }
+        for api in ["kmalloc", "kfree", "never", "absent"] {
+            let indexed: Vec<(FuncId, usize)> =
+                m.callers_of_api(api).map(|(f, n)| (f.id, n)).collect();
+            assert_eq!(indexed, scanned_callers(m, api), "callers of {api}");
+        }
+        for iface in [
+            InterfaceId::new("ops", "open"),
+            InterfaceId::new("ops", "probe"),
+        ] {
+            let scanned: Vec<&FuncBody> = m
+                .bindings
+                .iter()
+                .filter(|b| b.interface == iface)
+                .filter_map(|b| m.function(&b.func))
+                .collect();
+            let names = |v: Vec<&FuncBody>| v.iter().map(|f| f.name.clone()).collect::<Vec<_>>();
+            assert_eq!(names(m.implementations(&iface)), names(scanned));
+        }
+    }
+
+    #[test]
+    fn lazy_indexes_equal_the_linear_scans() {
+        let m = indexed_module();
+        assert_indexes_match_scans(&m);
+        // Bound twice (in binding order), once, never.
+        let open = InterfaceId::new("ops", "open");
+        let probe = InterfaceId::new("ops", "probe");
+        assert_eq!(
+            m.interfaces_of("twice").collect::<Vec<_>>(),
+            vec![&open, &probe]
+        );
+        assert_eq!(m.interfaces_of("once").collect::<Vec<_>>(), vec![&open]);
+        assert_eq!(m.interfaces_of("never").count(), 0);
+        // Call counts per caller, callers in function order.
+        let callers: Vec<(&str, usize)> = m
+            .callers_of_api("kmalloc")
+            .map(|(f, n)| (f.name.as_str(), n))
+            .collect();
+        assert_eq!(callers, vec![("twice", 2), ("once", 1)]);
+        assert_eq!(m.callers_of_api("absent").count(), 0);
     }
 
     #[test]

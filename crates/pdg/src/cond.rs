@@ -13,8 +13,9 @@ use crate::graph::{NodeId, NodeKind, Pdg};
 use seal_ir::ids::LocalId;
 use seal_ir::tac::{Inst, Operand, Rvalue, Terminator};
 use seal_kir::ast::{BinOp, UnOp};
+use seal_runtime::FxHashMap;
 use seal_solver::{CmpOp, Formula, Term};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A symbolic variable of a path condition.
 ///
@@ -52,7 +53,7 @@ impl std::fmt::Display for CondVar {
 /// Memoizing condition evaluator over one PDG.
 pub struct CondCtx<'p, 'm> {
     pdg: &'p Pdg<'m>,
-    memo: HashMap<NodeId, Formula<CondVar>>,
+    memo: FxHashMap<NodeId, Formula<CondVar>>,
 }
 
 impl<'p, 'm> CondCtx<'p, 'm> {
@@ -60,7 +61,7 @@ impl<'p, 'm> CondCtx<'p, 'm> {
     pub fn new(pdg: &'p Pdg<'m>) -> Self {
         CondCtx {
             pdg,
-            memo: HashMap::new(),
+            memo: FxHashMap::default(),
         }
     }
 

@@ -23,6 +23,7 @@ use seal_ir::callgraph::{CallGraph, CallTarget};
 use seal_ir::ids::{BlockId, FuncId, InstLoc, LocalId};
 use seal_ir::module::Module;
 use seal_ir::tac::{Callee, Inst, Operand, Place, PlaceBase, Projection, Rvalue, Terminator};
+use seal_runtime::FxHashMap;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Index of a PDG node.
@@ -158,15 +159,22 @@ pub struct Pdg<'m> {
     pub scope: BTreeSet<FuncId>,
     /// Node table.
     pub nodes: Vec<NodeKind>,
-    index: HashMap<NodeKind, NodeId>,
+    /// Node ids by kind, for every kind but [`NodeKind::GlobalDef`]. This
+    /// and the two maps below key on ids only and are point-queried, never
+    /// iterated, so they use the cheap [`FxHashMap`]: its hash order cannot
+    /// reach output, and no key comes from the analyzed source.
+    index: FxHashMap<NodeKind, NodeId>,
+    /// `GlobalDef` node ids by global name. Names come from the analyzed
+    /// source, so this map keeps the collision-resistant default hasher.
+    global_defs: HashMap<String, NodeId>,
     store: Store,
     omega: Vec<Option<Omega>>,
     /// Defining nodes for each (consumer node, local) pair, for condition
     /// symbolization.
-    op_defs: HashMap<(NodeId, LocalId), Vec<NodeId>>,
+    op_defs: FxHashMap<(NodeId, LocalId), Vec<NodeId>>,
     /// Call-site nodes feeding each Param node (for context-sensitive
     /// conditions: a helper called under a guard inherits the guard).
-    param_sites: HashMap<NodeId, Vec<NodeId>>,
+    param_sites: FxHashMap<NodeId, Vec<NodeId>>,
     /// Per-function points-to facts.
     pub pts: HashMap<FuncId, PointsTo>,
     /// Per-function control facts.
@@ -266,19 +274,21 @@ impl<'m> Pdg<'m> {
             module,
             scope: scope.clone(),
             nodes: Vec::new(),
-            index: HashMap::new(),
+            index: FxHashMap::default(),
+            global_defs: HashMap::new(),
             store,
             omega: Vec::new(),
-            op_defs: HashMap::new(),
-            param_sites: HashMap::new(),
+            op_defs: FxHashMap::default(),
+            param_sites: FxHashMap::default(),
             pts: HashMap::new(),
             control: HashMap::new(),
         };
         for &fid in scope {
             let body = module.body(fid);
             pdg.pts.insert(fid, PointsTo::compute(body));
-            pdg.control.insert(fid, ControlFacts::compute(body));
-            pdg.add_function_nodes(body);
+            let control = ControlFacts::compute(body);
+            pdg.add_function_nodes(body, &control.order);
+            pdg.control.insert(fid, control);
         }
         for &fid in scope {
             pdg.add_local_def_use(module.body(fid));
@@ -317,7 +327,11 @@ impl<'m> Pdg<'m> {
 
     /// Node id for a kind, if present.
     pub fn node(&self, kind: &NodeKind) -> Option<NodeId> {
-        self.index.get(kind).copied()
+        match kind {
+            NodeKind::GlobalDef { name } => self.global_defs.get(name),
+            _ => self.index.get(kind),
+        }
+        .copied()
     }
 
     /// The kind of a node.
@@ -646,12 +660,15 @@ impl<'m> Pdg<'m> {
     // --------------------------------------------------------- construction
 
     fn intern(&mut self, kind: NodeKind) -> NodeId {
-        if let Some(&id) = self.index.get(&kind) {
+        if let Some(id) = self.node(&kind) {
             return id;
         }
         let id = self.nodes.len() as NodeId;
-        self.nodes.push(kind.clone());
-        self.index.insert(kind, id);
+        match &kind {
+            NodeKind::GlobalDef { name } => self.global_defs.insert(name.clone(), id),
+            _ => self.index.insert(kind.clone(), id),
+        };
+        self.nodes.push(kind);
         self.omega.push(None);
         match &mut self.store {
             Store::PerNode {
@@ -691,7 +708,9 @@ impl<'m> Pdg<'m> {
         }
     }
 
-    fn add_function_nodes(&mut self, body: &FuncBody) {
+    /// Interns a function's nodes; `block_order` is its blocks' reverse
+    /// post-order index (the `Ω` block stamp).
+    fn add_function_nodes(&mut self, body: &FuncBody, block_order: &[u32]) {
         for i in 0..body.param_count {
             self.intern(NodeKind::Param {
                 func: body.id,
@@ -701,7 +720,6 @@ impl<'m> Pdg<'m> {
         let mut has_ret_value = false;
         for loc in body.all_locs() {
             let n = self.intern(NodeKind::Inst(loc));
-            let block_order = self.control[&body.id].order[loc.block.index()];
             let idx = if loc.is_terminator() {
                 u32::MAX
             } else {
@@ -709,7 +727,7 @@ impl<'m> Pdg<'m> {
             };
             self.omega[n as usize] = Some(Omega {
                 func: body.id,
-                block: block_order,
+                block: block_order[loc.block.index()],
                 idx,
             });
             if loc.is_terminator() {
@@ -724,24 +742,31 @@ impl<'m> Pdg<'m> {
     }
 
     /// Reaching-definitions def-use for locals, plus `op_defs` bookkeeping.
+    ///
+    /// A definition set is a sorted, duplicate-free list of `(local,
+    /// defining node)` pairs: the same facts as a map from each local to
+    /// its defining nodes, read back per local in ascending node order.
     fn add_local_def_use(&mut self, body: &FuncBody) {
-        type Defs = BTreeMap<LocalId, BTreeSet<NodeId>>;
         let nblocks = body.blocks.len();
+        // Each block's generated definitions: the last definition of every
+        // local it assigns. The transfer function kills those locals and
+        // adds these pairs, so it is pure in the in-set.
+        let gens: Vec<Defs> = (0..nblocks).map(|b| self.block_gen(body, b)).collect();
         let mut in_sets: Vec<Defs> = vec![Defs::new(); nblocks];
         // Entry: parameters defined by Param nodes.
-        let mut entry = Defs::new();
-        for i in 0..body.param_count {
-            let n = self.node(&NodeKind::Param {
-                func: body.id,
-                index: i,
-            });
-            if let Some(n) = n {
-                entry.entry(LocalId(i as u32)).or_default().insert(n);
-            }
-        }
-        in_sets[0] = entry;
+        in_sets[0] = (0..body.param_count)
+            .filter_map(|i| {
+                let n = self.node(&NodeKind::Param {
+                    func: body.id,
+                    index: i,
+                })?;
+                Some((LocalId(i as u32), n))
+            })
+            .collect();
 
         let preds = body.predecessors();
+        // Each block's out-set, kept until its in-set changes.
+        let mut out_sets: Vec<Option<Defs>> = vec![None; nblocks];
         // Iterate to fixpoint (monotone union + strong per-local kill).
         loop {
             let mut changed = false;
@@ -749,15 +774,17 @@ impl<'m> Pdg<'m> {
                 let mut cur = in_sets[b].clone();
                 if b != 0 {
                     for p in &preds[b] {
-                        let out = self.block_out(body, p.index(), &in_sets[p.index()]);
-                        for (l, defs) in out {
-                            cur.entry(l).or_default().extend(defs);
-                        }
+                        let p = p.index();
+                        let out =
+                            out_sets[p].get_or_insert_with(|| block_out(&in_sets[p], &gens[p]));
+                        cur.extend_from_slice(out);
                     }
-                    // Preserve entry defs that flowed in previously.
+                    cur.sort_unstable();
+                    cur.dedup();
                 }
                 if cur != in_sets[b] {
                     in_sets[b] = cur;
+                    out_sets[b] = None;
                     changed = true;
                 }
             }
@@ -792,8 +819,7 @@ impl<'m> Pdg<'m> {
                 );
                 for op in inst.uses() {
                     if let Some(l) = op.as_local() {
-                        let def_nodes: Vec<NodeId> =
-                            defs.get(&l).into_iter().flatten().copied().collect();
+                        let def_nodes: Vec<NodeId> = defs_of(&defs, l).collect();
                         if !precise_callee {
                             for &d in &def_nodes {
                                 self.add_edge(d, n);
@@ -803,8 +829,9 @@ impl<'m> Pdg<'m> {
                     }
                 }
                 if let Some(d) = inst.def() {
-                    let set: BTreeSet<NodeId> = std::iter::once(n).collect();
-                    defs.insert(d, set);
+                    let at = defs.partition_point(|&(l, _)| l < d);
+                    let end = defs.partition_point(|&(l, _)| l <= d);
+                    defs.splice(at..end, [(d, n)]);
                 }
             }
             // Terminator uses.
@@ -812,8 +839,7 @@ impl<'m> Pdg<'m> {
             let tn = self.node(&NodeKind::Inst(tloc)).expect("node interned");
             if let Some(op) = block.terminator.operand() {
                 if let Some(l) = op.as_local() {
-                    let def_nodes: Vec<NodeId> =
-                        defs.get(&l).into_iter().flatten().copied().collect();
+                    let def_nodes: Vec<NodeId> = defs_of(&defs, l).collect();
                     for &d in &def_nodes {
                         self.add_edge(d, tn);
                     }
@@ -829,14 +855,10 @@ impl<'m> Pdg<'m> {
         }
     }
 
-    /// Transfer function: defs at block end given defs at block start.
-    fn block_out(
-        &self,
-        body: &FuncBody,
-        b: usize,
-        in_defs: &BTreeMap<LocalId, BTreeSet<NodeId>>,
-    ) -> BTreeMap<LocalId, BTreeSet<NodeId>> {
-        let mut defs = in_defs.clone();
+    /// The definitions block `b` generates: the last defining node of each
+    /// local it assigns, sorted by local.
+    fn block_gen(&self, body: &FuncBody, b: usize) -> Defs {
+        let mut last: BTreeMap<LocalId, NodeId> = BTreeMap::new();
         for (i, inst) in body.blocks[b].insts.iter().enumerate() {
             if let Some(d) = inst.def() {
                 let loc = InstLoc {
@@ -845,11 +867,11 @@ impl<'m> Pdg<'m> {
                     idx: i,
                 };
                 if let Some(n) = self.node(&NodeKind::Inst(loc)) {
-                    defs.insert(d, std::iter::once(n).collect());
+                    last.insert(d, n);
                 }
             }
         }
-        defs
+        last.into_iter().collect()
     }
 
     /// Store→load memory dependence via reaching stores over cells.
@@ -904,16 +926,21 @@ impl<'m> Pdg<'m> {
             mem
         };
 
+        // Each block's out-state, kept until its in-state changes.
+        let mut out_sets: Vec<Option<Mem>> = vec![None; nblocks];
         loop {
             let mut changed = false;
             for b in 0..nblocks {
                 let mut cur: Mem = Vec::new();
                 for p in &preds[b] {
-                    cur.extend(simulate(&in_sets[p.index()], p.index(), self));
+                    let p = p.index();
+                    let out = out_sets[p].get_or_insert_with(|| simulate(&in_sets[p], p, self));
+                    cur.extend(out.iter().cloned());
                 }
                 dedup_mem(&mut cur);
                 if cur != in_sets[b] {
                     in_sets[b] = cur;
+                    out_sets[b] = None;
                     changed = true;
                 }
             }
@@ -1088,10 +1115,13 @@ impl<'m> Pdg<'m> {
         let mut arg_edges: Vec<(NodeId, NodeId)> = Vec::new();
         let mut const_args: Vec<(InstLoc, usize, i64, FuncId)> = Vec::new();
         let mut ret_edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for site in &cg.sites {
-            if !self.scope.contains(&site.caller) {
-                continue;
-            }
+        // The call graph groups sites by caller in function order, so
+        // walking the scope in ascending order visits exactly the sites a
+        // filtered walk over all of `cg.sites()` would, in the same order:
+        // the edge log is unchanged and the cost no longer grows with the
+        // module around the scope.
+        let funcs: Vec<FuncId> = self.scope.iter().copied().collect();
+        for site in funcs.into_iter().flat_map(|f| cg.sites_of(f)) {
             let Some(call_node) = self.node(&NodeKind::Inst(site.loc)) else {
                 continue;
             };
@@ -1158,6 +1188,33 @@ impl<'m> Pdg<'m> {
             self.add_edge(from, to);
         }
     }
+}
+
+/// Reaching local definitions: sorted, duplicate-free `(local, defining
+/// node)` pairs.
+type Defs = Vec<(LocalId, NodeId)>;
+
+/// The nodes defining `l` in a definition set, ascending.
+fn defs_of(defs: &Defs, l: LocalId) -> impl Iterator<Item = NodeId> + '_ {
+    let at = defs.partition_point(|&(d, _)| d < l);
+    defs[at..]
+        .iter()
+        .take_while(move |&&(d, _)| d == l)
+        .map(|&(_, n)| n)
+}
+
+/// Def-use transfer function: the definitions at block end given those at
+/// block start and the block's generated definitions (which kill every
+/// earlier definition of their locals).
+fn block_out(in_defs: &Defs, gen: &Defs) -> Defs {
+    let mut out: Defs = in_defs
+        .iter()
+        .filter(|(l, _)| gen.binary_search_by_key(l, |&(g, _)| g).is_err())
+        .copied()
+        .chain(gen.iter().copied())
+        .collect();
+    out.sort_unstable();
+    out
 }
 
 fn dedup_mem(mem: &mut Vec<(Cell, NodeId)>) {
@@ -1431,6 +1488,43 @@ mod tests {
             assert_eq!(pooled.data_succs(n), legacy.data_succs(n), "succs of {n}");
             assert_eq!(pooled.data_preds(n), legacy.data_preds(n), "preds of {n}");
             assert_eq!(pooled.ctrl_deps(n), legacy.ctrl_deps(n), "ctrl of {n}");
+        }
+    }
+
+    #[test]
+    fn one_function_scope_is_unchanged_by_unrelated_functions() {
+        let base = "int counter;\n\
+             void *kmalloc(unsigned long n);\n\
+             void kfree(void *p);\n\
+             int helper(int x) { return x + 1; }\n\
+             int f(int *p, int d) {\n\
+               int *q = (int *)kmalloc(8);\n\
+               if (q == NULL) return -12;\n\
+               counter = helper(d);\n\
+               if (d > 0) { kfree(q); }\n\
+               return *p / d;\n\
+             }\n";
+        // Appended functions keep every earlier id; they call `f`, the
+        // same APIs, and each other, so the module's call graph grows on
+        // every side of the scope.
+        let grown = format!(
+            "{base}\
+             int g(int *p, int d) {{ kfree(kmalloc(4)); return f(p, d) + helper(d); }}\n\
+             int h(int *p) {{ if (g(p, 1) > 0) return g(p, 2); return f(p, 3); }}\n"
+        );
+        let (m, cg) = build_all(base);
+        let (m2, cg2) = build_all(&grown);
+        let scope: BTreeSet<FuncId> = [m.func_id("f").unwrap()].into_iter().collect();
+        assert_eq!(m2.func_id("f"), m.func_id("f"));
+        assert!(cg2.sites().len() > cg.sites().len());
+        let a = Pdg::build(&m, &cg, &scope);
+        let b = Pdg::build(&m2, &cg2, &scope);
+        assert_eq!(a.nodes, b.nodes);
+        assert_eq!(a.edge_count(), b.edge_count());
+        for n in 0..a.len() as NodeId {
+            assert_eq!(a.data_succs(n), b.data_succs(n), "succs of {n}");
+            assert_eq!(a.data_preds(n), b.data_preds(n), "preds of {n}");
+            assert_eq!(a.ctrl_deps(n), b.ctrl_deps(n), "ctrl of {n}");
         }
     }
 

@@ -73,7 +73,7 @@ pub fn is_source(pdg: &Pdg<'_>, n: NodeId) -> bool {
     match pdg.kind(n) {
         NodeKind::Param { func, .. } => {
             let name = &pdg.module.body(*func).name;
-            !pdg.module.interfaces_of(name).is_empty() || pdg.data_preds(n).is_empty()
+            pdg.module.interfaces_of(name).next().is_some() || pdg.data_preds(n).is_empty()
         }
         NodeKind::GlobalDef { .. } | NodeKind::ConstArg { .. } => true,
         NodeKind::Ret { .. } => false,

@@ -12,6 +12,8 @@
 //! * [`rng`] — a SplitMix64-seeded xoshiro256** PRNG behind the same
 //!   `seed → stream` API the corpus generator previously got from the
 //!   external `rand` crate.
+//! * [`fxhash`] — a seed-free multiply-rotate hasher ([`FxHashMap`]) for
+//!   hot maps that are point-queried and never iterated into output.
 //! * [`symbol`] — a global string interner with `Copy` [`Symbol`]s ordered
 //!   by content, used for the structural path signatures of `seal-pdg`.
 //! * [`panic`] — scoped panic containment ([`catch_task_panic`]) backing
@@ -22,11 +24,13 @@
 //! The worker count is taken from the `SEAL_JOBS` environment variable
 //! (default: [`std::thread::available_parallelism`]).
 
+pub mod fxhash;
 pub mod panic;
 pub mod pool;
 pub mod rng;
 pub mod symbol;
 
+pub use fxhash::FxHashMap;
 pub use panic::{catch_task_panic, TaskPanic};
 pub use pool::{
     effective_jobs, par_map, par_map_indexed, par_map_indexed_jobs, par_map_indexed_jobs_with,

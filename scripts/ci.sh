@@ -77,6 +77,27 @@ fi
 rm -rf "$OVER_DIR"
 echo "oversubscription smoke: ok"
 
+# Large-target determinism smoke: a hunt over a generated 240-driver corpus
+# (4x the evaluation scale) at jobs 1 and 2 must print byte-identical
+# reports. The detection hot paths use seed-free hash maps only for point
+# lookups; any iteration order leaking into reports shows up here first.
+BIG_DIR=$(mktemp -d)
+"$SEAL" gen-corpus --dir "$BIG_DIR/corpus" --drivers 240 >/dev/null 2>&1
+BIG_PRE=$(ls "$BIG_DIR"/corpus/patches/*.pre.c | paste -sd, -)
+BIG_POST=$(ls "$BIG_DIR"/corpus/patches/*.post.c | paste -sd, -)
+BIG_TARGET=$(ls "$BIG_DIR"/corpus/kernel/core/*.c | paste -sd, -)
+for J in 1 2; do
+    "$SEAL" hunt --pre "$BIG_PRE" --post "$BIG_POST" --target "$BIG_TARGET" \
+        --jobs "$J" >"$BIG_DIR/reports.j$J" 2>"$BIG_DIR/specs.j$J"
+done
+if ! cmp -s "$BIG_DIR/reports.j1" "$BIG_DIR/reports.j2"; then
+    echo "large-target smoke: reports differ between jobs=1 and jobs=2" >&2
+    rm -rf "$BIG_DIR"
+    exit 1
+fi
+echo "large-target smoke: ok ($(grep -c '' "$BIG_DIR/reports.j1") report lines identical at jobs 1 and 2)"
+rm -rf "$BIG_DIR"
+
 # Fault-injection smoke: mutate a real corpus patch and batch-infer the
 # mutants next to a good pair. The contract (DESIGN.md, "Fault tolerance"):
 # exit 0 (all fine) or 2 (some items failed) — never 1, never a panic

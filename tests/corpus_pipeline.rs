@@ -88,3 +88,42 @@ fn ambiguous_patches_produce_specs_that_misfire() {
         "engineered FP specs flagged nothing — precision calibration broken"
     );
 }
+
+/// Digest of the rendered reports of a jobs = 1 hunt over the seed-1
+/// evaluation corpus (`pinned_hunt_reports`). Pinned so that a change
+/// meant to be output-identical (an index, a cheaper hash map, a cached
+/// transfer function) is checked against the reports of the code before
+/// it, not only against itself at another worker count. Update it only
+/// with a change that means to alter reports, and say why.
+const PINNED_HUNT_DIGEST: &str = "a665c182e5e9d1c97793e07b93843efe";
+
+/// One `seal hunt` over the generated corpus, in process: compile and
+/// lower the target, infer from every patch, detect with `jobs` workers.
+fn hunt_rendered(corpus: &seal::corpus::Corpus, jobs: usize) -> String {
+    let tu = seal::kir::compile_many(&[("kernel.c", corpus.target_source.as_str())])
+        .expect("target compiles");
+    let module = seal::ir::lower_checked(&tu).expect("target lowers");
+    let seal = Seal::default();
+    let mut specs = Vec::new();
+    for r in seal::core::infer_batch(&seal, &corpus.patches, jobs) {
+        specs.extend(r.expect("corpus patches infer"));
+    }
+    let (reports, _, errors) =
+        seal::core::detect_bugs_isolated(&module, &specs, &seal.detect, jobs);
+    assert!(errors.is_empty(), "detection shards failed: {errors:?}");
+    seal::scale::render_reports(&reports)
+}
+
+#[test]
+fn pinned_hunt_reports() {
+    let corpus = generate(&CorpusConfig {
+        seed: 1,
+        ..seal::scale::eval_base_config()
+    });
+    let one = hunt_rendered(&corpus, 1);
+    let two = hunt_rendered(&corpus, 2);
+    assert_eq!(one, two, "reports differ between jobs 1 and 2");
+    assert!(!one.is_empty(), "the hunt reports nothing");
+    let digest = seal_store::ContentHash::of(one.as_bytes()).to_string();
+    assert_eq!(digest, PINNED_HUNT_DIGEST, "rendered reports moved");
+}
