@@ -6,14 +6,8 @@
 //! corpus scale), verifies that specs, reports, and scores are
 //! byte-identical across worker counts, and writes `BENCH_pipeline.json`.
 //!
-//! Two reference points are reported per worker count:
-//!
-//! * `speedup_vs_1worker` — thread scaling alone (bounded by the CPUs of
-//!   the machine, recorded in `cpus`);
-//! * `speedup_vs_baseline` — against the *seed-equivalent* configuration:
-//!   one worker and per-spec path search with no path-result reuse
-//!   (`reuse_path_cache: false`), i.e. the pipeline as it stood before
-//!   this optimization pass.
+//! Each worker count reports `speedup_vs_1worker`: thread scaling alone
+//! (bounded by the CPUs of the machine, recorded in `cpus`).
 //!
 //! Iteration counts come from `SEAL_BENCH_WARMUP` / `SEAL_BENCH_ITERS`
 //! (defaults 1 and 5). Within each corpus scale the worker counts are
@@ -28,10 +22,9 @@
 //! CLI by at least 5x.
 
 use seal_bench::{eval_config, run_parts, run_pipeline_with_jobs, PipelineParts, PipelineResult};
-use seal_core::{detect_bugs_with_stats_jobs, AnalysisCache, DetectConfig, Seal};
+use seal_core::AnalysisCache;
 use seal_corpus::CorpusConfig;
 use seal_spec::parse::to_line;
-use seal_spec::Specification;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -192,47 +185,6 @@ fn measure_row(
         }
     }
     cells
-}
-
-/// The seed-equivalent baseline: sequential inference and detection with
-/// path-result memoization and spec-identity memoization disabled (one
-/// path search + feasibility pass per (spec, region) pair, every duplicate
-/// spec re-checked — as before this optimization pass).
-fn measure_baseline(warmup: usize, iters: usize) -> Samples {
-    let config = eval_config();
-    let corpus = seal_corpus::generate(&config);
-    let target = corpus.target_module();
-    let seal = Seal::default();
-    let detect_cfg = DetectConfig {
-        reuse_path_cache: false,
-        dedup_specs: false,
-        ..seal.detect
-    };
-    let run = || {
-        let t0 = Instant::now();
-        let mut specs: Vec<Specification> = Vec::new();
-        for patch in &corpus.patches {
-            specs.extend(seal.infer(patch).expect("corpus patches compile"));
-        }
-        let infer_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
-        let (_reports, stats) = detect_bugs_with_stats_jobs(&target, &specs, &detect_cfg, 1);
-        let detect_ms = t1.elapsed().as_secs_f64() * 1e3;
-        (infer_ms, detect_ms, stats)
-    };
-    for _ in 0..warmup {
-        let _ = run();
-    }
-    let mut s = Samples::default();
-    for _ in 0..iters {
-        let (infer_ms, detect_ms, stats) = run();
-        s.total.push(infer_ms + detect_ms);
-        s.infer.push(infer_ms);
-        s.pdg.push(stats.pdg_time.as_secs_f64() * 1e3);
-        s.search.push(stats.search_time.as_secs_f64() * 1e3);
-        s.detect.push(detect_ms);
-    }
-    s
 }
 
 /// One row of the incremental-cache benchmark: the store mode it ran in,
@@ -1075,10 +1027,6 @@ fn main() {
 
     eprintln!("bench_pipeline: warmup={warmup} iters={iters} cpus={cpus}");
 
-    eprintln!("measuring seed-equivalent baseline (1 worker, no path-result reuse)");
-    let baseline = measure_baseline(warmup, iters);
-    let baseline_min = min(&baseline.total);
-
     // corpus scale -> per-jobs cells, in worker_counts order.
     let mut matrix: Vec<(&str, Vec<(usize, Cell)>)> = Vec::new();
     let mut identical = true;
@@ -1107,26 +1055,18 @@ fn main() {
         let ratios: Vec<f64> = reference.iter().zip(sample).map(|(r, s)| r / s).collect();
         median(&ratios)
     };
-    let row_json = |jobs: usize, cell: &Cell, one_worker: &Samples, vs_baseline: Option<f64>| {
+    let row_json = |jobs: usize, cell: &Cell, one_worker: &Samples| {
         // More workers than CPUs measures scheduling overhead, not
         // parallel speedup; annotate so readers discount those rows.
         // Both `cpus` and `oversubscribed` reflect the parallelism
         // available while this row was measured, not a startup snapshot.
         let oversubscribed = jobs > cell.cpus;
         let jobs_effective = jobs.min(cell.cpus);
-        let baseline_field = vs_baseline
-            .map(|b| {
-                format!(
-                    ",\"speedup_vs_baseline\":{:.3}",
-                    b / min(&cell.samples.total)
-                )
-            })
-            .unwrap_or_default();
         format!(
             "{{\"jobs\":{jobs},\"jobs_effective\":{jobs_effective},\"cpus\":{},\
              \"oversubscribed\":{oversubscribed},\"phases\":{},\
              \"speedup_vs_1worker\":{},\
-             \"pdg_ms_ratio_vs_1worker\":{}{}}}",
+             \"pdg_ms_ratio_vs_1worker\":{}}}",
             cell.cpus,
             phase_json(&cell.samples),
             format_args!(
@@ -1136,19 +1076,15 @@ fn main() {
             // Inverted pairing: >1 means this cell's PDG phase costs more
             // than the 1-worker run's (the regression the gate bounds).
             format_args!("{:.3}", paired_ratio(&cell.samples.pdg, &one_worker.pdg)),
-            baseline_field,
         )
     };
 
     let mut matrix_json = Vec::new();
     for (label, cells) in &matrix {
         let one_worker = &cells[0].1.samples;
-        // The seed-equivalent baseline runs at 1x scale only; cross-scale
-        // ratios would compare different workloads.
-        let vs_baseline = (*label == "1x").then_some(baseline_min);
         let rows: Vec<String> = cells
             .iter()
-            .map(|(jobs, cell)| row_json(*jobs, cell, one_worker, vs_baseline))
+            .map(|(jobs, cell)| row_json(*jobs, cell, one_worker))
             .collect();
         matrix_json.push(format!(
             "{{\"corpus\":\"{label}\",\"workers\":[\n      {}\n    ]}}",
@@ -1162,7 +1098,7 @@ fn main() {
         let one_worker = &cells[0].1.samples;
         cells
             .iter()
-            .map(|(jobs, cell)| row_json(*jobs, cell, one_worker, Some(baseline_min)))
+            .map(|(jobs, cell)| row_json(*jobs, cell, one_worker))
             .collect()
     };
 
@@ -1233,17 +1169,11 @@ fn main() {
     let stage_metrics = seal_obs::metrics::take();
 
     let cfg = eval_config();
-    let opt = DetectConfig::default();
     let json = format!(
         "{{\n  \"bench\": \"pipeline\",\n  \"cpus\": {cpus},\n  \"warmup_iters\": {warmup},\n  \
          \"measured_iters\": {iters},\n  \
          \"config\": {{\"seed\": {}, \"drivers_per_template\": {}, \"bug_rate\": {}, \
-         \"patches_per_template\": {}, \"refactor_patches\": {}, \
-         \"optimizations\": {{\"reuse_pdg_cache\": {}, \"path_sensitive\": {}, \
-         \"reuse_path_cache\": {}, \"dedup_specs\": {}, \"prune_unreachable\": {}, \
-         \"prune_unsat_prefixes\": {}, \"solver_memo\": {}, \"shard_local_interner\": {}, \
-         \"arena_pdg\": {}, \"intern_signatures\": {}}}}},\n  \
-         \"baseline_seed_equivalent\": {},\n  \
+         \"patches_per_template\": {}, \"refactor_patches\": {}}},\n  \
          \"workers\": [\n    {}\n  ],\n  \
          \"matrix\": [\n    {}\n  ],\n  \
          \"cache\": {},{serve_json}{serve_conc_json}{scale_json}\n  \
@@ -1254,17 +1184,6 @@ fn main() {
         cfg.bug_rate,
         cfg.patches_per_template,
         cfg.refactor_patches,
-        opt.reuse_pdg_cache,
-        opt.path_sensitive,
-        opt.reuse_path_cache,
-        opt.dedup_specs,
-        opt.prune_unreachable,
-        opt.prune_unsat_prefixes,
-        opt.solver_memo,
-        opt.shard_local_interner,
-        opt.arena_pdg,
-        seal_core::DiffConfig::default().intern_signatures,
-        phase_json(&baseline),
         workers_json.join(",\n    "),
         matrix_json.join(",\n    "),
         cache_json,
@@ -1285,7 +1204,6 @@ fn main() {
             );
         }
     }
-    println!("baseline (seed-equivalent, 1x): min {:.1} ms", baseline_min);
     println!("output identical across worker counts: {identical}");
     println!(
         "cache: warm {warm_speedup:.2}x faster than cold (median, jobs=1), \

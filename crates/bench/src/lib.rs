@@ -5,7 +5,7 @@
 //! generate the corpus, infer specifications from all patches, detect
 //! violations in the target kernel, and score against ground truth.
 
-use seal_core::{AnalysisCache, BugReport, DetectStats, Seal};
+use seal_core::{AnalysisCache, BugReport, DetectStats, ModuleFacts, Seal};
 use seal_corpus::ledger::{score, Score};
 use seal_corpus::{generate, Corpus, CorpusConfig};
 use seal_spec::{Provenance, Specification};
@@ -62,23 +62,12 @@ pub fn run_pipeline(config: &CorpusConfig) -> PipelineResult {
 /// extra threads beyond the cores only add scheduling overhead, and the
 /// determinism contract makes the cap invisible in the output.
 pub fn run_pipeline_with_jobs(config: &CorpusConfig, jobs: usize) -> PipelineResult {
-    run_pipeline_with_jobs_cached(config, jobs, &AnalysisCache::disabled())
-}
-
-/// [`run_pipeline_with_jobs`] with an artifact cache attached to every
-/// stage (spec inference and detection shards). With a disabled cache this
-/// is exactly the uncached pipeline.
-pub fn run_pipeline_with_jobs_cached(
-    config: &CorpusConfig,
-    jobs: usize,
-    cache: &AnalysisCache,
-) -> PipelineResult {
     let corpus = {
         let _span = seal_obs::span!("pipeline.generate", seed = config.seed);
         generate(config)
     };
     let target = corpus.target_module();
-    let parts = run_parts(&corpus, &target, jobs, cache);
+    let parts = run_parts(&corpus, &target, jobs, &AnalysisCache::disabled());
     PipelineResult {
         corpus,
         specs: parts.specs,
@@ -128,17 +117,13 @@ pub fn run_parts(
 
     let t0 = Instant::now();
     let infer_span = seal_obs::span!("pipeline.infer", patches = corpus.patches.len());
-    let per_patch: Vec<(String, Vec<Specification>)> =
-        seal_runtime::par_map_jobs(jobs, &corpus.patches, |patch| {
-            let _span = seal_obs::task_span!("infer.patch", id = patch.id.clone());
-            let s = seal.infer(patch).expect("corpus patches compile");
-            (patch.id.clone(), s)
-        });
+    let per_patch = seal_core::infer_batch(&seal, &corpus.patches, jobs);
     drop(infer_span);
     let mut specs = Vec::new();
     let mut per_patch_specs = Vec::new();
-    for (id, s) in per_patch {
-        per_patch_specs.push((id, s.len()));
+    for (patch, s) in corpus.patches.iter().zip(per_patch) {
+        let s = s.expect("corpus patches compile");
+        per_patch_specs.push((patch.id.clone(), s.len()));
         specs.extend(s);
     }
     let infer_time = t0.elapsed();
@@ -147,13 +132,18 @@ pub fn run_parts(
     let t1 = Instant::now();
     let (reports, detect_stats) = {
         let _span = seal_obs::span!("pipeline.detect", specs = specs.len());
-        seal_core::detect::detect_bugs_with_stats_jobs_cached(
+        let (reports, stats, errors) = seal_core::detect_bugs_isolated_cached(
             target,
+            &ModuleFacts::new(target),
             &specs,
             &seal.detect,
             jobs,
             &seal.cache,
-        )
+        );
+        if let Some(e) = errors.first() {
+            panic!("detection shard failed: {e}");
+        }
+        (reports, stats)
     };
     let detect_time = t1.elapsed();
 

@@ -2,8 +2,10 @@
 //! specifications, reports, and scores for any number of workers.
 
 use seal_bench::{run_pipeline_with_jobs, PipelineResult};
+use seal_core::{detect_bugs_isolated, BugReport, DetectStats, Seal};
 use seal_corpus::CorpusConfig;
 use seal_spec::parse::to_line;
+use seal_spec::Specification;
 
 fn config() -> CorpusConfig {
     CorpusConfig {
@@ -29,18 +31,34 @@ fn render(r: &PipelineResult) -> String {
         out.push_str(&format!("{rep}\n"));
     }
     out.push_str(&format!("{:?}\n", r.score));
+    out.push_str(&render_detection(&r.reports, &r.detect_stats));
+    out
+}
+
+/// Reports plus every deterministic detection counter.
+fn render_detection(reports: &[BugReport], stats: &DetectStats) -> String {
+    let mut out: String = reports.iter().map(|r| format!("{r}\n")).collect();
     out.push_str(&format!(
         "regions={} skipped={}\n",
-        r.detect_stats.regions, r.detect_stats.skipped
+        stats.regions, stats.skipped
     ));
     out.push_str(&format!(
         "solver_queries={} solver_cache_hits={} subtrees_pruned={} sources_skipped_unreachable={}\n",
-        r.detect_stats.solver_queries,
-        r.detect_stats.solver_cache_hits,
-        r.detect_stats.subtrees_pruned,
-        r.detect_stats.sources_skipped_unreachable
+        stats.solver_queries,
+        stats.solver_cache_hits,
+        stats.subtrees_pruned,
+        stats.sources_skipped_unreachable
     ));
     out
+}
+
+fn infer_all(corpus: &seal_corpus::Corpus) -> Vec<Specification> {
+    let seal = Seal::default();
+    let mut specs = Vec::new();
+    for patch in &corpus.patches {
+        specs.extend(seal.infer(patch).expect("corpus patches compile"));
+    }
+    specs
 }
 
 #[test]
@@ -69,37 +87,56 @@ fn oversubscribed_pool_is_still_deterministic() {
     assert_eq!(render(&seq), render(&par));
 }
 
+/// Detection alone, on smaller corpora at more seeds and with worker
+/// counts passed straight to the pool (not capped at the host's cores):
+/// reports and every deterministic counter match the sequential run.
 #[test]
-fn path_cache_ablation_changes_time_not_output() {
-    use seal_core::{detect_bugs_with_stats_jobs, DetectConfig, Seal};
-
-    let cfg = config();
-    let corpus = seal_corpus::generate(&cfg);
-    let target = corpus.target_module();
-    let seal = Seal::default();
-    let mut specs = Vec::new();
-    for patch in &corpus.patches {
-        specs.extend(seal.infer(patch).expect("corpus patches compile"));
+fn detection_is_identical_at_every_worker_count() {
+    for seed in [0xA11CEu64, 0xBEEF] {
+        let corpus = seal_corpus::generate(&CorpusConfig {
+            seed,
+            drivers_per_template: 4,
+            bug_rate: 0.3,
+            patches_per_template: 2,
+            refactor_patches: 2,
+            scale: 1,
+        });
+        let target = corpus.target_module();
+        let specs = infer_all(&corpus);
+        let render = |jobs: usize| {
+            let (reports, stats, errors) =
+                detect_bugs_isolated(&target, &specs, &Seal::default().detect, jobs);
+            assert!(errors.is_empty(), "seed {seed:#x} jobs {jobs}: {errors:?}");
+            render_detection(&reports, &stats)
+        };
+        let reference = render(1);
+        assert!(reference.contains('\n'));
+        for jobs in [2, 4, 8] {
+            assert_eq!(reference, render(jobs), "jobs {jobs} (seed {seed:#x})");
+        }
     }
-    let cached = detect_bugs_with_stats_jobs(&target, &specs, &seal.detect, 2);
-    let uncached_cfg = DetectConfig {
-        reuse_path_cache: false,
-        ..seal.detect
-    };
-    let uncached = detect_bugs_with_stats_jobs(&target, &specs, &uncached_cfg, 2);
-    let show =
-        |rs: &[seal_core::BugReport]| rs.iter().map(|r| format!("{r}\n")).collect::<String>();
-    assert_eq!(show(&cached.0), show(&uncached.0));
-    assert_eq!(cached.1.regions, uncached.1.regions);
-    assert_eq!(cached.1.skipped, uncached.1.skipped);
+}
 
-    // Spec-identity memoization skips work (regions examined shrinks) but
-    // must leave the surviving report list byte-identical.
-    let nodedup_cfg = DetectConfig {
-        dedup_specs: false,
-        ..seal.detect
-    };
-    let nodedup = detect_bugs_with_stats_jobs(&target, &specs, &nodedup_cfg, 2);
-    assert_eq!(show(&cached.0), show(&nodedup.0));
-    assert!(cached.1.regions <= nodedup.1.regions);
+/// A second copy of every spec, as if mined from other patches, adds
+/// neither work nor output: detection checks one spec per (interface,
+/// constraints) group, so the region count and the rendered reports are
+/// those of the original list.
+#[test]
+fn duplicate_specs_from_other_patches_change_nothing() {
+    let corpus = seal_corpus::generate(&config());
+    let target = corpus.target_module();
+    let specs = infer_all(&corpus);
+    let mut doubled = specs.clone();
+    doubled.extend(specs.iter().map(|s| Specification {
+        origin_patch: format!("{}-copy", s.origin_patch),
+        ..s.clone()
+    }));
+    let cfg = Seal::default().detect;
+    let (once, once_stats, once_errors) = detect_bugs_isolated(&target, &specs, &cfg, 2);
+    let (twice, twice_stats, twice_errors) = detect_bugs_isolated(&target, &doubled, &cfg, 2);
+    assert!(once_errors.is_empty() && twice_errors.is_empty());
+    assert!(!once.is_empty(), "config too small to exercise detection");
+    let show = |rs: &[BugReport]| rs.iter().map(|r| format!("{r}\n")).collect::<String>();
+    assert_eq!(show(&once), show(&twice));
+    assert_eq!(once_stats.regions, twice_stats.regions);
 }

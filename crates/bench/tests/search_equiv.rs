@@ -1,14 +1,9 @@
-//! Output-identity of the search-phase optimizations (PR 3), on randomly
-//! generated corpora:
-//!
-//! * the pruned + interned pipeline yields byte-identical reports to the
-//!   naive configuration, for every individual toggle and all together;
-//! * at the slice level, the pruned enumeration produces *exactly* the
-//!   naive feasible path set (full mode) and preserves every
-//!   match-capable path (cone mode);
-//! * signature interning does not change inferred specifications.
+//! Output-identity of the search-phase optimizations, on randomly
+//! generated corpora: at the slice level, the pruned enumeration detection
+//! always uses produces *exactly* the naive feasible path set of the
+//! reference `forward_paths` (full mode) and preserves every match-capable
+//! path (cone mode).
 
-use seal_core::{detect_bugs_with_stats_jobs, DetectConfig, DiffConfig, Seal};
 use seal_corpus::CorpusConfig;
 use seal_ir::callgraph::CallGraph;
 use seal_ir::ids::FuncId;
@@ -19,8 +14,6 @@ use seal_pdg::slice::{
     ValueFlowPath,
 };
 use seal_solver::IncrementalTheory;
-use seal_spec::parse::to_line;
-use seal_spec::Specification;
 use std::collections::BTreeSet;
 
 fn small(seed: u64) -> CorpusConfig {
@@ -31,136 +24,6 @@ fn small(seed: u64) -> CorpusConfig {
         patches_per_template: 2,
         refactor_patches: 2,
         scale: 1,
-    }
-}
-
-/// The seed-equivalent search configuration: every PR 3 optimization off.
-fn naive_cfg() -> DetectConfig {
-    DetectConfig {
-        prune_unreachable: false,
-        prune_unsat_prefixes: false,
-        solver_memo: false,
-        ..DetectConfig::default()
-    }
-}
-
-fn infer_all(corpus: &seal_corpus::Corpus, seal: &Seal) -> Vec<Specification> {
-    let mut specs = Vec::new();
-    for p in &corpus.patches {
-        specs.extend(seal.infer(p).expect("corpus patches compile"));
-    }
-    specs
-}
-
-#[test]
-fn reports_identical_across_every_optimization_toggle() {
-    for seed in [0xA11CEu64, 0xB0B, 0xCAFE] {
-        let corpus = seal_corpus::generate(&small(seed));
-        let target = corpus.target_module();
-        let specs = infer_all(&corpus, &Seal::default());
-        let render = |cfg: &DetectConfig| {
-            let (reports, _) = detect_bugs_with_stats_jobs(&target, &specs, cfg, 1);
-            reports.iter().map(|r| format!("{r}\n")).collect::<String>()
-        };
-        let all_on = render(&DetectConfig::default());
-        assert_eq!(
-            all_on,
-            render(&naive_cfg()),
-            "all-off vs all-on differ (seed {seed:#x})"
-        );
-        let singles = [
-            DetectConfig {
-                prune_unreachable: false,
-                ..DetectConfig::default()
-            },
-            DetectConfig {
-                prune_unsat_prefixes: false,
-                ..DetectConfig::default()
-            },
-            DetectConfig {
-                solver_memo: false,
-                ..DetectConfig::default()
-            },
-        ];
-        for (i, cfg) in singles.iter().enumerate() {
-            assert_eq!(all_on, render(cfg), "toggle {i} differs (seed {seed:#x})");
-        }
-    }
-}
-
-/// The memory/contention optimizations — shard-local solver interning
-/// (seeded from the spec-condition snapshot) and arena-backed PDG
-/// adjacency — must be invisible in the output: byte-identical reports
-/// and identical deterministic counters vs the shared-path configuration,
-/// at every worker count in the bench matrix.
-#[test]
-fn shard_local_interning_and_arena_pdg_are_output_invisible() {
-    for seed in [0xA11CEu64, 0xBEEF] {
-        let corpus = seal_corpus::generate(&small(seed));
-        let target = corpus.target_module();
-        let specs = infer_all(&corpus, &Seal::default());
-        let render = |cfg: &DetectConfig, jobs: usize| {
-            let (reports, stats) = detect_bugs_with_stats_jobs(&target, &specs, cfg, jobs);
-            let mut out: String = reports.iter().map(|r| format!("{r}\n")).collect();
-            out.push_str(&format!(
-                "regions={} skipped={} solver_queries={} solver_cache_hits={} \
-                 subtrees_pruned={} sources_skipped_unreachable={}",
-                stats.regions,
-                stats.skipped,
-                stats.solver_queries,
-                stats.solver_cache_hits,
-                stats.subtrees_pruned,
-                stats.sources_skipped_unreachable,
-            ));
-            out
-        };
-        let reference = render(&DetectConfig::default(), 1);
-        assert!(!reference.is_empty());
-        let variants = [
-            DetectConfig {
-                shard_local_interner: false,
-                ..DetectConfig::default()
-            },
-            DetectConfig {
-                arena_pdg: false,
-                ..DetectConfig::default()
-            },
-            DetectConfig {
-                shard_local_interner: false,
-                arena_pdg: false,
-                ..DetectConfig::default()
-            },
-            DetectConfig::default(),
-        ];
-        for (i, cfg) in variants.iter().enumerate() {
-            for jobs in [1usize, 2, 4, 8] {
-                assert_eq!(
-                    reference,
-                    render(cfg, jobs),
-                    "variant {i} jobs {jobs} (seed {seed:#x})"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn interned_signatures_do_not_change_inference() {
-    for seed in [0xA11CEu64, 0xB0B] {
-        let corpus = seal_corpus::generate(&small(seed));
-        let interned = Seal::default();
-        let naive = Seal {
-            diff: DiffConfig {
-                intern_signatures: false,
-                ..DiffConfig::default()
-            },
-            ..Seal::default()
-        };
-        for p in &corpus.patches {
-            let a: Vec<String> = interned.infer(p).unwrap().iter().map(to_line).collect();
-            let b: Vec<String> = naive.infer(p).unwrap().iter().map(to_line).collect();
-            assert_eq!(a, b, "patch {} (seed {seed:#x})", p.id);
-        }
     }
 }
 

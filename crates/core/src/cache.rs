@@ -401,8 +401,8 @@ impl AnalysisCache {
 /// detection config fingerprint, the position-free module environment,
 /// each scope function's [`BodyKey`] (its positional body hash — reports
 /// carry line numbers — and the definition sites of the globals it names,
-/// the only global sites a report can cite), the PDG storage toggle, and
-/// the identity of each `(spec, region)` item. Bodies *outside* the scope
+/// the only global sites a report can cite), and the identity of each
+/// `(spec, region)` item. Bodies *outside* the scope
 /// and the sites of globals no scope body names are deliberately absent,
 /// which is what makes warm-run misses proportional to the edit set:
 /// mutating one function, or moving it or a global it names, only
@@ -415,15 +415,13 @@ pub(crate) fn shard_key(
     env_hash: &ContentHash,
     body_key: impl Fn(FuncId) -> Option<BodyKey>,
     spec_hashes: &[ContentHash],
-    arena_pdg: bool,
     scope: &BTreeSet<FuncId>,
     items: &[(usize, usize, FuncId)],
 ) -> ContentHash {
     let mut h = Hasher128::new();
-    h.update_str("core.shard.v2");
+    h.update_str("core.shard.v3");
     h.update_u64(fp);
     h.update(env_hash.as_bytes());
-    h.update_u8(arena_pdg as u8);
     h.update_u64(scope.len() as u64);
     for &fid in scope {
         h.update_u32(fid.0);
@@ -606,7 +604,7 @@ mod tests {
         assert_ne!(detect_fingerprint(&base), detect_fingerprint(&other));
         let mut d = DiffConfig::default();
         let fp0 = diff_fingerprint(&d);
-        d.intern_signatures = !d.intern_signatures;
+        d.slice.max_paths += 1;
         assert_ne!(fp0, diff_fingerprint(&d));
     }
 
@@ -637,7 +635,6 @@ mod tests {
             &env,
             eager(&bodies),
             &[s_a, s_b],
-            true,
             &scope,
             &[(0, 0, FuncId(0))],
         );
@@ -646,7 +643,6 @@ mod tests {
             &env,
             eager(&bodies),
             &[s_b, s_a],
-            true,
             &scope,
             &[(1, 0, FuncId(0))],
         );
@@ -657,7 +653,6 @@ mod tests {
             &env,
             eager(&bodies),
             &[s_b, s_a],
-            true,
             &scope,
             &[(0, 0, FuncId(0))],
         );
@@ -669,7 +664,6 @@ mod tests {
             &env,
             eager(&edited),
             &[s_a, s_b],
-            true,
             &scope,
             &[(0, 0, FuncId(0))],
         );
@@ -681,7 +675,6 @@ mod tests {
             &env,
             eager(&moved),
             &[s_a, s_b],
-            true,
             &scope,
             &[(0, 0, FuncId(0))],
         );
@@ -718,15 +711,14 @@ mod tests {
             &facts.env_hash(&m),
             |fid| facts.body_key(&m, fid),
             &specs,
-            true,
             &scope,
             &items,
         );
-        let from_vector = shard_key(7, &env, eager(&bodies), &specs, true, &scope, &items);
+        let from_vector = shard_key(7, &env, eager(&bodies), &specs, &scope, &items);
         assert_eq!(through_facts, from_vector);
         assert_eq!(
             through_facts.to_string(),
-            "5acedda192b24c94b7b4866f941524de"
+            "c55bf61dcbff21eac46b6f3f14c0809d"
         );
     }
 

@@ -19,9 +19,7 @@ use seal_ir::ids::FuncId;
 use seal_ir::module::{InterfaceId, Module};
 use seal_pdg::cond::{CondCtx, CondVar};
 use seal_pdg::graph::{NodeId, Pdg};
-use seal_pdg::slice::{
-    forward_paths, forward_paths_pruned, SinkReach, SliceConfig, SliceStats, ValueFlowPath,
-};
+use seal_pdg::slice::{forward_paths_pruned, SinkReach, SliceConfig, SliceStats, ValueFlowPath};
 use seal_runtime::FxHashMap;
 use seal_solver::{Formula, IncrementalTheory, SolverCache, Verdict};
 use seal_spec::{Quantifier, Relation, SpecUse, SpecValue, Specification};
@@ -41,51 +39,6 @@ pub struct DetectConfig {
     /// Evaluate path feasibility and condition consistency with the solver
     /// (§6.4's path sensitivity). Disable for the ablation baseline.
     pub path_sensitive: bool,
-    /// Memoize feasible forward paths per source node within a scope, so
-    /// every spec checked against the same region reuses one path search
-    /// and one feasibility pass. Disable for the sequential-equivalent
-    /// ablation baseline.
-    pub reuse_path_cache: bool,
-    /// Check one representative per group of specifications that agree on
-    /// `(interface, constraints)`. Detection depends on a spec only
-    /// through those two fields, and [`dedup_reports`] already keeps just
-    /// the first occurrence per constraint key, so duplicates mined from
-    /// different historical patches cannot contribute surviving reports —
-    /// skipping them changes the work done, not the output. Disable for
-    /// the sequential-equivalent ablation baseline.
-    pub dedup_specs: bool,
-    /// Reverse sink-reachability pre-pass: restrict forward search to the
-    /// sink cone for consumers that only examine match-capable paths, and
-    /// skip sources whose cone is empty. Output-identical (the excluded
-    /// paths can never match a specification use); disable for ablation.
-    pub prune_unreachable: bool,
-    /// Thread an incremental interval/equality theory through the DFS and
-    /// abandon any subtree whose prefix condition goes UNSAT, instead of
-    /// enumerating all paths and filtering afterwards. Only active
-    /// together with `path_sensitive` (without the feasibility filter the
-    /// naive enumeration keeps UNSAT paths). Disable for ablation.
-    pub prune_unsat_prefixes: bool,
-    /// Hash-cons conditions into an interner and memoize solver verdicts
-    /// on interned ids (including the Ψ abstraction of path conditions).
-    /// Output-identical (the solver is deterministic); disable for
-    /// ablation.
-    pub solver_memo: bool,
-    /// Seed each shard's spec-condition `SolverCache` from one immutable,
-    /// pre-interned snapshot of every checked spec condition, built before
-    /// the fan-out. Shards then intern spec conditions by pure lookup
-    /// (same ids everywhere) instead of re-walking the formula per shard.
-    /// Output-identical — seeding changes where ids come from, never a
-    /// verdict; only active together with `solver_memo`. Disable for
-    /// ablation.
-    pub shard_local_interner: bool,
-    /// Build shard PDGs on pooled arena/CSR adjacency storage (edges
-    /// logged into one arena and finalized into compressed sparse rows,
-    /// control lists shared per block) instead of the legacy per-node
-    /// vectors. Output-identical — both layouts serve byte-identical
-    /// adjacency slices; the pooled one trades thousands of small
-    /// allocations per build for a handful of large ones, which is what
-    /// keeps `pdg_ms` flat under parallel workers. Disable for ablation.
-    pub arena_pdg: bool,
 }
 
 impl Default for DetectConfig {
@@ -95,13 +48,6 @@ impl Default for DetectConfig {
             max_regions: 512,
             reuse_pdg_cache: true,
             path_sensitive: true,
-            reuse_path_cache: true,
-            dedup_specs: true,
-            prune_unreachable: true,
-            prune_unsat_prefixes: true,
-            solver_memo: true,
-            shard_local_interner: true,
-            arena_pdg: true,
         }
     }
 }
@@ -129,20 +75,6 @@ pub struct DetectStats {
     pub sources_skipped_unreachable: u64,
 }
 
-/// Checks all specifications against a module and reports violations.
-pub fn detect_bugs(module: &Module, specs: &[Specification], cfg: &DetectConfig) -> Vec<BugReport> {
-    detect_bugs_with_stats(module, specs, cfg).0
-}
-
-/// [`detect_bugs`] with phase statistics, on `SEAL_JOBS` workers.
-pub fn detect_bugs_with_stats(
-    module: &Module,
-    specs: &[Specification],
-    cfg: &DetectConfig,
-) -> (Vec<BugReport>, DetectStats) {
-    detect_bugs_with_stats_jobs(module, specs, cfg, seal_runtime::worker_count())
-}
-
 /// One shard's worth of work: every `(spec, region)` pair whose region has
 /// the same scope, tagged with `(spec index, region rank)` for the merge.
 struct Shard {
@@ -150,68 +82,41 @@ struct Shard {
     items: Vec<(usize, usize, FuncId)>,
 }
 
-/// [`detect_bugs`] with phase statistics and an explicit worker count.
-///
-/// Reports, their order, and every `DetectStats` counter are independent of
-/// `jobs` (phase *durations* are summed across workers and naturally vary).
-pub fn detect_bugs_with_stats_jobs(
-    module: &Module,
-    specs: &[Specification],
-    cfg: &DetectConfig,
-    jobs: usize,
-) -> (Vec<BugReport>, DetectStats) {
-    detect_bugs_with_stats_jobs_cached(module, specs, cfg, jobs, &AnalysisCache::disabled())
-}
-
-/// [`detect_bugs_with_stats_jobs`] backed by an artifact cache: shards
-/// whose key (scope bodies, environment, items, config fingerprint) is in
-/// the store replay their recorded reports and counters instead of
-/// building a PDG. Reports and all `DetectStats` *counts* are
-/// byte-identical to an uncached run; only the phase durations shrink.
-pub fn detect_bugs_with_stats_jobs_cached(
-    module: &Module,
-    specs: &[Specification],
-    cfg: &DetectConfig,
-    jobs: usize,
-    cache: &AnalysisCache,
-) -> (Vec<BugReport>, DetectStats) {
-    let facts = ModuleFacts::new(module);
-    let (reports, stats, errors) = detect_inner(module, &facts, specs, cfg, jobs, false, cache);
-    if let Some(e) = errors.into_iter().next() {
-        // Non-isolated contract: a failed shard is a caller bug, not data.
-        panic!("{e}");
-    }
-    (reports, stats)
-}
-
-/// Fault-isolated [`detect_bugs_with_stats_jobs`]: a shard that fails —
-/// invalid PDG scope or a contained panic mid-search — costs only its own
-/// `(spec, region)` items and comes back as a [`SealError`] instead of
-/// unwinding. Surviving reports are byte-identical to the non-isolated run
-/// whenever no shard fails, at any `jobs`.
+/// [`detect_bugs_isolated_cached`] over fresh [`ModuleFacts`] and without
+/// an artifact cache.
 pub fn detect_bugs_isolated(
     module: &Module,
     specs: &[Specification],
     cfg: &DetectConfig,
     jobs: usize,
 ) -> (Vec<BugReport>, DetectStats, Vec<SealError>) {
-    let facts = ModuleFacts::new(module);
-    detect_inner(
+    detect_bugs_isolated_cached(
         module,
-        &facts,
+        &ModuleFacts::new(module),
         specs,
         cfg,
         jobs,
-        true,
         &AnalysisCache::disabled(),
     )
 }
 
-/// [`detect_bugs_isolated`] backed by an artifact cache (see
-/// [`detect_bugs_with_stats_jobs_cached`] for the replay contract), over
-/// the caller's [`ModuleFacts`] for `module` — the ones a warm module
-/// entry carries, so repeated requests against one target share its call
-/// graph and every body hash computed so far.
+/// Checks all specifications against a module on `jobs` workers and
+/// reports violations, with phase statistics.
+///
+/// Fault-isolated: a shard that fails — invalid PDG scope or a contained
+/// panic mid-search — costs only its own `(spec, region)` items and comes
+/// back as a [`SealError`] instead of unwinding. Reports, their order, and
+/// every `DetectStats` counter are independent of `jobs` (phase
+/// *durations* are summed across workers and naturally vary).
+///
+/// Backed by an artifact cache: shards whose key (scope bodies,
+/// environment, items, config fingerprint) is in the store replay their
+/// recorded reports and counters instead of building a PDG. Reports and
+/// all `DetectStats` *counts* are byte-identical to an uncached run; only
+/// the phase durations shrink. `facts` are the caller's [`ModuleFacts`]
+/// for `module` — the ones a warm module entry carries, so repeated
+/// requests against one target share its call graph and every body hash
+/// computed so far.
 ///
 /// # Panics
 ///
@@ -225,35 +130,19 @@ pub fn detect_bugs_isolated_cached(
     cache: &AnalysisCache,
 ) -> (Vec<BugReport>, DetectStats, Vec<SealError>) {
     assert!(facts.fits(module), "module facts built for another module");
-    detect_inner(module, facts, specs, cfg, jobs, true, cache)
-}
-
-fn detect_inner(
-    module: &Module,
-    facts: &ModuleFacts,
-    specs: &[Specification],
-    cfg: &DetectConfig,
-    jobs: usize,
-    isolate: bool,
-    cache: &AnalysisCache,
-) -> (Vec<BugReport>, DetectStats, Vec<SealError>) {
     let cg = facts.call_graph();
 
     // Spec-identity memoization: detection sees a spec only through its
     // interface and constraints, so groups that agree on both are checked
     // once, through the group's *earliest* member — exactly the one whose
     // reports would survive `dedup_reports` in a full sequential run.
-    let spec_indices: Vec<usize> = if cfg.dedup_specs {
-        let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-        (0..specs.len())
-            .filter(|&si| {
-                let s = &specs[si];
-                seen.insert(format!("{:?}|{:?}", s.interface, s.constraints))
-            })
-            .collect()
-    } else {
-        (0..specs.len()).collect()
-    };
+    let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
+    let spec_indices: Vec<usize> = (0..specs.len())
+        .filter(|&si| {
+            let s = &specs[si];
+            seen.insert(format!("{:?}|{:?}", s.interface, s.constraints))
+        })
+        .collect();
 
     // Group work items by region scope so each shard builds one PDG and
     // keeps the §6.2.3 summary reuse local to a worker. `BTreeMap` keeps
@@ -297,28 +186,28 @@ fn detect_inner(
                 })
         }))
     };
-    let spec_cond_snapshot: Option<Arc<seal_solver::FormulaSnapshot<SpecValue>>> =
-        (cfg.solver_memo && cfg.shard_local_interner).then(|| {
-            if cache.warm().is_some() {
-                let mut h = seal_store::Hasher128::new();
-                h.update_str("detect.snapshot.v1");
-                h.update_u64(spec_indices.len() as u64);
-                for &si in &spec_indices {
-                    let enc = seal_spec::binary::encode_specs(std::slice::from_ref(&specs[si]));
-                    h.update(seal_store::ContentHash::of(&enc).as_bytes());
-                }
-                let key = h.finish();
-                if let Some(s) = cache.get_snapshot(&key) {
-                    return s;
-                }
+    let spec_cond_snapshot: Arc<seal_solver::FormulaSnapshot<SpecValue>> = if cache.warm().is_some()
+    {
+        let mut h = seal_store::Hasher128::new();
+        h.update_str("detect.snapshot.v1");
+        h.update_u64(spec_indices.len() as u64);
+        for &si in &spec_indices {
+            let enc = seal_spec::binary::encode_specs(std::slice::from_ref(&specs[si]));
+            h.update(seal_store::ContentHash::of(&enc).as_bytes());
+        }
+        let key = h.finish();
+        match cache.get_snapshot(&key) {
+            Some(s) => s,
+            None => {
                 let s = Arc::new(build_snapshot());
                 cache.put_snapshot(key, &s);
                 s
-            } else {
-                Arc::new(build_snapshot())
             }
-        });
-    let spec_cond_snapshot = spec_cond_snapshot.as_deref();
+        }
+    } else {
+        Arc::new(build_snapshot())
+    };
+    let spec_cond_snapshot = &*spec_cond_snapshot;
 
     // Cache-key ingredients. The position-free environment hash plus
     // per-scope body keys (instead of one whole-module hash) are what keep
@@ -357,7 +246,6 @@ fn detect_inner(
                 env_hash.as_ref().unwrap(),
                 |fid| facts.body_key(module, fid),
                 &spec_hashes,
-                cfg.arena_pdg,
                 &shard.scope,
                 &shard.items,
             )
@@ -387,7 +275,7 @@ fn detect_inner(
         };
         if cfg.reuse_pdg_cache {
             let t0 = std::time::Instant::now();
-            let pdg = Pdg::try_build_opts(module, cg, &shard.scope, cfg.arena_pdg)?;
+            let pdg = Pdg::try_build(module, cg, &shard.scope)?;
             o.pdg_time += t0.elapsed();
             let mut paths = PathCache::new(&pdg, cfg, spec_cond_snapshot);
             let _search = seal_obs::span!("detect.search", items = shard.items.len());
@@ -403,7 +291,7 @@ fn detect_inner(
             // no-summary-reuse baseline of §8.4.
             for &(si, ri, region) in &shard.items {
                 let t0 = std::time::Instant::now();
-                let pdg = Pdg::try_build_opts(module, cg, &shard.scope, cfg.arena_pdg)?;
+                let pdg = Pdg::try_build(module, cg, &shard.scope)?;
                 o.pdg_time += t0.elapsed();
                 let mut paths = PathCache::new(&pdg, cfg, spec_cond_snapshot);
                 let t1 = std::time::Instant::now();
@@ -418,10 +306,10 @@ fn detect_inner(
         }
         Ok(o)
     };
-    let shard_outs: Vec<Result<ShardOut, SealError>> = if isolate {
-        // Second fence on top of the typed errors: a panic anywhere in the
-        // shard (PDG construction invariants, path search, the solver) is
-        // contained and attributed to the shard's scope.
+    // Second fence on top of the typed errors: a panic anywhere in the
+    // shard (PDG construction invariants, path search, the solver) is
+    // contained and attributed to the shard's scope.
+    let shard_outs: Vec<Result<ShardOut, SealError>> =
         seal_runtime::par_map_isolated_jobs(jobs, &shards, run_shard)
             .into_iter()
             .zip(&shards)
@@ -433,10 +321,7 @@ fn detect_inner(
                 }
                 .into()),
             })
-            .collect()
-    } else {
-        seal_runtime::par_map_jobs(jobs, &shards, run_shard)
-    };
+            .collect();
 
     // Deterministic merge: restore the sequential (spec, region) order.
     // Counters sum commutatively over shards whose composition is fixed by
@@ -635,27 +520,29 @@ impl SearchCounters {
 /// the dominant repeated work when many specs target one region (§8.4's
 /// "path searching" phase).
 ///
-/// PR 3 adds the search-phase optimizations, all config-gated:
-/// * a per-scope [`SinkReach`] cone (`prune_unreachable`) with separate
-///   memos for cone-restricted and full enumerations,
-/// * one reusable [`IncrementalTheory`] threaded through the DFS
-///   (`prune_unsat_prefixes`, only with `path_sensitive`),
+/// On top of the path memo sit the search-phase optimizations, each
+/// output-identical to the reference it replaces (kept and tested in the
+/// crates that own them):
+/// * a per-scope [`SinkReach`] cone with separate memos for
+///   cone-restricted and full enumerations, via
+///   [`forward_paths_pruned`] (reference: `slice::forward_paths`);
+/// * one reusable [`IncrementalTheory`] threaded through the DFS that
+///   abandons UNSAT prefixes, only with `path_sensitive`;
 /// * hash-consed solver caches for path feasibility (`Formula<CondVar>`)
 ///   and spec-condition consistency (`Formula<SpecValue>`), plus a memo of
-///   the Ψ abstraction keyed on the interned path condition
-///   (`solver_memo`).
+///   the Ψ abstraction keyed on the path (reference:
+///   `seal_solver::is_sat`).
 struct PathCache<'p, 'm> {
     pdg: &'p Pdg<'m>,
     cctx: CondCtx<'p, 'm>,
     memo_full: FxHashMap<NodeId, std::rc::Rc<Vec<ValueFlowPath>>>,
     memo_cone: FxHashMap<NodeId, std::rc::Rc<Vec<ValueFlowPath>>>,
-    reuse: bool,
     path_sensitive: bool,
     slice: SliceConfig,
-    reach: Option<SinkReach>,
+    reach: SinkReach,
     theory: Option<IncrementalTheory<CondVar>>,
-    cond_solver: Option<SolverCache<CondVar>>,
-    spec_solver: Option<SolverCache<SpecValue>>,
+    cond_solver: SolverCache<CondVar>,
+    spec_solver: SolverCache<SpecValue>,
     psi_memo: FxHashMap<PathKey, Formula<SpecValue>>,
     consistency_memo: FxHashMap<(PathKey, seal_solver::FormulaId, bool), bool>,
     roles_memo: FxHashMap<PathKey, PathRoles>,
@@ -666,8 +553,7 @@ struct PathCache<'p, 'm> {
 }
 
 /// A path's classification into the spec domain — its source value and
-/// sink use — both pure functions of the path, recomputed for every
-/// (specification, region) pair without the memo.
+/// sink use — both pure functions of the path.
 type PathRoles = (Option<SpecValue>, Option<(SpecUse, Option<String>)>);
 
 /// Identity of one enumerated path within a [`PathCache`]: source node,
@@ -681,23 +567,19 @@ impl<'p, 'm> PathCache<'p, 'm> {
     fn new(
         pdg: &'p Pdg<'m>,
         cfg: &DetectConfig,
-        spec_base: Option<&seal_solver::FormulaSnapshot<SpecValue>>,
+        spec_base: &seal_solver::FormulaSnapshot<SpecValue>,
     ) -> Self {
         PathCache {
             pdg,
             cctx: CondCtx::new(pdg),
             memo_full: FxHashMap::default(),
             memo_cone: FxHashMap::default(),
-            reuse: cfg.reuse_path_cache,
             path_sensitive: cfg.path_sensitive,
             slice: cfg.slice,
-            reach: cfg.prune_unreachable.then(|| SinkReach::build(pdg)),
-            theory: (cfg.path_sensitive && cfg.prune_unsat_prefixes).then(IncrementalTheory::new),
-            cond_solver: cfg.solver_memo.then(SolverCache::new),
-            spec_solver: cfg.solver_memo.then(|| match spec_base {
-                Some(base) => SolverCache::with_base(base),
-                None => SolverCache::new(),
-            }),
+            reach: SinkReach::build(pdg),
+            theory: cfg.path_sensitive.then(IncrementalTheory::new),
+            cond_solver: SolverCache::new(),
+            spec_solver: SolverCache::with_base(spec_base),
             psi_memo: FxHashMap::default(),
             consistency_memo: FxHashMap::default(),
             roles_memo: FxHashMap::default(),
@@ -707,47 +589,34 @@ impl<'p, 'm> PathCache<'p, 'm> {
     }
 
     /// Whether `s` has an empty sink cone (no path from it can ever match
-    /// a specification use). Always `false` without the pre-pass.
+    /// a specification use).
     fn source_unreachable(&self, s: NodeId) -> bool {
-        self.reach.as_ref().is_some_and(|r| !r.reaches_sink(s))
+        !self.reach.reaches_sink(s)
     }
 
     /// Satisfiability of an IR-level path condition, counted and memoized.
     fn sat_cond(&mut self, f: &Formula<CondVar>) -> Verdict {
         self.counters.solver_queries += 1;
-        match self.cond_solver.as_mut() {
-            Some(c) => {
-                let h0 = c.hits;
-                let v = c.is_sat(f);
-                self.counters.solver_cache_hits += c.hits - h0;
-                v
-            }
-            None => seal_solver::is_sat(f),
-        }
+        let h0 = self.cond_solver.hits;
+        let v = self.cond_solver.is_sat(f);
+        self.counters.solver_cache_hits += self.cond_solver.hits - h0;
+        v
     }
 
     /// Satisfiability of a spec-level condition, counted and memoized.
     fn sat_spec(&mut self, f: &Formula<SpecValue>) -> Verdict {
         self.counters.solver_queries += 1;
-        match self.spec_solver.as_mut() {
-            Some(c) => {
-                let h0 = c.hits;
-                let v = c.is_sat(f);
-                self.counters.solver_cache_hits += c.hits - h0;
-                v
-            }
-            None => seal_solver::is_sat(f),
-        }
+        let h0 = self.spec_solver.hits;
+        let v = self.spec_solver.is_sat(f);
+        self.counters.solver_cache_hits += self.spec_solver.hits - h0;
+        v
     }
 
-    /// Ψ abstraction of a path condition (§6.4.2), memoized per path when
-    /// `solver_memo` is on. `abstract_cond` is pure in the formula and the
-    /// enumeration behind `key` is deterministic, so the path key is a
-    /// safe stand-in for the condition itself.
+    /// Ψ abstraction of a path condition (§6.4.2), memoized per path.
+    /// `abstract_cond` is pure in the formula and the enumeration behind
+    /// `key` is deterministic, so the path key is a safe stand-in for the
+    /// condition itself.
     fn abstract_cond_of(&mut self, key: PathKey, p: &ValueFlowPath) -> Formula<SpecValue> {
-        if self.spec_solver.is_none() {
-            return roles::abstract_cond(self.pdg, &p.cond);
-        }
         if let Some(f) = self.psi_memo.get(&key) {
             return f.clone();
         }
@@ -768,7 +637,7 @@ impl<'p, 'm> PathCache<'p, 'm> {
     fn cond_consistent(
         &mut self,
         key: PathKey,
-        cid: Option<seal_solver::FormulaId>,
+        cid: seal_solver::FormulaId,
         p: &ValueFlowPath,
         cond: &Formula<SpecValue>,
         strict: bool,
@@ -780,18 +649,15 @@ impl<'p, 'm> PathCache<'p, 'm> {
         // many regions; the verdict is pure in both, so memoize it on the
         // path key plus the interned spec condition (`cid`, hoisted out of
         // the path loop by the caller).
-        if let Some(cid) = cid {
-            let mk = (key, cid, strict);
-            if let Some(&v) = self.consistency_memo.get(&mk) {
-                self.counters.solver_queries += 1;
-                self.counters.solver_cache_hits += 1;
-                return v;
-            }
-            let v = self.cond_consistent_uncached(key, p, cond, strict);
-            self.consistency_memo.insert(mk, v);
+        let mk = (key, cid, strict);
+        if let Some(&v) = self.consistency_memo.get(&mk) {
+            self.counters.solver_queries += 1;
+            self.counters.solver_cache_hits += 1;
             return v;
         }
-        self.cond_consistent_uncached(key, p, cond, strict)
+        let v = self.cond_consistent_uncached(key, p, cond, strict);
+        self.consistency_memo.insert(mk, v);
+        v
     }
 
     fn cond_consistent_uncached(
@@ -818,15 +684,9 @@ impl<'p, 'm> PathCache<'p, 'm> {
     }
 
     /// Spec-domain roles of a path (source value + sink use), memoized per
-    /// path under path-result reuse: classification walks the path and
-    /// allocates, and every (specification, region) pair re-asks it.
+    /// path: classification walks the path and allocates, and every
+    /// (specification, region) pair re-asks it.
     fn roles_of(&mut self, key: PathKey, p: &ValueFlowPath) -> PathRoles {
-        if !self.reuse {
-            return (
-                roles::source_value(self.pdg, p),
-                roles::sink_use(self.pdg, p),
-            );
-        }
         let pdg = self.pdg;
         self.roles_memo
             .entry(key)
@@ -835,25 +695,15 @@ impl<'p, 'm> PathCache<'p, 'm> {
     }
 
     /// Source-node instantiation of a spec value in a region (𝔸⁻¹),
-    /// memoized under path-result reuse: the scan over the region's nodes
-    /// is pure in `(region, value)`, and specs sharing a value pattern
-    /// re-ask it for every region in the shard.
+    /// memoized: the scan over the region's nodes is pure in
+    /// `(region, value)`, and specs sharing a value pattern re-ask it for
+    /// every region in the shard.
     fn instantiate(&mut self, region: FuncId, value: &SpecValue) -> std::rc::Rc<Vec<NodeId>> {
-        if !self.reuse {
-            return std::rc::Rc::new(roles::instantiate_value(self.pdg, region, value));
-        }
         let pdg = self.pdg;
         self.instantiate_memo
             .entry((region, value.clone()))
             .or_insert_with(|| std::rc::Rc::new(roles::instantiate_value(pdg, region, value)))
             .clone()
-    }
-
-    /// Interns a spec-level condition for use as a consistency-memo key
-    /// (`None` without `solver_memo`). Hoisted out of the per-path loop:
-    /// interning traverses the formula, the id never changes.
-    fn intern_spec_cond(&mut self, cond: &Formula<SpecValue>) -> Option<seal_solver::FormulaId> {
-        self.spec_solver.as_mut().map(|s| s.intern(cond))
     }
 
     /// Whether a path realizes `value ↪ use_` (see [`roles_match`]).
@@ -870,54 +720,43 @@ impl<'p, 'm> PathCache<'p, 'm> {
     }
 
     /// Feasible forward paths from `s` (all paths when path sensitivity is
-    /// off), memoized when path-result reuse is enabled.
+    /// off), memoized.
     ///
     /// `cone` restricts enumeration to match-capable paths (classified
     /// sinks and interface-return path ends) via the [`SinkReach`]
     /// pre-pass; callers may request it only when they consume nothing
     /// else. Cone and full results are memoized separately.
     fn paths_from(&mut self, s: NodeId, cone: bool) -> std::rc::Rc<Vec<ValueFlowPath>> {
-        let cone = cone && self.reach.is_some();
         let memo = if cone {
-            &self.memo_cone
+            &mut self.memo_cone
         } else {
-            &self.memo_full
+            &mut self.memo_full
         };
-        if self.reuse {
-            if let Some(cached) = memo.get(&s) {
-                return cached.clone();
-            }
+        if let Some(cached) = memo.get(&s) {
+            return cached.clone();
         }
-        let mut paths = if self.reach.is_none() && self.theory.is_none() {
-            // All search prunings off: the reference enumeration.
-            forward_paths(self.pdg, &mut self.cctx, s, self.slice)
-        } else {
-            let mut sstats = SliceStats::default();
-            let out = forward_paths_pruned(
-                self.pdg,
-                &mut self.cctx,
-                s,
-                self.slice,
-                self.reach.as_ref(),
-                cone,
-                self.theory.as_mut(),
-                &mut sstats,
-            );
-            self.counters.subtrees_pruned += sstats.subtrees_pruned;
-            out
-        };
+        let mut sstats = SliceStats::default();
+        let mut paths = forward_paths_pruned(
+            self.pdg,
+            &mut self.cctx,
+            s,
+            self.slice,
+            Some(&self.reach),
+            cone,
+            self.theory.as_mut(),
+            &mut sstats,
+        );
+        self.counters.subtrees_pruned += sstats.subtrees_pruned;
         if self.path_sensitive {
             paths.retain(|p| self.sat_cond(&p.cond).possibly_sat());
         }
         let rc = std::rc::Rc::new(paths);
-        if self.reuse {
-            let memo = if cone {
-                &mut self.memo_cone
-            } else {
-                &mut self.memo_full
-            };
-            memo.insert(s, rc.clone());
-        }
+        let memo = if cone {
+            &mut self.memo_cone
+        } else {
+            &mut self.memo_full
+        };
+        memo.insert(s, rc.clone());
         rc
     }
 }
@@ -949,7 +788,9 @@ fn check_region(
             if !use_instantiable(pdg, region, use_) {
                 return None;
             }
-            let cid = paths.intern_spec_cond(cond);
+            // The consistency-memo key of the spec condition, interned
+            // once here rather than per path: the id never changes.
+            let cid = paths.spec_solver.intern(cond);
             // Gather matching realizable paths; track whether the spec's
             // condition region is reachable from the sources at all.
             //

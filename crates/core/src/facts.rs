@@ -2,7 +2,7 @@
 //!
 //! Detection needs three pure functions of the target module besides the
 //! module itself: its call graph (region discovery, scopes, PDG builds),
-//! its environment hash and the [`BodyKey`] of every body a shard key
+//! its environment hash and the `BodyKey` of every body a shard key
 //! reads (see [`crate::cache`]). A one-shot run computes each once;
 //! a warm `seal serve` daemon used to recompute all three on every
 //! request against a module it already held. [`ModuleFacts`] holds them
@@ -10,7 +10,7 @@
 //!
 //! The call graph is built eagerly — every detection run needs it. The
 //! hashes are lazy, one [`OnceLock`] for the environment hash and one per
-//! function for its [`BodyKey`]: a run without a cache never
+//! function for its `BodyKey`: a run without a cache never
 //! hashes anything, and a cached run hashes only the bodies inside shard
 //! scopes, once per module lifetime. Lazily memoized values are exact
 //! because each is a pure function of an immutable module: whichever

@@ -46,10 +46,7 @@ pub mod warm;
 
 pub use batch::infer_batch;
 pub use cache::AnalysisCache;
-pub use detect::{
-    detect_bugs, detect_bugs_isolated, detect_bugs_with_stats, detect_bugs_with_stats_jobs,
-    DetectConfig, DetectStats,
-};
+pub use detect::{detect_bugs_isolated, detect_bugs_isolated_cached, DetectConfig, DetectStats};
 pub use diff::{ChangedPaths, DiffConfig};
 pub use error::{DetectError, SealError, Stage};
 pub use facts::ModuleFacts;
@@ -138,17 +135,29 @@ impl Seal {
         specs
     }
 
-    /// Detects violations of `specs` inside `module` (stage ④), serving
-    /// unchanged shards from the cache when one is attached.
+    /// Detects violations of `specs` inside `module` (stage ④) on
+    /// `SEAL_JOBS` workers, serving unchanged shards from the cache when
+    /// one is attached.
+    ///
+    /// # Panics
+    ///
+    /// If a detection shard fails: callers of this facade hand it modules
+    /// and specs they built themselves, so a failed shard is a bug, not
+    /// data. Use [`detect_bugs_isolated_cached`] to get shard failures back
+    /// as values.
     pub fn detect(&self, module: &seal_ir::Module, specs: &[Specification]) -> Vec<BugReport> {
-        detect::detect_bugs_with_stats_jobs_cached(
+        let (reports, _, errors) = detect::detect_bugs_isolated_cached(
             module,
+            &ModuleFacts::new(module),
             specs,
             &self.detect,
             seal_runtime::worker_count(),
             &self.cache,
-        )
-        .0
+        );
+        if let Some(e) = errors.into_iter().next() {
+            panic!("{e}");
+        }
+        reports
     }
 
     /// Convenience: infer from a patch and immediately hunt for violations

@@ -66,7 +66,7 @@ pub fn rss_now_kb() -> Option<u64> {
 ///
 /// `None` never spills; `Some(0)` always spills (the pure-streaming
 /// discipline, and the deterministic setting for tests and benches);
-/// `Some(mb)` spills once `VmRSS` crosses [`SPILL_HEADROOM_PCT`]% of the
+/// `Some(mb)` spills once `VmRSS` crosses `SPILL_HEADROOM_PCT`% of the
 /// budget — and keeps spilling while it stays there. On platforms without
 /// procfs a finite budget conservatively spills (bounded memory is the
 /// contract; slower is acceptable, unbounded is not).

@@ -1,23 +1,20 @@
 //! Pooled, wholesale-freed storage for PDG adjacency.
 //!
-//! The legacy representation keeps one `Vec<NodeId>` per node per
-//! direction — thousands of small allocations per demand-built PDG, made
-//! and torn down once per detection shard. Under parallel detection every
-//! worker hammers the global allocator with them at the same time, which
-//! is a large share of the multi-worker `pdg_ms` blow-up the bench matrix
-//! measures.
+//! One `Vec<NodeId>` per node per direction would mean thousands of small
+//! allocations per demand-built PDG, made and torn down once per detection
+//! shard; under parallel detection every worker would hammer the global
+//! allocator with them at the same time.
 //!
-//! This module replaces that with an *arena* discipline: during
-//! construction every edge is appended to one growing log ([`EdgeArena`]),
-//! and at finalize the log is scattered into two compressed sparse rows
-//! ([`Csr`], successors and predecessors) — three large allocations total,
-//! all freed wholesale when the PDG (and with it the shard) retires.
+//! This module uses an *arena* discipline instead: during construction
+//! every edge is appended to one growing log ([`EdgeArena`]), and at
+//! finalize the log is scattered into two compressed sparse rows ([`Csr`],
+//! successors and predecessors) — three large allocations total, all freed
+//! wholesale when the PDG (and with it the shard) retires.
 //!
 //! Determinism: the scatter is stable, so each node's successor (and
 //! predecessor) slice comes out in exactly the order the edges were
-//! inserted — byte-for-byte the order the per-node `Vec` push produced.
-//! Duplicate edges are dropped on insertion (first occurrence wins), the
-//! same first-wins rule as the legacy `contains` check.
+//! inserted. Duplicate edges are dropped on insertion (first occurrence
+//! wins). Both rules are pinned by this module's tests.
 
 use crate::graph::NodeId;
 use std::collections::HashSet;

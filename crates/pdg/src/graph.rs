@@ -121,23 +121,14 @@ const NO_CTRL: u32 = u32::MAX;
 
 /// Adjacency storage for a [`Pdg`].
 ///
-/// `PerNode` is the legacy layout: one vector per node per direction and
-/// the control-dependence list *cloned* into every node of a block — easy
-/// to mutate incrementally, but thousands of small allocations per build,
-/// which is what collapses multi-worker scaling under allocator pressure.
-///
-/// The pooled path accumulates edges in a single [`EdgeArena`] log during
-/// construction (`Log`) and finalizes once into two compressed-sparse-row
-/// tables (`Csr`) plus per-*block* control lists that nodes reference by
-/// id — a handful of large allocations, freed wholesale with the PDG.
-/// Row order equals legacy push order, so both layouts serve identical
-/// slices.
+/// Edges accumulate in a single [`EdgeArena`] log during construction
+/// (`Log`) and finalize once into two compressed-sparse-row tables (`Csr`)
+/// plus per-*block* control lists that nodes reference by id — a handful
+/// of large allocations, freed wholesale with the PDG, instead of one
+/// vector per node per direction (thousands of small allocations per
+/// build, which collapse multi-worker scaling under allocator pressure).
+/// Each row keeps edge insertion order, first occurrence winning.
 enum Store {
-    PerNode {
-        data_succ: Vec<Vec<NodeId>>,
-        data_pred: Vec<Vec<NodeId>>,
-        ctrl: Vec<Vec<(NodeId, BranchEdge)>>,
-    },
     Log {
         edges: EdgeArena,
         ctrl_of: Vec<u32>,
@@ -217,17 +208,6 @@ impl<'m> Pdg<'m> {
         cg: &CallGraph,
         scope: &BTreeSet<FuncId>,
     ) -> Result<Self, PdgError> {
-        Self::try_build_opts(module, cg, scope, true)
-    }
-
-    /// [`Pdg::build_opts`] with the same scope validation as
-    /// [`Pdg::try_build`].
-    pub fn try_build_opts(
-        module: &'m Module,
-        cg: &CallGraph,
-        scope: &BTreeSet<FuncId>,
-        pooled: bool,
-    ) -> Result<Self, PdgError> {
         let functions = module.functions.len();
         for &fid in scope {
             if fid.index() >= functions {
@@ -237,46 +217,24 @@ impl<'m> Pdg<'m> {
                 });
             }
         }
-        Ok(Self::build_opts(module, cg, scope, pooled))
+        Ok(Self::build(module, cg, scope))
     }
 
     /// Builds the PDG for the given functions (and interprocedural edges
-    /// among them), with pooled arena/CSR adjacency storage.
+    /// among them).
     pub fn build(module: &'m Module, cg: &CallGraph, scope: &BTreeSet<FuncId>) -> Self {
-        Self::build_opts(module, cg, scope, true)
-    }
-
-    /// [`Pdg::build`] with an explicit storage choice: `pooled` selects the
-    /// arena-backed log + CSR layout, `false` the legacy per-node vectors.
-    /// Both serve identical adjacency (the equivalence suite holds them to
-    /// byte-identical downstream reports); the toggle exists for ablation.
-    pub fn build_opts(
-        module: &'m Module,
-        cg: &CallGraph,
-        scope: &BTreeSet<FuncId>,
-        pooled: bool,
-    ) -> Self {
         let _span = seal_obs::span!("pdg.build", funcs = scope.len());
-        let store = if pooled {
-            Store::Log {
-                edges: EdgeArena::new(),
-                ctrl_of: Vec::new(),
-                ctrl_lists: Vec::new(),
-            }
-        } else {
-            Store::PerNode {
-                data_succ: Vec::new(),
-                data_pred: Vec::new(),
-                ctrl: Vec::new(),
-            }
-        };
         let mut pdg = Pdg {
             module,
             scope: scope.clone(),
             nodes: Vec::new(),
             index: FxHashMap::default(),
             global_defs: HashMap::new(),
-            store,
+            store: Store::Log {
+                edges: EdgeArena::new(),
+                ctrl_of: Vec::new(),
+                ctrl_lists: Vec::new(),
+            },
             omega: Vec::new(),
             op_defs: FxHashMap::default(),
             param_sites: FxHashMap::default(),
@@ -304,8 +262,8 @@ impl<'m> Pdg<'m> {
         pdg
     }
 
-    /// Scatters the edge log into CSR form. No-op for the legacy layout;
-    /// construction is over once this runs (`add_edge` would panic).
+    /// Scatters the edge log into CSR form; construction is over once this
+    /// runs (`add_edge` would panic).
     fn finalize_store(&mut self) {
         if let Store::Log {
             edges,
@@ -342,7 +300,6 @@ impl<'m> Pdg<'m> {
     /// Data-dependence successors.
     pub fn data_succs(&self, n: NodeId) -> &[NodeId] {
         match &self.store {
-            Store::PerNode { data_succ, .. } => &data_succ[n as usize],
             Store::Csr { succ, .. } => succ.row(n),
             // Construction phases only consult `node()`/`op_defs`; reading
             // adjacency before `finalize_store` is a phase-order bug.
@@ -353,7 +310,6 @@ impl<'m> Pdg<'m> {
     /// Data-dependence predecessors.
     pub fn data_preds(&self, n: NodeId) -> &[NodeId] {
         match &self.store {
-            Store::PerNode { data_pred, .. } => &data_pred[n as usize],
             Store::Csr { pred, .. } => pred.row(n),
             Store::Log { .. } => unreachable!("adjacency read before finalize"),
         }
@@ -362,7 +318,6 @@ impl<'m> Pdg<'m> {
     /// Direct control dependences of a node.
     pub fn ctrl_deps(&self, n: NodeId) -> &[(NodeId, BranchEdge)] {
         match &self.store {
-            Store::PerNode { ctrl, .. } => &ctrl[n as usize],
             Store::Log {
                 ctrl_of,
                 ctrl_lists,
@@ -380,9 +335,8 @@ impl<'m> Pdg<'m> {
     }
 
     /// Total edge count (`E_d` + `E_c`), for sizing/metrics. Control
-    /// dependences count per *node* in every layout (the pooled one shares
-    /// each block's list, but a shared list still stands for one edge set
-    /// per referencing node), so the metric is layout-invariant.
+    /// dependences count per *node*: each block's list is stored once, but
+    /// stands for one edge set per referencing node.
     pub fn edge_count(&self) -> usize {
         let ctrl_per_node = |ctrl_of: &[u32], ctrl_lists: &[Vec<(NodeId, BranchEdge)>]| {
             ctrl_of
@@ -394,12 +348,6 @@ impl<'m> Pdg<'m> {
                 .sum::<usize>()
         };
         match &self.store {
-            Store::PerNode {
-                data_succ, ctrl, ..
-            } => {
-                data_succ.iter().map(Vec::len).sum::<usize>()
-                    + ctrl.iter().map(Vec::len).sum::<usize>()
-            }
             Store::Log {
                 edges,
                 ctrl_of,
@@ -671,15 +619,6 @@ impl<'m> Pdg<'m> {
         self.nodes.push(kind);
         self.omega.push(None);
         match &mut self.store {
-            Store::PerNode {
-                data_succ,
-                data_pred,
-                ctrl,
-            } => {
-                data_succ.push(Vec::new());
-                data_pred.push(Vec::new());
-                ctrl.push(Vec::new());
-            }
             Store::Log { ctrl_of, .. } => ctrl_of.push(NO_CTRL),
             Store::Csr { .. } => unreachable!("node interned after finalize"),
         }
@@ -691,16 +630,6 @@ impl<'m> Pdg<'m> {
             return;
         }
         match &mut self.store {
-            Store::PerNode {
-                data_succ,
-                data_pred,
-                ..
-            } => {
-                if !data_succ[from as usize].contains(&to) {
-                    data_succ[from as usize].push(to);
-                    data_pred[to as usize].push(from);
-                }
-            }
             Store::Log { edges, .. } => {
                 edges.push(from, to);
             }
@@ -1078,19 +1007,13 @@ impl<'m> Pdg<'m> {
             })
             .collect();
         match &mut self.store {
-            Store::PerNode { ctrl, .. } => {
-                for (n, b) in node_blocks {
-                    ctrl[n as usize] = deps_per_block[b].clone();
-                }
-            }
             Store::Log {
                 ctrl_of,
                 ctrl_lists,
                 ..
             } => {
                 // Each block's dependence list is stored once and shared by
-                // id — the legacy layout clones it into every node of the
-                // block, which dominated construction-time allocation.
+                // id rather than cloned into every node of the block.
                 let ids: Vec<u32> = deps_per_block
                     .into_iter()
                     .map(|deps| {
@@ -1413,6 +1336,36 @@ mod tests {
         let cn = pdg.node(&NodeKind::Inst(call_loc)).unwrap();
         assert_eq!(pdg.ctrl_deps(cn).len(), 1);
         assert!(matches!(pdg.ctrl_deps(cn)[0].1, BranchEdge::True));
+
+        // Every statement node serves exactly its block's dependence list
+        // (branch terminators in `ControlFacts` order), whether the block
+        // has no dependences, one, or several shared with sibling blocks.
+        let (m2, cg2) = build_all(
+            "int g(void);\nint h(int *p);\n\
+             int f(int x, int *p) {\n\
+               int r = 0;\n\
+               if (x > 0) { r = g(); if (p != NULL) { r = h(p); } }\n\
+               while (r < 10) { r = r + x; }\n\
+               return r;\n\
+             }",
+        );
+        let pdg2 = Pdg::build(&m2, &cg2, &full_scope(&m2));
+        for (m, pdg) in [(&m, &pdg), (&m2, &pdg2)] {
+            for body in &m.functions {
+                let control = &pdg.control[&body.id];
+                for loc in body.all_locs() {
+                    let n = pdg.node(&NodeKind::Inst(loc)).unwrap();
+                    let expected: Vec<(NodeId, BranchEdge)> = control.deps[loc.block.index()]
+                        .iter()
+                        .map(|(b, edge)| {
+                            let t = InstLoc::terminator(body.id, *b);
+                            (pdg.node(&NodeKind::Inst(t)).unwrap(), edge.clone())
+                        })
+                        .collect();
+                    assert_eq!(pdg.ctrl_deps(n), &expected[..], "ctrl of {loc:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1461,34 +1414,6 @@ mod tests {
             .map(|&u| pdg.use_kind(p, u))
             .collect();
         assert!(uses.contains(&UseKind::FuncRet { func: "f".into() }));
-    }
-
-    #[test]
-    fn pooled_and_legacy_layouts_serve_identical_adjacency() {
-        let (m, cg) = build_all(
-            "int counter;\n\
-             void *dma_alloc_coherent(unsigned long n);\n\
-             void kfree(void *p);\n\
-             struct risc { int *cpu; };\n\
-             int helper(int x) { counter = x; return x + 1; }\n\
-             int f(struct risc *r, int d) {\n\
-               r->cpu = (int *)dma_alloc_coherent(64);\n\
-               if (r->cpu == NULL) return -12;\n\
-               int v = helper(d);\n\
-               if (v > 0) { kfree(r->cpu); }\n\
-               return *r->cpu / d;\n\
-             }",
-        );
-        let scope = full_scope(&m);
-        let pooled = Pdg::build_opts(&m, &cg, &scope, true);
-        let legacy = Pdg::build_opts(&m, &cg, &scope, false);
-        assert_eq!(pooled.nodes, legacy.nodes);
-        assert_eq!(pooled.edge_count(), legacy.edge_count());
-        for n in 0..pooled.len() as NodeId {
-            assert_eq!(pooled.data_succs(n), legacy.data_succs(n), "succs of {n}");
-            assert_eq!(pooled.data_preds(n), legacy.data_preds(n), "preds of {n}");
-            assert_eq!(pooled.ctrl_deps(n), legacy.ctrl_deps(n), "ctrl of {n}");
-        }
     }
 
     #[test]

@@ -412,10 +412,11 @@ pub fn node_signature(pdg: &Pdg<'_>, n: NodeId) -> String {
 }
 
 // --------------------------------------------------------------------------
-// Search-phase optimizations (PR 3): reverse sink-reachability, incremental
-// UNSAT-prefix pruning, and interned signatures. Each is independently
-// toggleable by the caller (see `DetectConfig` in `seal-core`); the naive
-// entry points above stay untouched as the reference semantics.
+// Search-phase optimizations: reverse sink-reachability, incremental
+// UNSAT-prefix pruning, and interned signatures. Detection and
+// differencing always use them; the naive entry points above
+// (`forward_paths`, `ValueFlowPath::signature`) stay untouched as the
+// reference semantics the tests compare them against.
 
 /// Counters for one pruned enumeration (summed into `DetectStats`).
 #[derive(Debug, Default, Clone, Copy)]
@@ -557,13 +558,14 @@ impl PruneCtx<'_> {
     }
 }
 
-/// [`forward_paths`] with the PR 3 prunings applied; with `reach = None`,
-/// `cone = false`, and `theory = None` it enumerates exactly like the
-/// naive DFS.
+/// [`forward_paths`] with the search prunings applied; with
+/// `reach = None`, `cone = false`, and `theory = None` it enumerates
+/// exactly like the naive DFS.
 ///
-/// Identity contract (relied on by `DetectConfig`'s ablation toggles and
-/// asserted by the cross-config tests): after the caller's `is_sat`
-/// feasibility filter, the result equals the naive filtered enumeration —
+/// Identity contract (relied on by detection and asserted by
+/// `pruned_enumeration_equals_naive_on_random_modules`): after the
+/// caller's `is_sat` feasibility filter, the result equals the naive
+/// filtered enumeration —
 /// exactly with `cone = false`, and restricted to match-capable paths
 /// (classified sinks and `Ret`/`return`-terminated path ends, which is all
 /// path matching ever consumes) with `cone = true` — whenever `max_paths`

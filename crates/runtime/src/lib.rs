@@ -16,7 +16,7 @@
 //!   hot maps that are point-queried and never iterated into output.
 //! * [`symbol`] — a global string interner with `Copy` [`Symbol`]s ordered
 //!   by content, used for the structural path signatures of `seal-pdg`.
-//! * [`panic`] — scoped panic containment ([`catch_task_panic`]) backing
+//! * [`panic`](mod@panic) — scoped panic containment ([`catch_task_panic`]) backing
 //!   the fault-isolated [`par_map_isolated`]: one bad batch item becomes
 //!   an `Err(TaskPanic)` slot instead of aborting its 999 siblings, and
 //!   nothing leaks to stderr.

@@ -14,7 +14,7 @@
 //!
 //! # Scaling
 //!
-//! The table is *sharded*: a string's hash picks one of [`SHARDS`]
+//! The table is *sharded*: a string's hash picks one of `SHARDS`
 //! independently locked sets, so concurrent interning of distinct strings
 //! from pool workers no longer serializes on one global mutex. On top of
 //! the shards sits a fixed-size, open-addressed **lock-free fast path**: a

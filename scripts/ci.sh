@@ -6,6 +6,9 @@ set -eu
 
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Intra-doc links must resolve: a link to a deleted or private item fails
+# here instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 

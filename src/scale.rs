@@ -410,7 +410,8 @@ impl ScaleRun {
     }
 
     /// Phase B: reloads spec segments and chunks sequentially, detects per
-    /// chunk, merges into whole-module report order, and scores.
+    /// chunk, merges into whole-module report order, and scores. A failed
+    /// detection shard ends the run with its error.
     pub fn finish(mut self) -> Result<ScaleOutcome, SealError> {
         let t0 = Instant::now();
         let cfg = scale_detect_config();
@@ -479,8 +480,11 @@ impl ScaleRun {
                     }
                 }
             };
-            let (reports, s) =
-                seal_core::detect::detect_bugs_with_stats_jobs(&module, &specs, &cfg, self.jobs);
+            let (reports, s, errors) =
+                seal_core::detect_bugs_isolated(&module, &specs, &cfg, self.jobs);
+            if let Some(e) = errors.into_iter().next() {
+                return Err(e);
+            }
             for (pos, r) in reports.into_iter().enumerate() {
                 let si = spec_index.get(&r.spec).copied().unwrap_or(usize::MAX);
                 let name_key = r.spec.interface.is_some().then(|| r.function.clone());
@@ -529,7 +533,8 @@ pub fn run(opts: ScaleOptions) -> Result<ScaleOutcome, SealError> {
 
 /// The reference path: materialize everything, compile one TU, detect
 /// once. Same spec order, same detect config — the streamed path must
-/// reproduce its reports byte for byte.
+/// reproduce its reports byte for byte. A failed detection shard ends the
+/// run with its error.
 fn run_materialized(opts: ScaleOptions) -> Result<ScaleOutcome, SealError> {
     let jobs = seal_runtime::effective_jobs(opts.jobs.max(1));
     let seal = Seal::default();
@@ -545,8 +550,10 @@ fn run_materialized(opts: ScaleOptions) -> Result<ScaleOutcome, SealError> {
 
     let t1 = Instant::now();
     let cfg = scale_detect_config();
-    let (reports, stats) =
-        seal_core::detect::detect_bugs_with_stats_jobs(&target, &specs, &cfg, jobs);
+    let (reports, stats, errors) = seal_core::detect_bugs_isolated(&target, &specs, &cfg, jobs);
+    if let Some(e) = errors.into_iter().next() {
+        return Err(e);
+    }
     Ok(ScaleOutcome {
         score: score(&reports, &corpus.ground_truth),
         stats,

@@ -29,12 +29,12 @@
 //! accept loop spawns one handler thread per connection, bounded by
 //! `--max-conns` — a connection beyond the bound is answered with one
 //! `stage:"protocol"` "server busy" line (`seq` 0, since no request was
-//! read) and closed. Each connection gets its own [`Session`] (its `seq`
+//! read) and closed. Each connection gets its own `Session` (its `seq`
 //! counter starts at 1 and is gapless per connection, never shared across
 //! clients), while the warm state is daemon-global and thread-safe: the
-//! [`AnalysisCache`] and its [`WarmMemory`] are `Sync` (sharded LRU,
-//! mutexed store maps), and store flushes are serialized behind the
-//! store's flush lock. A panic in one handler is contained by the PR-4
+//! [`AnalysisCache`] and its [`WarmMemory`](seal_core::WarmMemory) are
+//! `Sync` (sharded LRU, mutexed store maps), and store flushes are
+//! serialized behind the store's flush lock. A panic in one handler is contained by the PR-4
 //! fence and never kills sibling connections.
 //!
 //! `{"cmd":"shutdown"}` (from any connection) stops the accept loop,
@@ -47,11 +47,11 @@
 //! persistence failures are visible to CI.
 //!
 //! What stays warm across requests: the open store handle, the
-//! [`AnalysisCache`] with its [`WarmMemory`] LRU (lowered modules, spec
-//! lists, shard results keyed by scope signature, the solver's
-//! [`FormulaSnapshot`](seal_solver::FormulaSnapshot)), and the process
-//! itself (symbol interner shards, allocator state). EOF and an explicit
-//! `shutdown` both flush the store atomically before exit.
+//! [`AnalysisCache`] with its [`WarmMemory`](seal_core::WarmMemory) LRU
+//! (lowered modules, spec lists, shard results keyed by scope signature,
+//! the solver's [`FormulaSnapshot`](seal_solver::FormulaSnapshot)), and
+//! the process itself (symbol interner shards, allocator state). EOF and
+//! an explicit `shutdown` both flush the store atomically before exit.
 
 use crate::json::{escape, Json};
 use crate::request::{run_request, RequestKind, RunCtx};

@@ -3,7 +3,7 @@
 //! corrupt stores degrade to recompute (never to wrong output, never to a
 //! panic), and the CLI surface validates its flags.
 
-use seal_core::{detect::detect_bugs_with_stats_jobs_cached, AnalysisCache, DetectConfig, Seal};
+use seal_core::{detect_bugs_isolated_cached, AnalysisCache, DetectConfig, ModuleFacts, Seal};
 use seal_spec::Specification;
 use seal_store::CacheMode;
 use std::path::PathBuf;
@@ -44,8 +44,15 @@ fn run_rendered(
     for patch in &corpus.patches {
         specs.extend(seal.infer(patch).expect("corpus patches compile"));
     }
-    let (reports, stats) =
-        detect_bugs_with_stats_jobs_cached(target, &specs, &seal.detect, jobs, cache);
+    let (reports, stats, errors) = detect_bugs_isolated_cached(
+        target,
+        &ModuleFacts::new(target),
+        &specs,
+        &seal.detect,
+        jobs,
+        cache,
+    );
+    assert!(errors.is_empty(), "{errors:?}");
     let mut out = String::new();
     for s in &specs {
         out.push_str(&seal_spec::parse::to_line(s));
@@ -218,13 +225,15 @@ fn kmalloc_npd_spec() -> Specification {
 }
 
 fn detect_rendered(target: &seal_ir::Module, jobs: usize, cache: &AnalysisCache) -> String {
-    let (reports, _) = detect_bugs_with_stats_jobs_cached(
+    let (reports, _, errors) = detect_bugs_isolated_cached(
         target,
+        &ModuleFacts::new(target),
         &[kmalloc_npd_spec()],
         &DetectConfig::default(),
         jobs,
         cache,
     );
+    assert!(errors.is_empty(), "{errors:?}");
     reports.iter().map(|r| format!("{r}\n")).collect()
 }
 

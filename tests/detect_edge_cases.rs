@@ -1,13 +1,21 @@
 //! Edge-case behaviour of the detection stage (§6.4): budgets, region
 //! skipping, quantifier corner cases, and robustness to odd inputs.
 
-use seal::core::detect::{detect_bugs, regions_for, DetectConfig};
-use seal::core::{Patch, Seal};
+use seal::core::detect::{regions_for, DetectConfig};
+use seal::core::{BugReport, Patch, Seal};
 use seal::spec::{Constraint, Provenance, Quantifier, Relation, SpecUse, SpecValue, Specification};
 use seal_solver::{CmpOp, Formula};
 
 fn module_of(src: &str) -> seal_ir::Module {
     seal_ir::lower(&seal_kir::compile(src, "t.c").unwrap())
+}
+
+fn detect(module: &seal_ir::Module, specs: &[Specification], cfg: &DetectConfig) -> Vec<BugReport> {
+    Seal {
+        detect: *cfg,
+        ..Seal::default()
+    }
+    .detect(module, specs)
 }
 
 fn npd_spec() -> Specification {
@@ -46,7 +54,7 @@ fn hand_written_api_spec_detects_npd() {
     // Specs need not come from patches: a hand-maintained dataset entry
     // (the §9 maintainer suggestion) works directly.
     let module = module_of(KMALLOC_USERS);
-    let reports = detect_bugs(&module, &[npd_spec()], &DetectConfig::default());
+    let reports = detect(&module, &[npd_spec()], &DetectConfig::default());
     assert!(reports.iter().any(|r| r.function == "unchecked"));
     assert!(!reports.iter().any(|r| r.function == "checked"));
 }
@@ -54,7 +62,7 @@ fn hand_written_api_spec_detects_npd() {
 #[test]
 fn empty_spec_list_reports_nothing() {
     let module = module_of(KMALLOC_USERS);
-    assert!(detect_bugs(&module, &[], &DetectConfig::default()).is_empty());
+    assert!(detect(&module, &[], &DetectConfig::default()).is_empty());
 }
 
 #[test]
@@ -63,7 +71,7 @@ fn unknown_interface_has_no_regions() {
     let mut spec = npd_spec();
     spec.interface = Some("nonexistent_ops::cb".into());
     assert!(regions_for(&module, &spec).is_empty());
-    assert!(detect_bugs(&module, &[spec], &DetectConfig::default()).is_empty());
+    assert!(detect(&module, &[spec], &DetectConfig::default()).is_empty());
 }
 
 #[test]
@@ -71,7 +79,7 @@ fn malformed_interface_string_is_tolerated() {
     let module = module_of(KMALLOC_USERS);
     let mut spec = npd_spec();
     spec.interface = Some("no-separator".into());
-    assert!(detect_bugs(&module, &[spec], &DetectConfig::default()).is_empty());
+    assert!(detect(&module, &[spec], &DetectConfig::default()).is_empty());
 }
 
 #[test]
@@ -84,9 +92,9 @@ fn max_regions_budget_is_respected() {
         ));
     }
     let module = module_of(&src);
-    let unbounded = detect_bugs(&module, &[npd_spec()], &DetectConfig::default());
+    let unbounded = detect(&module, &[npd_spec()], &DetectConfig::default());
     assert!(unbounded.len() >= 8);
-    let bounded = detect_bugs(
+    let bounded = detect(
         &module,
         &[npd_spec()],
         &DetectConfig {
@@ -111,7 +119,7 @@ fn forall_quantifier_behaves_like_exists_per_instance() {
         cond: Formula::cmp(SpecValue::ret_of("kmalloc"), CmpOp::Eq, 0),
     };
     let module = module_of(KMALLOC_USERS);
-    let reports = detect_bugs(&module, &[spec], &DetectConfig::default());
+    let reports = detect(&module, &[spec], &DetectConfig::default());
     assert!(reports.iter().any(|r| r.function == "unchecked"));
     // Reports for required-flow violations carry no witness path (the
     // violation is an absence).
@@ -123,8 +131,8 @@ fn forall_quantifier_behaves_like_exists_per_instance() {
 #[test]
 fn detection_is_deterministic() {
     let module = module_of(KMALLOC_USERS);
-    let a = detect_bugs(&module, &[npd_spec()], &DetectConfig::default());
-    let b = detect_bugs(&module, &[npd_spec()], &DetectConfig::default());
+    let a = detect(&module, &[npd_spec()], &DetectConfig::default());
+    let b = detect(&module, &[npd_spec()], &DetectConfig::default());
     let render =
         |rs: &[seal::core::BugReport]| rs.iter().map(|r| r.to_string()).collect::<Vec<_>>();
     assert_eq!(render(&a), render(&b));
@@ -142,7 +150,7 @@ int recur(int depth) {
 }
 ";
     let module = module_of(src);
-    let reports = detect_bugs(&module, &[npd_spec()], &DetectConfig::default());
+    let reports = detect(&module, &[npd_spec()], &DetectConfig::default());
     assert!(reports.iter().any(|r| r.function == "recur"));
 }
 
