@@ -5,7 +5,7 @@
 //! generate the corpus, infer specifications from all patches, detect
 //! violations in the target kernel, and score against ground truth.
 
-use seal_core::{AnalysisCache, BugReport, DetectStats, ModuleFacts, Seal};
+use seal_core::{BugReport, DetectStats, Seal};
 use seal_corpus::ledger::{score, Score};
 use seal_corpus::{generate, Corpus, CorpusConfig};
 use seal_spec::{Provenance, Specification};
@@ -67,53 +67,8 @@ pub fn run_pipeline_with_jobs(config: &CorpusConfig, jobs: usize) -> PipelineRes
         generate(config)
     };
     let target = corpus.target_module();
-    let parts = run_parts(&corpus, &target, jobs, &AnalysisCache::disabled());
-    PipelineResult {
-        corpus,
-        specs: parts.specs,
-        per_patch_specs: parts.per_patch_specs,
-        reports: parts.reports,
-        score: parts.score,
-        infer_time: parts.infer_time,
-        detect_time: parts.detect_time,
-        detect_stats: parts.detect_stats,
-    }
-}
-
-/// [`PipelineResult`] without the corpus: what one inference + detection
-/// pass over *given* inputs produces. Lets harnesses (the cache benchmark)
-/// run the analysis repeatedly — or over mutated inputs — without
-/// regenerating or re-owning the corpus.
-pub struct PipelineParts {
-    /// All inferred specifications.
-    pub specs: Vec<Specification>,
-    /// Per-patch specification counts (patch id, count).
-    pub per_patch_specs: Vec<(String, usize)>,
-    /// All reports (deduplicated).
-    pub reports: Vec<BugReport>,
-    /// Score against ground truth.
-    pub score: Score,
-    /// Wall-clock of the inference stage.
-    pub infer_time: Duration,
-    /// Wall-clock of the detection stage.
-    pub detect_time: Duration,
-    /// Detection phase split.
-    pub detect_stats: DetectStats,
-}
-
-/// Runs inference over `corpus.patches` and detection over `target`, with
-/// the given worker count and artifact cache.
-pub fn run_parts(
-    corpus: &Corpus,
-    target: &seal_ir::Module,
-    jobs: usize,
-    cache: &AnalysisCache,
-) -> PipelineParts {
     let jobs = seal_runtime::effective_jobs(jobs);
-    let seal = Seal {
-        cache: cache.clone(),
-        ..Seal::default()
-    };
+    let seal = Seal::default();
 
     let t0 = Instant::now();
     let infer_span = seal_obs::span!("pipeline.infer", patches = corpus.patches.len());
@@ -132,14 +87,8 @@ pub fn run_parts(
     let t1 = Instant::now();
     let (reports, detect_stats) = {
         let _span = seal_obs::span!("pipeline.detect", specs = specs.len());
-        let (reports, stats, errors) = seal_core::detect_bugs_isolated_cached(
-            target,
-            &ModuleFacts::new(target),
-            &specs,
-            &seal.detect,
-            jobs,
-            &seal.cache,
-        );
+        let (reports, stats, errors) =
+            seal_core::detect_bugs_isolated(&target, &specs, &seal.detect, jobs);
         if let Some(e) = errors.first() {
             panic!("detection shard failed: {e}");
         }
@@ -148,7 +97,8 @@ pub fn run_parts(
     let detect_time = t1.elapsed();
 
     let score = score(&reports, &corpus.ground_truth);
-    PipelineParts {
+    PipelineResult {
+        corpus,
         specs,
         per_patch_specs,
         reports,

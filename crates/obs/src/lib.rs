@@ -4,7 +4,7 @@
 //! Like everything else in the workspace it is dependency-free, and —
 //! because instrumentation rides inside the analysis hot paths — it is
 //! engineered to cost one relaxed atomic load per event while *disabled*
-//! (the default), with an overhead budget of ≤2% on `bench_pipeline`.
+//! (the default), with an overhead budget of ≤2% on a full pipeline run.
 //!
 //! Two independent facilities:
 //!

@@ -2,8 +2,9 @@
 
 /// Returns `true` when the expensive scale tier is opted in via
 /// `SEAL_SCALE=1`. Gated tests call this at the top and return early when
-/// it is off, so the suite stays green (and fast) by default — the CI
-/// scale lane and `scripts/bench_check.sh` runs flip it on explicitly.
+/// it is off, so the suite stays green (and fast) by default —
+/// `scripts/ci.sh` flips it on for the 10x test, and for the whole suite
+/// when its own environment sets it.
 /// Runtime gating (instead of `#[ignore]`) keeps the tests visible to
 /// `cargo test` and to the no-ignored-tests lint in `scripts/ci.sh`.
 pub fn scale_enabled() -> bool {

@@ -74,7 +74,7 @@ fn run_rendered(
 #[test]
 fn cold_warm_and_off_runs_are_byte_identical_across_jobs() {
     let dir = temp_dir("coldwarm");
-    let corpus = tiny_corpus();
+    let mut corpus = tiny_corpus();
     let target = corpus.target_module();
     let cfg = DetectConfig::default();
 
@@ -94,6 +94,33 @@ fn cold_warm_and_off_runs_are_byte_identical_across_jobs() {
         assert!(s.hits > 0, "warm run served nothing at jobs={jobs}");
         assert_eq!(s.misses, 0, "warm run missed at jobs={jobs}");
     }
+
+    // Every tenth patch gains one identical, unused helper on both sides:
+    // its diff and specs stay the same, but its raw and semantic keys
+    // move. Over the populated store the edited patches miss, the rest
+    // hit, fewer lookups miss than cold, and the output still matches an
+    // uncached run on the edited corpus.
+    for p in corpus.patches.iter_mut().step_by(10) {
+        let pad = "\nint seal_mut_pad(int x) { return x + 1; }\n";
+        p.pre.push_str(pad);
+        p.post.push_str(pad);
+    }
+    let edited_off = run_rendered(&corpus, &target, 1, &AnalysisCache::disabled(), &cfg);
+    let edited_cache = AnalysisCache::open(&dir, CacheMode::ReadOnly).unwrap();
+    let edited_warm = run_rendered(&corpus, &target, 1, &edited_cache, &cfg);
+    assert_eq!(
+        edited_off, edited_warm,
+        "cached run on the edited corpus differs"
+    );
+    let (cold_stats, s) = (cold_cache.stats(), edited_cache.stats());
+    assert!(s.misses > 0, "edited patches produced no cache misses");
+    assert!(s.hits > 0, "edited corpus produced no cache hits");
+    assert!(
+        s.misses < cold_stats.misses,
+        "edited corpus recomputed everything (misses {} vs cold {})",
+        s.misses,
+        cold_stats.misses
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

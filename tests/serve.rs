@@ -311,6 +311,12 @@ fn mutated_rerequest_hits_warm_layer_and_matches_cli() {
         h2 > h1,
         "mutated re-request was not served from the warm layer (hits {h1} -> {h2})"
     );
+    // The daemon reports its own peak RSS (VmHWM, so nonzero wherever
+    // procfs exists).
+    let rss_peak_kb = num(&s2, "rss_peak_kb");
+    if cfg!(target_os = "linux") {
+        assert!(rss_peak_kb > 0.0, "stats rss_peak_kb is {rss_peak_kb}");
+    }
     assert_eq!(daemon.shutdown(), 0);
 
     // The warm-served outputs match solo CLI runs on the mutated inputs.
@@ -902,9 +908,9 @@ mod socket {
         daemon.wait_ready();
 
         std::thread::scope(|scope| {
-            // Three well-behaved clients, interleaved with one garbage
-            // client; every thread runs concurrently against one daemon.
-            for _ in 0..3 {
+            // Seven well-behaved clients, interleaved with one garbage
+            // client: eight connections run concurrently against one daemon.
+            for _ in 0..7 {
                 let (sock, refs, batch) = (&sock, &refs, &batch);
                 scope.spawn(move || {
                     let mut c = Client::connect(sock);
