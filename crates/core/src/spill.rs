@@ -8,12 +8,22 @@
 //! *sequentially* during detection so at most one chunk is resident at a
 //! time.
 //!
-//! Spill files are integrity-checked on the way back in: a magic tag, a
-//! length, and an FNV-64 content checksum frame every payload. Any
-//! mismatch — truncation, bit flips, garbage — surfaces as a typed
-//! [`SealError::Store`] so the caller can degrade to recomputing the
-//! chunk from its seed instead of trusting bad bytes (never a panic, and
-//! never silently wrong reports).
+//! A spill file is a one-record `seal-store` image: the store's header,
+//! then one record ([`seal_store::encode_record`]) whose `kind` says
+//! whether it holds a module, a spec set or raw bytes, and whose key is
+//! the hash of the file's name. A read accepts the file only when
+//! [`seal_store::scan`] finds exactly that record — one clean record, no
+//! invalidation, the expected `(kind, key)` and the handle's payload
+//! length. Anything else — truncation, bit flips, garbage, a file swapped
+//! in from another handle — surfaces as a typed [`SealError::Store`] so
+//! the caller can degrade to recomputing the chunk from its seed instead
+//! of trusting bad bytes (never a panic, and never silently wrong
+//! reports).
+//!
+//! `SpillDir` is not a [`seal_store::Store`]: a store keeps every flushed
+//! payload in memory for its whole lifetime, so spilled chunks would stay
+//! resident and the spill would stop bounding RSS. Each payload gets its
+//! own file, read back once.
 //!
 //! Session counters are mirrored into the metrics registry as
 //! `spill.writes` / `spill.reads` / `spill.bytes_written` /
@@ -23,26 +33,20 @@
 use crate::error::SealError;
 use seal_ir::Module;
 use seal_spec::Specification;
+use seal_store::ContentHash;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Frame magic for spill files (version-tagged like the store's).
-const SPILL_MAGIC: &[u8; 8] = b"SEALSPL1";
+/// Record kind of a payload written with [`SpillDir::write`].
+const KIND_BYTES: u8 = 0;
+/// Record kind of a spilled module.
+const KIND_MODULE: u8 = 1;
+/// Record kind of a spilled specification set.
+const KIND_SPECS: u8 = 2;
 
 /// Fraction of the RSS budget at which spilling engages: leaving headroom
 /// means the budget caps the peak instead of chasing it.
 const SPILL_HEADROOM_PCT: u64 = 80;
-
-/// FNV-1a 64-bit over a byte slice (matches the store's record-checksum
-/// construction; self-contained so spill files need no store handle).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn store_err(path: &Path, message: impl Into<String>) -> SealError {
     SealError::Store(seal_store::StoreError {
@@ -110,7 +114,9 @@ impl SpillBudget {
 #[derive(Debug, Clone)]
 pub struct SpillHandle {
     path: PathBuf,
-    /// Payload bytes (excluding the frame header).
+    /// The record's key: the hash of the file name.
+    key: ContentHash,
+    /// Payload bytes (excluding the headers).
     bytes: u64,
 }
 
@@ -134,7 +140,7 @@ pub struct SpillStats {
     pub bytes_read: u64,
 }
 
-/// A directory of integrity-framed spill files.
+/// A directory of one-record store images.
 ///
 /// Thread-safe for reads; writes take `&mut self` (the scale pipeline
 /// spills from its sequential fold, so this costs nothing).
@@ -177,72 +183,28 @@ impl SpillDir {
         }
     }
 
-    /// Writes one framed payload; `label` becomes part of the file name.
+    /// Writes one raw payload; `label` becomes part of the file name.
     pub fn write(&mut self, label: &str, payload: &[u8]) -> Result<SpillHandle, SealError> {
-        let path = self.dir.join(format!("{:06}-{label}.spill", self.seq));
-        self.seq += 1;
-        let mut framed = Vec::with_capacity(payload.len() + 24);
-        framed.extend_from_slice(SPILL_MAGIC);
-        framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        framed.extend_from_slice(&fnv64(payload).to_le_bytes());
-        framed.extend_from_slice(payload);
-        std::fs::write(&path, &framed).map_err(|e| store_err(&path, format!("write: {e}")))?;
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        seal_obs::metrics::counter_add_nd("spill.writes", 1);
-        seal_obs::metrics::counter_add_nd("spill.bytes_written", payload.len() as u64);
-        Ok(SpillHandle {
-            path,
-            bytes: payload.len() as u64,
-        })
+        self.write_record(KIND_BYTES, label, payload)
     }
 
-    /// Reads a payload back, verifying magic, length, and checksum.
+    /// Reads a raw payload back.
     pub fn read(&self, h: &SpillHandle) -> Result<Vec<u8>, SealError> {
-        let framed =
-            std::fs::read(&h.path).map_err(|e| store_err(&h.path, format!("read: {e}")))?;
-        if framed.len() < 24 || &framed[..8] != SPILL_MAGIC {
-            return Err(store_err(
-                &h.path,
-                "spill file truncated or not a spill file",
-            ));
-        }
-        let len = u64::from_le_bytes(framed[8..16].try_into().unwrap());
-        let sum = u64::from_le_bytes(framed[16..24].try_into().unwrap());
-        let payload = &framed[24..];
-        if payload.len() as u64 != len || len != h.bytes {
-            return Err(store_err(
-                &h.path,
-                format!(
-                    "spill length mismatch: framed {len}, have {}",
-                    payload.len()
-                ),
-            ));
-        }
-        if fnv64(payload) != sum {
-            return Err(store_err(&h.path, "spill checksum mismatch"));
-        }
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        seal_obs::metrics::counter_add_nd("spill.reads", 1);
-        seal_obs::metrics::counter_add_nd("spill.bytes_read", payload.len() as u64);
-        Ok(payload.to_vec())
+        self.read_record(h, KIND_BYTES, |payload| Ok(payload.to_vec()))
     }
 
     /// Spills a compiled module (a detection shard's PDG input).
     pub fn spill_module(&mut self, label: &str, m: &Module) -> Result<SpillHandle, SealError> {
-        self.write(label, &seal_ir::codec::encode_module(m))
+        self.write_record(KIND_MODULE, label, &seal_ir::codec::encode_module(m))
     }
 
     /// Loads a spilled module; decode failures are store errors too (the
-    /// bytes round-tripped the frame but do not parse — same degradation
-    /// path as a failed checksum).
+    /// bytes passed the checksum but do not parse — same degradation path
+    /// as a failed checksum).
     pub fn load_module(&self, h: &SpillHandle) -> Result<Module, SealError> {
-        let bytes = self.read(h)?;
-        seal_ir::codec::decode_module(&bytes)
-            .map_err(|e| store_err(&h.path, format!("module decode: {e:?}")))
+        self.read_record(h, KIND_MODULE, |payload| {
+            seal_ir::codec::decode_module(payload).map_err(|e| format!("module decode: {e:?}"))
+        })
     }
 
     /// Spills a specification set.
@@ -251,14 +213,75 @@ impl SpillDir {
         label: &str,
         specs: &[Specification],
     ) -> Result<SpillHandle, SealError> {
-        self.write(label, &seal_spec::binary::encode_specs(specs))
+        self.write_record(KIND_SPECS, label, &seal_spec::binary::encode_specs(specs))
     }
 
     /// Loads a spilled specification set.
     pub fn load_specs(&self, h: &SpillHandle) -> Result<Vec<Specification>, SealError> {
-        let bytes = self.read(h)?;
-        seal_spec::binary::decode_specs(&bytes)
-            .map_err(|e| store_err(&h.path, format!("specs decode: {e:?}")))
+        self.read_record(h, KIND_SPECS, |payload| {
+            seal_spec::binary::decode_specs(payload).map_err(|e| format!("specs decode: {e:?}"))
+        })
+    }
+
+    /// Writes `payload` as the one record of a fresh spill file.
+    fn write_record(
+        &mut self,
+        kind: u8,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<SpillHandle, SealError> {
+        let name = format!("{:06}-{label}.spill", self.seq);
+        self.seq += 1;
+        let key = ContentHash::of(name.as_bytes());
+        let path = self.dir.join(name);
+        let mut image = Vec::with_capacity(
+            seal_store::HEADER.len() + seal_store::RECORD_HEADER_LEN + payload.len(),
+        );
+        image.extend_from_slice(&seal_store::HEADER);
+        seal_store::encode_record(&mut image, kind, &key, payload);
+        std::fs::write(&path, &image).map_err(|e| store_err(&path, format!("write: {e}")))?;
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.bytes_written
+            .fetch_add(payload.len() as u64, Ordering::Relaxed);
+        seal_obs::metrics::counter_add_nd("spill.writes", 1);
+        seal_obs::metrics::counter_add_nd("spill.bytes_written", payload.len() as u64);
+        Ok(SpillHandle {
+            path,
+            key,
+            bytes: payload.len() as u64,
+        })
+    }
+
+    /// Reads `h`'s file, checks that it is exactly the record `h` wrote
+    /// with `kind`, and decodes the payload in place.
+    fn read_record<T>(
+        &self,
+        h: &SpillHandle,
+        kind: u8,
+        decode: impl FnOnce(&[u8]) -> Result<T, String>,
+    ) -> Result<T, SealError> {
+        let image = std::fs::read(&h.path).map_err(|e| store_err(&h.path, format!("read: {e}")))?;
+        let found = seal_store::scan(&image);
+        let payload = match found.records.as_slice() {
+            [r] if found.invalidations == 0
+                && (r.kind, r.key) == (kind, h.key)
+                && r.payload.len() as u64 == h.bytes =>
+            {
+                &image[r.payload.clone()]
+            }
+            _ => {
+                return Err(store_err(
+                    &h.path,
+                    "damaged, or not this handle's spill file",
+                ))
+            }
+        };
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.bytes_read
+            .fetch_add(payload.len() as u64, Ordering::Relaxed);
+        seal_obs::metrics::counter_add_nd("spill.reads", 1);
+        seal_obs::metrics::counter_add_nd("spill.bytes_read", payload.len() as u64);
+        decode(payload).map_err(|e| store_err(&h.path, e))
     }
 }
 
@@ -304,6 +327,52 @@ mod tests {
         // Garbage.
         std::fs::write(h.path(), b"GARBAGE-NOT-A-SPILL").unwrap();
         assert_eq!(s.read(&h).unwrap_err().stage(), Stage::Store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every damage to a one-record image is a typed store error: a flip
+    /// of any bit in front of the payload or of a payload byte, truncation
+    /// anywhere, a trailing byte, the wrong kind, and a file swapped in
+    /// from another handle of equal length.
+    #[test]
+    fn every_damaged_spill_image_is_a_store_error() {
+        let dir = tmp("exhaustive");
+        let mut s = SpillDir::create(&dir).unwrap();
+        let module = s.spill_module("chunk", &Module::default()).unwrap();
+        let h = s.write("a", b"payload-bytes-a").unwrap();
+        let other = s.write("b", b"payload-bytes-b").unwrap();
+        let clean = std::fs::read(h.path()).unwrap();
+        let fails = |bytes: &[u8], what: &str| {
+            std::fs::write(h.path(), bytes).unwrap();
+            let err = s.read(&h).expect_err(what);
+            assert_eq!(err.stage(), Stage::Store, "{what}");
+        };
+
+        let front = seal_store::HEADER.len() + seal_store::RECORD_HEADER_LEN;
+        assert_eq!(front, 45);
+        for bit in 0..front * 8 {
+            let mut bytes = clean.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            fails(&bytes, &format!("flip of bit {bit}"));
+        }
+        let mut bytes = clean.clone();
+        bytes[front + 3] ^= 0x01;
+        fails(&bytes, "payload byte flip");
+        for keep in (0..=front).chain([front + 3]) {
+            fails(&clean[..keep], &format!("truncated to {keep} bytes"));
+        }
+        let mut bytes = clean.clone();
+        bytes.push(0);
+        fails(&bytes, "trailing byte");
+
+        // Undamaged files read through the wrong loader or handle.
+        std::fs::write(h.path(), &clean).unwrap();
+        assert_eq!(s.read(&h).unwrap(), b"payload-bytes-a");
+        assert_eq!(s.load_specs(&module).unwrap_err().stage(), Stage::Store);
+        assert!(s.load_module(&module).is_ok());
+        std::fs::copy(other.path(), h.path()).unwrap();
+        assert_eq!(s.read(&h).unwrap_err().stage(), Stage::Store);
+        assert_eq!(s.read(&other).unwrap(), b"payload-bytes-b");
         std::fs::remove_dir_all(&dir).ok();
     }
 

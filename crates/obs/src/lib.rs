@@ -1,12 +1,13 @@
 //! `seal-obs` — the in-tree observability layer: hierarchical spans,
-//! a metrics registry, and deterministic trace serialization.
+//! a metrics registry, deterministic trace serialization, and the
+//! workspace's one JSON codec.
 //!
 //! Like everything else in the workspace it is dependency-free, and —
 //! because instrumentation rides inside the analysis hot paths — it is
 //! engineered to cost one relaxed atomic load per event while *disabled*
 //! (the default), with an overhead budget of ≤2% on a full pipeline run.
 //!
-//! Two independent facilities:
+//! Two independent facilities, plus the codec their files are read with:
 //!
 //! * [`trace`] — hierarchical **spans** with monotonic timing, recorded
 //!   into a per-run, thread-safe [`trace::Trace`]. The resulting span
@@ -21,11 +22,17 @@
 //!   hit/miss, prune events, interner occupancy) are part of the
 //!   jobs-invariance contract; nondeterministic ones (pool steals, queue
 //!   depths, timings) are recorded but excluded from golden comparisons.
+//! * [`json`] — the RFC-8259 parser and string escaper. Trace and metrics
+//!   files are read with [`json::Json::parse`], and the `seal serve` line
+//!   protocol uses the same codec (re-exported as `seal::json`). It
+//!   lives here because every workspace crate already depends on this
+//!   one, directly or through `seal-store`.
 //!
 //! Instrumented code uses the [`span!`]/[`task_span!`] macros and the
 //! `metrics::counter_add`-family free functions; neither evaluates its
 //! arguments when the corresponding facility is disabled.
 
+pub mod json;
 pub mod metrics;
 pub mod trace;
 

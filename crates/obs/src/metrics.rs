@@ -20,6 +20,7 @@
 //! Counter totals are commutative, so per-event increments from pool
 //! workers stay deterministic as long as the *set* of events is.
 
+use crate::json::{escape_into, Json};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -233,7 +234,7 @@ impl MetricsSnapshot {
         let n = self.metrics.len();
         for (i, (name, m)) in self.metrics.iter().enumerate() {
             out.push_str("{\"name\":\"");
-            crate::trace::escape_into(name, &mut out);
+            escape_into(name, &mut out);
             out.push_str("\",");
             match &m.value {
                 MetricValue::Counter(c) => {
@@ -276,82 +277,54 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Parses the output of [`MetricsSnapshot::to_json`]. A reader for our
-    /// own writer, not a general JSON parser.
+    /// Parses the output of [`MetricsSnapshot::to_json`]: the file is one
+    /// JSON document, read with [`Json::parse`].
     pub fn parse(text: &str) -> Result<MetricsSnapshot, String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(h) if h.contains("\"seal_metrics\":") => {}
-            _ => return Err("missing seal_metrics header line".to_string()),
+        let doc = Json::parse(text).map_err(|e| format!("malformed metrics file: {e}"))?;
+        if doc.get("seal_metrics").is_none() {
+            return Err("missing seal_metrics header".to_string());
         }
+        let entries = doc
+            .get("metrics")
+            .and_then(Json::as_arr)
+            .ok_or("metrics file without a metrics array")?;
         let mut metrics = BTreeMap::new();
-        for line in lines {
-            let line = line.trim().trim_end_matches(',');
-            if line.is_empty() || line == "]}" {
-                continue;
-            }
-            let name = crate::trace::json_str(line, "name")
-                .ok_or_else(|| format!("metric line without name: {line}"))?;
-            let kind = crate::trace::json_str(line, "kind")
-                .ok_or_else(|| format!("metric line without kind: {line}"))?;
-            let det = line.contains("\"det\":true");
-            let value = match kind.as_str() {
-                "counter" => MetricValue::Counter(
-                    crate::trace::json_u64(line, "value")
-                        .ok_or_else(|| format!("counter without value: {line}"))?,
+        for m in entries {
+            let name = m
+                .get("name")
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("metric without a name: {m:?}"))?;
+            let bad = |key: &str| format!("metric {name}: missing or bad {key}");
+            let u64_of = |key: &str| m.get(key).and_then(Json::as_u64).ok_or_else(|| bad(key));
+            let det = m
+                .get("det")
+                .and_then(Json::as_bool)
+                .ok_or_else(|| bad("det"))?;
+            let value = match m.get("kind").and_then(Json::as_str) {
+                Some("counter") => MetricValue::Counter(u64_of("value")?),
+                Some("gauge") => MetricValue::Gauge(
+                    m.get("value")
+                        .and_then(Json::as_i64)
+                        .ok_or_else(|| bad("value"))?,
                 ),
-                "gauge" => {
-                    // Gauges can be negative; json_u64 only reads digits.
-                    let needle = "\"value\":";
-                    let at = line
-                        .find(needle)
-                        .ok_or_else(|| format!("gauge without value: {line}"))?
-                        + needle.len();
-                    let body: String = line[at..]
-                        .chars()
-                        .take_while(|c| c.is_ascii_digit() || *c == '-')
-                        .collect();
-                    MetricValue::Gauge(
-                        body.parse()
-                            .map_err(|_| format!("bad gauge value: {line}"))?,
-                    )
-                }
-                "hist" => {
-                    let count = crate::trace::json_u64(line, "count")
-                        .ok_or_else(|| format!("hist without count: {line}"))?;
-                    let sum = crate::trace::json_u64(line, "sum")
-                        .ok_or_else(|| format!("hist without sum: {line}"))?;
-                    let bstart = line
-                        .find("\"buckets\":[")
-                        .ok_or_else(|| format!("hist without buckets: {line}"))?
-                        + "\"buckets\":[".len();
-                    let bend = line[bstart..]
-                        .find("]}")
-                        .map(|i| bstart + i)
-                        .ok_or_else(|| format!("unterminated buckets: {line}"))?;
-                    let mut buckets = Vec::new();
-                    for pair in line[bstart..bend].split("],[") {
-                        let pair = pair.trim_matches(['[', ']']);
-                        if pair.is_empty() {
-                            continue;
-                        }
-                        let (e, c) = pair
-                            .split_once(',')
-                            .ok_or_else(|| format!("bad bucket pair: {pair}"))?;
-                        buckets.push((
-                            e.parse().map_err(|_| format!("bad bucket exp: {pair}"))?,
-                            c.parse().map_err(|_| format!("bad bucket count: {pair}"))?,
-                        ));
-                    }
+                Some("hist") => {
+                    let pair = |b: &Json| match b.as_arr()? {
+                        [e, c] => Some((u32::try_from(e.as_u64()?).ok()?, c.as_u64()?)),
+                        _ => None,
+                    };
                     MetricValue::Hist {
-                        count,
-                        sum,
-                        buckets,
+                        count: u64_of("count")?,
+                        sum: u64_of("sum")?,
+                        buckets: m
+                            .get("buckets")
+                            .and_then(Json::as_arr)
+                            .and_then(|bs| bs.iter().map(pair).collect())
+                            .ok_or_else(|| bad("buckets"))?,
                     }
                 }
-                other => return Err(format!("unknown metric kind {other}: {line}")),
+                _ => return Err(bad("kind")),
             };
-            metrics.insert(name, Metric { value, det });
+            metrics.insert(name.to_string(), Metric { value, det });
         }
         Ok(MetricsSnapshot { metrics })
     }
@@ -432,6 +405,7 @@ mod tests {
         let text = snap.to_json();
         let back = MetricsSnapshot::parse(&text).unwrap();
         assert_eq!(back, snap);
+        assert_eq!(back.to_json(), text);
         // det-only filtering works on the parsed form too.
         assert!(back.det_only().metrics.contains_key("solver.cache.hits"));
         assert!(!back.det_only().metrics.contains_key("pool.steals"));

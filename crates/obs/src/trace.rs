@@ -28,8 +28,9 @@
 //! The practical discipline this imposes: every span recorded on a pool
 //! worker must sit inside a `task_span!`.
 
+use crate::json::{escape_into, Json};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::thread::ThreadId;
@@ -251,53 +252,63 @@ impl TraceData {
         out
     }
 
-    /// Parses the output of [`TraceData::to_jsonl`] back into a forest.
-    /// This is a reader for *our own* writer, not a general JSON parser.
+    /// Parses the output of [`TraceData::to_jsonl`] back into a forest;
+    /// each line is read with [`Json::parse`].
     pub fn parse_jsonl(text: &str) -> Result<TraceData, String> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        match lines.next() {
-            Some(h) if h.contains("\"seal_trace\":") => {}
+        match lines.next().map(Json::parse) {
+            Some(Ok(h)) if h.get("seal_trace").is_some() => {}
             _ => return Err("missing seal_trace header line".to_string()),
         }
-        // (id, parent, rec) in file order; parents always precede children.
-        let mut spans: Vec<(u64, u64, SpanRec)> = Vec::new();
+        // Spans in file order, each with the position of its parent (which
+        // precedes it) or `None` for a root.
+        let mut spans: Vec<(Option<usize>, SpanRec)> = Vec::new();
+        let mut position: HashMap<u64, usize> = HashMap::new();
         for line in lines {
-            let id = json_u64(line, "id").ok_or_else(|| format!("span line without id: {line}"))?;
-            let parent = json_u64(line, "parent")
-                .ok_or_else(|| format!("span line without parent: {line}"))?;
-            let name =
-                json_str(line, "name").ok_or_else(|| format!("span line without name: {line}"))?;
-            let dur_us = json_u64(line, "dur_us")
-                .ok_or_else(|| format!("span line without dur_us: {line}"))?;
-            spans.push((
-                id,
-                parent,
-                SpanRec {
-                    name: leak(name),
-                    fields: json_fields(line)?
-                        .into_iter()
-                        .map(|(k, v)| (leak(k), v))
-                        .collect(),
-                    dur_us,
-                    children: Vec::new(),
-                },
-            ));
+            let span =
+                Json::parse(line).map_err(|e| format!("malformed span line ({e}): {line}"))?;
+            let field = |key: &str| {
+                span.get(key)
+                    .ok_or_else(|| format!("span line without {key}: {line}"))
+            };
+            let bad = |key: &str| format!("span line with a bad {key}: {line}");
+            let id = field("id")?.as_u64().ok_or_else(|| bad("id"))?;
+            let parent = field("parent")?.as_u64().ok_or_else(|| bad("parent"))?;
+            let name = field("name")?.as_str().ok_or_else(|| bad("name"))?;
+            let fields = field("fields")?.as_obj().ok_or_else(|| bad("fields"))?;
+            let dur_us = field("dur_us")?.as_u64().ok_or_else(|| bad("dur_us"))?;
+            let fields = fields
+                .iter()
+                .map(|(k, v)| Some((leak(k), v.as_str()?.to_string())))
+                .collect::<Option<Vec<_>>>()
+                .ok_or_else(|| bad("fields"))?;
+            let parent = match parent {
+                0 => None,
+                p => Some(
+                    *position
+                        .get(&p)
+                        .ok_or_else(|| format!("span {id} references missing parent {p}"))?,
+                ),
+            };
+            position.insert(id, spans.len());
+            let rec = SpanRec {
+                name: leak(name),
+                fields,
+                dur_us,
+                children: Vec::new(),
+            };
+            spans.push((parent, rec));
         }
-        // Rebuild bottom-up: children attach to the nearest earlier parent.
-        let mut forest: Vec<(u64, u64, SpanRec)> = Vec::new();
-        for span in spans {
-            forest.push(span);
-        }
+        // Rebuild bottom-up: every child sits after its parent, so popping
+        // from the end finishes a span's children before the span itself
+        // moves into its parent (children arrive last-first, hence the
+        // reversals).
         let mut roots = Vec::new();
-        while let Some((id, parent, rec)) = forest.pop() {
-            if parent == 0 {
-                roots.push(rec);
-            } else {
-                let p = forest
-                    .iter_mut()
-                    .find(|(pid, _, _)| *pid == parent)
-                    .ok_or_else(|| format!("span {id} references missing parent {parent}"))?;
-                p.2.children.insert(0, rec);
+        while let Some((parent, mut rec)) = spans.pop() {
+            rec.children.reverse();
+            match parent {
+                Some(p) => spans[p].1.children.push(rec),
+                None => roots.push(rec),
             }
         }
         roots.reverse();
@@ -377,13 +388,16 @@ impl TraceData {
     }
 }
 
-/// Replaces every `"dur_us":<digits>` value in a serialized trace with
-/// `"dur_us":0` — the masking golden comparisons apply before diffing.
+/// Replaces each span line's `"dur_us":<digits>` value in a serialized
+/// trace with `"dur_us":0` — the masking golden comparisons apply before
+/// diffing. Only the top-level key is masked: [`TraceData::to_jsonl`]
+/// writes it last on the line, after any span field that happens to be
+/// named `dur_us`.
 pub fn mask_durations(jsonl: &str) -> String {
     let mut out = String::with_capacity(jsonl.len());
     let needle = "\"dur_us\":";
     for line in jsonl.lines() {
-        if let Some(at) = line.find(needle) {
+        if let Some(at) = line.rfind(needle) {
             let tail = &line[at + needle.len()..];
             let digits = tail.chars().take_while(|c| c.is_ascii_digit()).count();
             out.push_str(&line[..at + needle.len()]);
@@ -419,109 +433,8 @@ fn write_span(r: &SpanRec, parent: u64, next_id: &mut u64, out: &mut String) {
     }
 }
 
-pub(crate) fn escape_into(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-fn leak(s: String) -> &'static str {
-    Box::leak(s.into_boxed_str())
-}
-
-/// Extracts `"key":<u64>` from one serialized line.
-pub(crate) fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)? + needle.len();
-    let digits: String = line[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extracts `"key":"<string>"` (unescaped) from one serialized line.
-pub(crate) fn json_str(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let at = line.find(&needle)? + needle.len();
-    let end = raw_string_end(&line[at..])?;
-    Some(unescape(&line[at..at + end]))
-}
-
-/// Byte offset of the closing quote of a JSON string body.
-fn raw_string_end(s: &str) -> Option<usize> {
-    let mut escaped = false;
-    for (i, c) in s.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            return Some(i);
-        }
-    }
-    None
-}
-
-/// Extracts the `"fields":{...}` object from one span line.
-fn json_fields(line: &str) -> Result<Vec<(String, String)>, String> {
-    let needle = "\"fields\":{";
-    let Some(start) = line.find(needle) else {
-        return Err(format!("span line without fields: {line}"));
-    };
-    let mut rest = &line[start + needle.len()..];
-    let mut out = Vec::new();
-    loop {
-        rest = rest.trim_start_matches([',', ' ']);
-        if let Some(r) = rest.strip_prefix('}') {
-            let _ = r;
-            return Ok(out);
-        }
-        let Some(r) = rest.strip_prefix('"') else {
-            return Err(format!("malformed fields object: {line}"));
-        };
-        let kend = raw_string_end(r).ok_or_else(|| format!("unterminated field key: {line}"))?;
-        let key = unescape(&r[..kend]);
-        let r = r[kend + 1..]
-            .strip_prefix(":\"")
-            .ok_or_else(|| format!("malformed field value: {line}"))?;
-        let vend = raw_string_end(r).ok_or_else(|| format!("unterminated field value: {line}"))?;
-        out.push((key, unescape(&r[..vend])));
-        rest = &r[vend + 1..];
-    }
+fn leak(s: &str) -> &'static str {
+    Box::leak(s.into())
 }
 
 #[cfg(test)]
@@ -616,6 +529,45 @@ mod tests {
         assert_eq!(mask_durations(&masked), masked);
         let remasked = TraceData::parse_jsonl(&masked).unwrap();
         assert_eq!(remasked.flatten().len(), data.flatten().len());
+    }
+
+    /// Span fields may carry any key, the span line's own keys included,
+    /// and any value: the reader and the masker must see the writer's line
+    /// as JSON does, not match keys by text.
+    #[test]
+    fn fields_named_like_span_keys_round_trip_and_mask() {
+        let odd = "\"q\" \u{1} é 😀 \\";
+        let data = TraceData {
+            roots: vec![SpanRec {
+                name: "outer",
+                fields: vec![
+                    ("dur_us", odd.to_string()),
+                    ("parent", "7".to_string()),
+                    ("id", "\"dur_us\":9".to_string()),
+                    ("name", "x".to_string()),
+                    ("dur_us", String::new()),
+                ],
+                dur_us: 1234,
+                children: vec![SpanRec {
+                    name: "inner",
+                    fields: vec![("name", odd.to_string())],
+                    dur_us: 56,
+                    children: vec![],
+                }],
+            }],
+        };
+        let jsonl = data.to_jsonl();
+        assert_eq!(TraceData::parse_jsonl(&jsonl).unwrap(), data);
+
+        let masked = mask_durations(&jsonl);
+        let mut zeroed = data.clone();
+        zeroed.roots[0].dur_us = 0;
+        zeroed.roots[0].children[0].dur_us = 0;
+        assert_eq!(masked, zeroed.to_jsonl());
+        for line in masked.lines() {
+            Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        }
+        assert_eq!(TraceData::parse_jsonl(&masked).unwrap(), zeroed);
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! `seal-store` — content-addressed on-disk artifact cache.
+//! `seal-store` — content-addressed on-disk artifact cache, and the one
+//! checksummed record format the workspace writes to disk.
 //!
 //! One store is one directory holding a single append-only binary file,
-//! `seal-store.v1.bin`: a 16-byte header (magic + format version) followed
-//! by self-describing records
+//! `seal-store.v1.bin`: the 16-byte [`HEADER`] (magic, format version, a
+//! reserved zero word) followed by self-describing records
 //!
 //! ```text
 //! [kind: u8][key: 16 bytes][payload len: u32 LE][fnv64 checksum: u64 LE][payload]
@@ -15,9 +16,14 @@
 //! in-memory image byte-identical to the file — though this dependency-free
 //! build reads the file in one contiguous buffer instead of mapping it.
 //!
+//! The format is two plain functions: [`encode_record`] appends one record
+//! and [`scan`] splits an image into its longest clean prefix of records.
+//! [`Store`] is built on them, and so are the scale tier's spill files
+//! (`seal_core::spill`), each a one-record image.
+//!
 //! **Corruption is data, not a fault**: `open` scans the file once and
 //! keeps the longest valid prefix. A truncated tail, a flipped bit (caught
-//! by the per-record checksum), or a wrong-version header simply drops the
+//! by the per-record checksum), or a wrong header simply drops the
 //! unusable records, counts a `cache.invalidations`, and leaves a smaller
 //! cache — never an error, never a panic. Writers buffer puts in memory
 //! and [`Store::flush`] appends them (sorted, so the file bytes are
@@ -37,20 +43,93 @@ pub use hash::{fnv64, ContentHash, Hasher128};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// File magic: the first 8 bytes of every store file.
-pub const MAGIC: [u8; 8] = *b"SEALSTOR";
-/// On-disk format version. Bump on any layout or record-encoding change;
-/// an old file under a new binary is dropped wholesale (one invalidation).
-pub const FORMAT_VERSION: u32 = 1;
 /// Store file name inside the cache directory.
 pub const STORE_FILE: &str = "seal-store.v1.bin";
 
-const HEADER_LEN: usize = 16;
-const REC_HEADER_LEN: usize = 1 + 16 + 4 + 8;
+/// The 16-byte file header: the `SEALSTOR` magic, the format version as a
+/// little-endian `u32` (1), and a reserved `u32` that must be 0. Bump the
+/// version on any layout or record-encoding change: [`scan`] compares all
+/// 16 bytes, so an old file under a new binary, like a damaged header, is
+/// dropped wholesale (one invalidation).
+pub const HEADER: [u8; 16] = *b"SEALSTOR\x01\0\0\0\0\0\0\0";
+/// Bytes in front of each record's payload: kind, key, length, checksum.
+pub const RECORD_HEADER_LEN: usize = 1 + 16 + 4 + 8;
+
+/// Appends one record — `[kind][key][len][fnv64][payload]` — to `out`.
+pub fn encode_record(out: &mut Vec<u8>, kind: u8, key: &ContentHash, payload: &[u8]) {
+    out.push(kind);
+    out.extend_from_slice(key.as_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&fnv64(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// One record of a scanned image.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Record {
+    /// Artifact family.
+    pub kind: u8,
+    /// Content address.
+    pub key: ContentHash,
+    /// Where the payload sits in the scanned bytes.
+    pub payload: Range<usize>,
+}
+
+/// What [`scan`] found in an image.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Scan {
+    /// The records of the clean prefix, in file order.
+    pub records: Vec<Record>,
+    /// Length of the clean prefix: the header plus every whole record
+    /// whose checksum matched. 0 when the header is unusable.
+    pub clean_len: usize,
+    /// 1 when anything past the clean prefix was dropped (unusable
+    /// header, torn or corrupt record), else 0.
+    pub invalidations: u64,
+}
+
+/// Splits a store image into its longest clean prefix of records. Empty
+/// bytes are a fresh image: no records and no invalidation. The scan
+/// stops at the first torn record or checksum mismatch — a flipped bit
+/// could as easily have hit that record's length field and desynced
+/// everything after it, and records are append-ordered, so the tail is no
+/// longer trustworthy.
+pub fn scan(bytes: &[u8]) -> Scan {
+    let mut out = Scan::default();
+    if bytes.is_empty() {
+        return out;
+    }
+    if bytes.len() < HEADER.len() || bytes[..HEADER.len()] != HEADER {
+        out.invalidations = 1;
+        return out;
+    }
+    let mut pos = HEADER.len();
+    while pos < bytes.len() {
+        if bytes.len() - pos < RECORD_HEADER_LEN {
+            out.invalidations = 1;
+            break;
+        }
+        let field = |at: usize, n: usize| &bytes[pos + at..pos + at + n];
+        let kind = bytes[pos];
+        let key = ContentHash(field(1, 16).try_into().expect("16-byte key"));
+        let len = u32::from_le_bytes(field(17, 4).try_into().expect("4-byte length")) as usize;
+        let sum = u64::from_le_bytes(field(21, 8).try_into().expect("8-byte checksum"));
+        let payload = pos + RECORD_HEADER_LEN..pos + RECORD_HEADER_LEN + len;
+        if payload.end > bytes.len() || fnv64(&bytes[payload.clone()]) != sum {
+            out.invalidations = 1;
+            break;
+        }
+        pos = payload.end;
+        out.records.push(Record { kind, key, payload });
+    }
+    out.clean_len = pos;
+    out
+}
 
 /// How a run uses the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,9 +239,9 @@ pub struct Store {
     /// [`Store::flush_atomic`] rewrites the file wholesale and must move
     /// this watermark without exclusive access to the store.
     valid_len: AtomicU64,
-    /// `(kind, key)` → payload `(offset, len)` into `data`. Later records
-    /// win, so re-putting a key is an update.
-    index: HashMap<(u8, ContentHash), (usize, usize)>,
+    /// `(kind, key)` → payload range in `data`. Later records win, so
+    /// re-putting a key is an update.
+    index: HashMap<(u8, ContentHash), Range<usize>>,
     /// Puts not yet on disk.
     pending: Mutex<PayloadMap>,
     /// Puts flushed during this lifetime (still served from memory).
@@ -231,65 +310,19 @@ impl Store {
         // Missing file: an empty cache. Any other read failure (perm
         // denied, I/O error) also degrades to empty — a cache must
         // never turn a readable workload into a failure.
-        let raw = std::fs::read(&path).unwrap_or_default();
-        store.scan(raw);
-        let inv = store.invalidations.load(Ordering::Relaxed);
-        if inv > 0 {
-            seal_obs::metrics::counter_add("cache.invalidations", inv);
+        let mut raw = std::fs::read(&path).unwrap_or_default();
+        let found = scan(&raw);
+        for r in found.records {
+            store.index.insert((r.kind, r.key), r.payload);
+        }
+        raw.truncate(found.clean_len);
+        store.data = raw;
+        store.valid_len = AtomicU64::new(found.clean_len as u64);
+        if found.invalidations > 0 {
+            store.invalidations = AtomicU64::new(found.invalidations);
+            seal_obs::metrics::counter_add("cache.invalidations", found.invalidations);
         }
         Ok(store)
-    }
-
-    /// Validates `raw` as header + records, keeping the longest clean
-    /// prefix and indexing its payloads.
-    fn scan(&mut self, raw: Vec<u8>) {
-        if raw.is_empty() {
-            return; // Fresh cache: nothing to validate.
-        }
-        if raw.len() < HEADER_LEN
-            || raw[..8] != MAGIC
-            || u32::from_le_bytes(raw[8..12].try_into().unwrap()) != FORMAT_VERSION
-        {
-            // Wrong magic or version: the whole file is unusable under
-            // this binary. One invalidation, start over.
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut pos = HEADER_LEN;
-        loop {
-            if pos == raw.len() {
-                break; // Clean end.
-            }
-            if raw.len() - pos < REC_HEADER_LEN {
-                // Torn record header (partial append / truncation).
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            let kind = raw[pos];
-            let mut key = [0u8; 16];
-            key.copy_from_slice(&raw[pos + 1..pos + 17]);
-            let len = u32::from_le_bytes(raw[pos + 17..pos + 21].try_into().unwrap()) as usize;
-            let sum = u64::from_le_bytes(raw[pos + 21..pos + 29].try_into().unwrap());
-            let payload_at = pos + REC_HEADER_LEN;
-            if raw.len() - payload_at < len {
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            let payload = &raw[payload_at..payload_at + len];
-            if fnv64(payload) != sum {
-                // A flipped bit could as easily have hit this record's
-                // length field and desynced everything after it, so the
-                // scan conservatively stops here: records are append-
-                // ordered and the tail is no longer trustworthy.
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            self.index
-                .insert((kind, ContentHash(key)), (payload_at, len));
-            pos = payload_at + len;
-        }
-        self.valid_len.store(pos as u64, Ordering::Relaxed);
-        self.data = raw;
     }
 
     /// The mode this store was opened with.
@@ -322,7 +355,7 @@ impl Store {
                     drop(written);
                     self.index
                         .get(&k)
-                        .map(|&(off, len)| self.data[off..off + len].to_vec())
+                        .map(|payload| self.data[payload.clone()].to_vec())
                 }
             }
         };
@@ -380,27 +413,20 @@ impl Store {
         let mut entries: Vec<_> = pending.drain().collect();
         entries.sort_by_key(|&((kind, key), _): &((u8, ContentHash), _)| (kind, key));
 
-        let mut records = Vec::new();
+        // A fresh file (or one whose header was unusable) is rewritten
+        // whole; otherwise the records are appended to the clean prefix.
+        let valid_len = self.valid_len.load(Ordering::Acquire);
+        let fresh = valid_len < HEADER.len() as u64;
+        let mut bytes = if fresh { HEADER.to_vec() } else { Vec::new() };
         for ((kind, key), payload) in &entries {
-            records.push(*kind);
-            records.extend_from_slice(key.as_bytes());
-            records.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            records.extend_from_slice(&fnv64(payload).to_le_bytes());
-            records.extend_from_slice(payload);
+            encode_record(&mut bytes, *kind, key, payload);
         }
 
         let io_err = |e: std::io::Error| StoreError {
             path: path.display().to_string(),
             message: format!("cannot write store file: {e}"),
         };
-        let valid_len = self.valid_len.load(Ordering::Acquire);
-        if valid_len < HEADER_LEN as u64 {
-            // Fresh file (or one whose header was unusable): rewrite.
-            let mut bytes = Vec::with_capacity(HEADER_LEN + records.len());
-            bytes.extend_from_slice(&MAGIC);
-            bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-            bytes.extend_from_slice(&0u32.to_le_bytes());
-            bytes.extend_from_slice(&records);
+        if fresh {
             let new_len = bytes.len() as u64;
             std::fs::write(path, bytes).map_err(io_err)?;
             self.valid_len.store(new_len, Ordering::Release);
@@ -412,9 +438,9 @@ impl Store {
             // Drop the corrupt tail (if any) before appending.
             f.set_len(valid_len).map_err(io_err)?;
             f.seek(SeekFrom::Start(valid_len)).map_err(io_err)?;
-            f.write_all(&records).map_err(io_err)?;
+            f.write_all(&bytes).map_err(io_err)?;
             self.valid_len
-                .store(valid_len + records.len() as u64, Ordering::Release);
+                .store(valid_len + bytes.len() as u64, Ordering::Release);
         }
 
         let mut written = self.written.lock().unwrap();
@@ -449,8 +475,8 @@ impl Store {
         let _flush = self.flush_lock.lock().unwrap();
         let mut pending = self.pending.lock().unwrap();
         let mut merged: HashMap<(u8, ContentHash), Vec<u8>> = HashMap::new();
-        for (&k, &(off, len)) in &self.index {
-            merged.insert(k, self.data[off..off + len].to_vec());
+        for (&k, payload) in &self.index {
+            merged.insert(k, self.data[payload.clone()].to_vec());
         }
         {
             let written = self.written.lock().unwrap();
@@ -465,16 +491,9 @@ impl Store {
         let mut entries: Vec<_> = merged.into_iter().collect();
         entries.sort_by_key(|&((kind, key), _)| (kind, key));
 
-        let mut bytes = Vec::with_capacity(HEADER_LEN);
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
+        let mut bytes = HEADER.to_vec();
         for ((kind, key), payload) in &entries {
-            bytes.push(*kind);
-            bytes.extend_from_slice(key.as_bytes());
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&fnv64(payload).to_le_bytes());
-            bytes.extend_from_slice(payload);
+            encode_record(&mut bytes, *kind, key, payload);
         }
         let new_len = bytes.len() as u64;
         let tmp = path.with_extension("bin.tmp");
@@ -659,14 +678,20 @@ mod tests {
         s.put(1, key(1), b"payload".to_vec());
         s.flush().unwrap();
         let file = dir.join(STORE_FILE);
-        let mut bytes = std::fs::read(&file).unwrap();
-        bytes[8] = 0xFF; // version field
-        std::fs::write(&file, &bytes).unwrap();
+        let clean = std::fs::read(&file).unwrap();
+        // The version field, then the reserved word that must stay 0.
+        for at in [8, 12] {
+            let mut bytes = clean.clone();
+            bytes[at] ^= 0xFF;
+            std::fs::write(&file, &bytes).unwrap();
+            let s = Store::open(&dir, CacheMode::ReadOnly).unwrap();
+            assert_eq!(s.stats().invalidations, 1, "header byte {at}");
+            assert_eq!(s.stats().disk_entries, 0, "header byte {at}");
+            assert!(s.get(1, &key(1)).is_none(), "header byte {at}");
+        }
 
         let s = Store::open(&dir, CacheMode::ReadWrite).unwrap();
         assert_eq!(s.stats().invalidations, 1);
-        assert_eq!(s.stats().disk_entries, 0);
-        assert!(s.get(1, &key(1)).is_none());
         // A flush after the wipe rewrites a clean file.
         s.put(1, key(3), b"fresh".to_vec());
         s.flush().unwrap();

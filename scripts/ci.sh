@@ -32,7 +32,9 @@ cargo test -q --offline -p seal-solver --test edge_cases
 
 # Trace-determinism smoke: the same hunt twice, at different worker counts,
 # must yield byte-identical traces once durations are masked, and the
-# deterministic subset of the metrics must match exactly.
+# deterministic subset of the metrics must match exactly. `seal stats`
+# reads both runs' files back, so the trace and metrics readers see real
+# CLI output on every pass.
 SEAL=target/release/seal
 OBS_DIR=$(mktemp -d)
 PRE=tests/data/npd-check.pre.c,tests/data/uaf-order.pre.c
@@ -41,6 +43,9 @@ POST=tests/data/npd-check.post.c,tests/data/uaf-order.post.c
     --jobs 1 --trace "$OBS_DIR/t1.jsonl" --metrics "$OBS_DIR/m1.json" >/dev/null
 "$SEAL" hunt --pre "$PRE" --post "$POST" --target tests/data/target.c \
     --jobs 4 --trace "$OBS_DIR/t4.jsonl" --metrics "$OBS_DIR/m4.json" >/dev/null
+for J in 1 4; do
+    "$SEAL" stats --trace "$OBS_DIR/t$J.jsonl" --metrics "$OBS_DIR/m$J.json" >/dev/null
+done
 sed 's/"dur_us":[0-9]*/"dur_us":0/g' "$OBS_DIR/t1.jsonl" >"$OBS_DIR/t1.masked"
 sed 's/"dur_us":[0-9]*/"dur_us":0/g' "$OBS_DIR/t4.jsonl" >"$OBS_DIR/t4.masked"
 if ! diff -u "$OBS_DIR/t1.masked" "$OBS_DIR/t4.masked"; then

@@ -1,301 +1,8 @@
-//! Minimal JSON for the `seal serve` line protocol.
-//!
-//! A dependency-free recursive-descent parser plus the string escaper the
-//! response writer uses. Scope is deliberately small: whole-value parsing
-//! of one request line (RFC 8259 syntax, `\uXXXX` escapes included, a
-//! fixed nesting-depth limit instead of unbounded recursion), object
-//! field access by key, and typed accessors. Numbers are `f64`, which is
-//! exact for every integer the protocol carries (sequence numbers, item
-//! indices, worker counts).
+//! JSON for the `seal serve` line protocol: the workspace codec
+//! [`seal_obs::json`], re-exported so `seal::json::{Json, escape}` names
+//! the same parser and escaper the trace and metrics files use.
 
-use std::collections::BTreeMap;
-
-/// One parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (integers are exact up to 2^53).
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object. `BTreeMap` keeps iteration deterministic; duplicate
-    /// keys follow the common last-wins rule.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Parses one complete JSON value; trailing non-whitespace is an
-    /// error (a request line is exactly one value).
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing characters at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Object field by key (`None` for absent keys and non-objects).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The array items, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Escapes `s` for embedding in a JSON string literal (quotes excluded).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Nesting-depth ceiling: a request line has no business nesting deeper,
-/// and the limit turns adversarial `[[[[…` input into a clean per-line
-/// error instead of a stack overflow.
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH}"));
-        }
-        match self.peek() {
-            None => Err("unexpected end of input".to_string()),
-            Some(b'n') if self.eat("null") => Ok(Json::Null),
-            Some(b't') if self.eat("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.eat("false") => Ok(Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut map = BTreeMap::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    if self.peek() != Some(b':') {
-                        return Err(format!("expected `:` at byte {}", self.pos));
-                    }
-                    self.pos += 1;
-                    self.skip_ws();
-                    let val = self.value(depth + 1)?;
-                    map.insert(key, val);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(map));
-                        }
-                        _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b) => Err(format!("unexpected byte `{}` at {}", b as char, self.pos)),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("malformed number `{text}` at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        if self.peek() != Some(b'"') {
-            return Err(format!("expected `\"` at byte {}", self.pos));
-        }
-        self.pos += 1;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err("unterminated string".to_string());
-            };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let Some(esc) = self.peek() else {
-                        return Err("unterminated escape".to_string());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Surrogate pair: decode the low half too.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if !self.eat("\\u") {
-                                    return Err("lone high surrogate".to_string());
-                                }
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err("invalid low surrogate".to_string());
-                                }
-                                0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                cp
-                            };
-                            out.push(
-                                char::from_u32(c)
-                                    .ok_or_else(|| format!("invalid code point {c:#x}"))?,
-                            );
-                        }
-                        _ => return Err(format!("bad escape `\\{}`", esc as char)),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (input is &str, so this is
-                    // always on a char boundary).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err("unescaped control character in string".to_string());
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err("truncated \\u escape".to_string());
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| "truncated \\u escape".to_string())?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape `{hex}`"))?;
-        self.pos = end;
-        Ok(v)
-    }
-}
+pub use seal_obs::json::*;
 
 #[cfg(test)]
 mod tests {

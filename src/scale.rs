@@ -166,12 +166,7 @@ pub fn render_reports(reports: &[BugReport]) -> String {
 
 /// FNV-64 fingerprint of the rendered reports.
 pub fn reports_fingerprint(reports: &[BugReport]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in render_reports(reports).bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    seal_store::fnv64(render_reports(reports).as_bytes())
 }
 
 /// Where a chunk's compiled module lives between the two phases.
