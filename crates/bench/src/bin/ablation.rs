@@ -6,24 +6,35 @@
 //! * **PDG summary reuse** (§6.2.3): disabling the per-scope PDG cache
 //!   shows the cost of re-deriving summaries.
 
-use seal_bench::{eval_config, print_table};
-use seal_core::{detect_bugs_isolated, DetectConfig, Seal};
-use seal_corpus::generate;
-use seal_corpus::ledger::score;
-use std::time::Instant;
+use seal::scale::eval_base_config;
+use seal_bench::{print_table, run_pipeline};
+use seal_core::{detect_bugs_isolated, DetectConfig, DetectStats};
+use seal_corpus::ledger::{score, Score};
+use std::time::{Duration, Instant};
+
+fn row(label: &str, s: &Score, wall: Duration, stats: &DetectStats) -> Vec<String> {
+    vec![
+        label.to_string(),
+        format!("{}", s.true_positives.len() + s.false_positives.len()),
+        format!("{:.1}%", 100.0 * s.precision()),
+        format!("{:.1}%", 100.0 * s.recall()),
+        format!("{wall:.2?}"),
+        format!("{:.2?}", stats.pdg_time),
+        format!("{:.2?}", stats.search_time),
+        format!("{}", stats.solver_queries),
+        format!("{}", stats.solver_cache_hits),
+        format!("{}", stats.subtrees_pruned),
+        format!("{}", stats.sources_skipped_unreachable),
+    ]
+}
 
 fn main() {
-    let corpus = generate(&eval_config());
-    let target = corpus.target_module();
-    let seal = Seal::default();
-    let mut specs = Vec::new();
-    for p in &corpus.patches {
-        specs.extend(seal.infer(p).expect("corpus patches compile"));
-    }
-
-    let mut rows = Vec::new();
+    // Full SEAL is the harness pipeline itself; the two ablations re-run
+    // detection on its specs with one lever off.
+    let full = run_pipeline(&eval_base_config());
+    let mut rows = vec![row("full SEAL", &full.score, full.detect_time, &full.stats)];
+    let target = full.corpus.target_module();
     for (label, cfg) in [
-        ("full SEAL", DetectConfig::default()),
         (
             "no path sensitivity",
             DetectConfig {
@@ -41,26 +52,14 @@ fn main() {
     ] {
         let t0 = Instant::now();
         let (reports, stats, errors) =
-            detect_bugs_isolated(&target, &specs, &cfg, seal_runtime::worker_count());
+            detect_bugs_isolated(&target, &full.specs, &cfg, seal_runtime::worker_count());
         assert!(
             errors.is_empty(),
             "{label}: detection shards failed: {errors:?}"
         );
         let wall = t0.elapsed();
-        let s = score(&reports, &corpus.ground_truth);
-        rows.push(vec![
-            label.to_string(),
-            format!("{}", s.true_positives.len() + s.false_positives.len()),
-            format!("{:.1}%", 100.0 * s.precision()),
-            format!("{:.1}%", 100.0 * s.recall()),
-            format!("{wall:.2?}"),
-            format!("{:.2?}", stats.pdg_time),
-            format!("{:.2?}", stats.search_time),
-            format!("{}", stats.solver_queries),
-            format!("{}", stats.solver_cache_hits),
-            format!("{}", stats.subtrees_pruned),
-            format!("{}", stats.sources_skipped_unreachable),
-        ]);
+        let s = score(&reports, &full.corpus.ground_truth);
+        rows.push(row(label, &s, wall, &stats));
     }
 
     println!("Ablation study (detection stage)\n");

@@ -4,13 +4,14 @@
 //! per-type coverage matrix (✓ = the tool reported at least one true bug
 //! of the class).
 
+use seal::scale::eval_base_config;
 use seal_baselines::{aphp, crix};
-use seal_bench::{eval_config, print_table, run_pipeline};
+use seal_bench::{print_table, run_pipeline};
 use seal_core::BugType;
 use std::collections::BTreeSet;
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_base_config());
     let target = r.corpus.target_module();
 
     // APHP: mine tuples from the same patch set, then detect.

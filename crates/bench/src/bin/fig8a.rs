@@ -3,11 +3,12 @@
 //! Histogram over age bands for the true positives, with the two summary
 //! moments the paper reports: average 7.7 years, 29% above 10 years.
 
-use seal_bench::{eval_config, print_table, run_pipeline};
+use seal::scale::eval_base_config;
+use seal_bench::{print_table, run_pipeline};
 use seal_corpus::age::band;
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_base_config());
     let ages: Vec<u32> = r.score.true_positives.iter().map(|(_, _, y)| *y).collect();
     let total = ages.len().max(1);
 

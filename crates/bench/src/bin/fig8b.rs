@@ -1,11 +1,12 @@
 //! Fig. 8(b) — distribution of the number of violations per specification
 //! (zero-violation specs excluded, as in the paper).
 
-use seal_bench::{eval_config, print_table, run_pipeline};
+use seal::scale::eval_base_config;
+use seal_bench::{print_table, run_pipeline};
 use std::collections::BTreeMap;
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_base_config());
 
     // Violations per specification: count reports citing each spec's
     // constraints (origin-independent identity).

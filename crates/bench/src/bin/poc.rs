@@ -3,7 +3,8 @@
 //! positive is executed concretely under API fault injection, and the
 //! observed runtime fault is compared with the seeded bug class.
 
-use seal_bench::{eval_config, print_table, run_pipeline};
+use seal::scale::eval_base_config;
+use seal_bench::{print_table, run_pipeline};
 use seal_core::BugType;
 use seal_exec::{FaultPlan, Interp, Outcome, Value};
 use std::collections::BTreeMap;
@@ -49,7 +50,7 @@ fn entry_args(template: &str) -> Option<(Vec<Arg>, FaultPlan)> {
 }
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_base_config());
     let module = r.corpus.target_module();
 
     let mut confirmed: BTreeMap<&'static str, usize> = BTreeMap::new();

@@ -1,9 +1,10 @@
 //! RQ1 (§8.1) — effectiveness: reports, confirmed bugs, and precision.
 
-use seal_bench::{eval_config, print_table, run_pipeline};
+use seal::scale::eval_base_config;
+use seal_bench::{print_table, run_pipeline};
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_base_config());
     let tp = r.score.true_positives.len();
     let fp = r.score.false_positives.len();
     let reports = tp + fp;

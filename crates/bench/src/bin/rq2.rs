@@ -2,11 +2,12 @@
 //! provenance category, zero-relation patches, and specification
 //! correctness.
 
-use seal_bench::{eval_config, print_table, provenance_counts, run_pipeline};
+use seal::scale::eval_base_config;
+use seal_bench::{print_table, provenance_counts, run_pipeline};
 use seal_spec::Provenance;
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_base_config());
     let counts = provenance_counts(&r.specs);
     let total: usize = counts.iter().map(|(_, n)| n).sum();
 

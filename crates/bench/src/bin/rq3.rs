@@ -1,13 +1,14 @@
 //! RQ3 (§8.3) — comparison with APHP (patch-based) and CRIX
 //! (deviation-based) on the same inputs.
 
+use seal::scale::eval_base_config;
 use seal_baselines::{aphp, crix};
-use seal_bench::{eval_config, print_table, run_pipeline};
+use seal_bench::{print_table, run_pipeline};
 use seal_corpus::ledger::score;
 use std::collections::BTreeSet;
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_base_config());
     let target = r.corpus.target_module();
 
     // APHP on the same patch set.

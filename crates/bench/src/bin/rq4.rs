@@ -1,11 +1,12 @@
 //! RQ4 (§8.4) — efficiency: per-patch inference time and the detection
 //! phase split between PDG generation and path searching.
 
-use seal_bench::{eval_config, print_table, run_pipeline};
+use seal::scale::eval_base_config;
+use seal_bench::{print_table, run_pipeline};
 
 fn main() {
     let jobs = seal_runtime::worker_count();
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_base_config());
     let n_patches = r.corpus.patches.len().max(1);
     let per_patch = r.infer_time / n_patches as u32;
 
@@ -25,12 +26,12 @@ fn main() {
             ],
             vec![
                 "detection: PDG generation".into(),
-                format!("{:.2?}", r.detect_stats.pdg_time),
+                format!("{:.2?}", r.stats.pdg_time),
                 "5h25m".into(),
             ],
             vec![
                 "detection: path searching".into(),
-                format!("{:.2?}", r.detect_stats.search_time),
+                format!("{:.2?}", r.stats.search_time),
                 "1h48m".into(),
             ],
             vec![
@@ -48,14 +49,13 @@ fn main() {
          reproduced shape is the phase split into PDG generation and path\n\
          searching, and patch processing as a reusable one-time cost. Phase\n\
          times sum over workers; detection (wall) is elapsed time.",
-        r.detect_stats.regions,
-        r.detect_stats.skipped,
-        r.detect_stats.solver_queries,
-        r.detect_stats.solver_cache_hits,
-        r.detect_stats.subtrees_pruned,
-        r.detect_stats.sources_skipped_unreachable
+        r.stats.regions,
+        r.stats.skipped,
+        r.stats.solver_queries,
+        r.stats.solver_cache_hits,
+        r.stats.subtrees_pruned,
+        r.stats.sources_skipped_unreachable
     );
-    let ratio =
-        r.detect_stats.pdg_time.as_secs_f64() / r.detect_stats.search_time.as_secs_f64().max(1e-9);
+    let ratio = r.stats.pdg_time.as_secs_f64() / r.stats.search_time.as_secs_f64().max(1e-9);
     println!("PDG-generation : path-search ratio = {ratio:.1} : 1 (paper: ~3 : 1)");
 }

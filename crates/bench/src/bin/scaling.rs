@@ -1,7 +1,7 @@
 //! Worker-count scaling check: a hunt on more workers must not be slower
 //! than on one.
 //!
-//! Runs the full pipeline ([`run_pipeline_with_jobs`]) over the 1x
+//! Runs the whole-corpus pipeline ([`run_materialized`]) over the 1x
 //! evaluation corpus at jobs 1 and jobs 4 — the latter capped at the
 //! host's CPUs — for one warmup run, then five rounds that each run both
 //! counts back to back. Each round yields one paired ratio per statistic,
@@ -20,7 +20,8 @@
 //! cargo run --release --offline -p seal-bench --bin scaling
 //! ```
 
-use seal_bench::{eval_config, run_pipeline_with_jobs};
+use seal::scale::{eval_base_config, run_materialized};
+use seal_core::DetectConfig;
 use std::time::Instant;
 
 const ROUNDS: usize = 5;
@@ -31,9 +32,10 @@ const MAX_PDG_RATIO: f64 = 1.1;
 /// One timed pipeline run: (end-to-end ms, summed PDG ms).
 fn timed_run(jobs: usize) -> (f64, f64) {
     let t0 = Instant::now();
-    let r = run_pipeline_with_jobs(&eval_config(), jobs);
+    let r = run_materialized(&eval_base_config(), jobs, &DetectConfig::default())
+        .unwrap_or_else(|e| panic!("pipeline failed: {e}"));
     let total = t0.elapsed().as_secs_f64() * 1e3;
-    (total, r.detect_stats.pdg_time.as_secs_f64() * 1e3)
+    (total, r.stats.pdg_time.as_secs_f64() * 1e3)
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {

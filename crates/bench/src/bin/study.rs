@@ -2,12 +2,13 @@
 //! functions (the paper: 34.8% of bug traces are confined; the rest need
 //! inter-procedural analysis).
 
-use seal_bench::{eval_config, print_table};
+use seal::scale::eval_base_config;
+use seal_bench::print_table;
 use seal_core::diff::{diff_patch, AbstractPath, DiffConfig};
 use seal_corpus::generate;
 
 fn main() {
-    let corpus = generate(&eval_config());
+    let corpus = generate(&eval_base_config());
     let cfg = DiffConfig::default();
 
     let mut confined = 0usize;

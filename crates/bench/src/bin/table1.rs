@@ -5,10 +5,11 @@
 //! 45 of the true positives found on the synthetic corpus, with statuses
 //! drawn from the paper's 56-applied / 39-confirmed / 72-submitted split.
 
-use seal_bench::{eval_config, print_table, run_pipeline, simulated_status};
+use seal::scale::eval_base_config;
+use seal_bench::{print_table, run_pipeline, simulated_status};
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_base_config());
     println!("Table 1: bug samples found by SEAL (synthetic-corpus reproduction)\n");
     let mut rows = Vec::new();
     for (func, ty, _) in r.score.true_positives.iter().take(45) {

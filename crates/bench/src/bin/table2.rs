@@ -4,11 +4,12 @@
 //! side by side with the paper's proportions, plus the root-cause buckets
 //! ①–④ and CWE ids.
 
-use seal_bench::{eval_config, print_table, run_pipeline};
+use seal::scale::eval_base_config;
+use seal_bench::{print_table, run_pipeline};
 use seal_core::BugType;
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_base_config());
     let total = r.score.true_positives.len().max(1);
 
     let classes: [(BugType, f64, &str, &str); 7] = [

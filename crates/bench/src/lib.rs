@@ -1,112 +1,27 @@
 //! `seal-bench` — shared harness for the paper's tables and figures.
 //!
 //! Every binary in `src/bin/` regenerates one artifact of §8 (see
-//! DESIGN.md's experiment index); this library holds the common pipeline:
-//! generate the corpus, infer specifications from all patches, detect
-//! violations in the target kernel, and score against ground truth.
+//! DESIGN.md's experiment index) from one whole-corpus run of
+//! [`seal::scale::run_materialized`] over
+//! [`seal::scale::eval_base_config`]; this library holds the harness
+//! policy around it and the shared table helpers.
 
-use seal_core::{BugReport, DetectStats, Seal};
-use seal_corpus::ledger::{score, Score};
-use seal_corpus::{generate, Corpus, CorpusConfig};
+use seal::scale::{run_materialized, Materialized};
+use seal_core::DetectConfig;
+use seal_corpus::CorpusConfig;
 use seal_spec::{Provenance, Specification};
-use std::time::{Duration, Instant};
 
-/// Corpus scale used by the RQ harnesses (larger than the unit-test scale
-/// so distributions are readable).
-pub fn eval_config() -> CorpusConfig {
-    CorpusConfig {
-        seed: 0x5EA1,
-        drivers_per_template: 60,
-        bug_rate: 0.18,
-        patches_per_template: 6,
-        refactor_patches: 20,
-        scale: 1,
-    }
-}
-
-/// Everything the experiment binaries need.
-pub struct PipelineResult {
-    /// The generated corpus.
-    pub corpus: Corpus,
-    /// All inferred specifications.
-    pub specs: Vec<Specification>,
-    /// Per-patch specification counts (patch id, count).
-    pub per_patch_specs: Vec<(String, usize)>,
-    /// All reports (deduplicated).
-    pub reports: Vec<BugReport>,
-    /// Score against ground truth.
-    pub score: Score,
-    /// Wall-clock of the inference stage.
-    pub infer_time: Duration,
-    /// Wall-clock of the detection stage.
-    pub detect_time: Duration,
-    /// Detection phase split.
-    pub detect_stats: DetectStats,
-}
-
-/// Runs the full SEAL pipeline on a corpus configuration, with the worker
-/// count taken from `SEAL_JOBS` (default: available parallelism).
-pub fn run_pipeline(config: &CorpusConfig) -> PipelineResult {
-    run_pipeline_with_jobs(config, seal_runtime::worker_count())
-}
-
-/// Runs the full SEAL pipeline with an explicit worker count.
-///
-/// Each patch compiles and diffs independently on the work-stealing pool;
-/// per-patch results come back in patch-index order, so the merged spec
-/// list — and everything downstream — is byte-identical to a sequential
-/// run for any `jobs`.
-///
-/// The requested count is capped at the host's available parallelism
-/// ([`seal_runtime::effective_jobs`]): the pipeline is CPU-bound, so
-/// extra threads beyond the cores only add scheduling overhead, and the
-/// determinism contract makes the cap invisible in the output.
-pub fn run_pipeline_with_jobs(config: &CorpusConfig, jobs: usize) -> PipelineResult {
-    let corpus = {
-        let _span = seal_obs::span!("pipeline.generate", seed = config.seed);
-        generate(config)
-    };
-    let target = corpus.target_module();
-    let jobs = seal_runtime::effective_jobs(jobs);
-    let seal = Seal::default();
-
-    let t0 = Instant::now();
-    let infer_span = seal_obs::span!("pipeline.infer", patches = corpus.patches.len());
-    let per_patch = seal_core::infer_batch(&seal, &corpus.patches, jobs);
-    drop(infer_span);
-    let mut specs = Vec::new();
-    let mut per_patch_specs = Vec::new();
-    for (patch, s) in corpus.patches.iter().zip(per_patch) {
-        let s = s.expect("corpus patches compile");
-        per_patch_specs.push((patch.id.clone(), s.len()));
-        specs.extend(s);
-    }
-    let infer_time = t0.elapsed();
-    seal_obs::metrics::counter_add("pipeline.specs", specs.len() as u64);
-
-    let t1 = Instant::now();
-    let (reports, detect_stats) = {
-        let _span = seal_obs::span!("pipeline.detect", specs = specs.len());
-        let (reports, stats, errors) =
-            seal_core::detect_bugs_isolated(&target, &specs, &seal.detect, jobs);
-        if let Some(e) = errors.first() {
-            panic!("detection shard failed: {e}");
-        }
-        (reports, stats)
-    };
-    let detect_time = t1.elapsed();
-
-    let score = score(&reports, &corpus.ground_truth);
-    PipelineResult {
-        corpus,
-        specs,
-        per_patch_specs,
-        reports,
-        score,
-        infer_time,
-        detect_time,
-        detect_stats,
-    }
+/// The harness policy over [`run_materialized`]: `SEAL_JOBS` workers
+/// (default: available parallelism), default detection budgets, and a
+/// panic on any failed patch or shard — the corpus is generated, so a
+/// failure is a bug, not data.
+pub fn run_pipeline(config: &CorpusConfig) -> Materialized {
+    run_materialized(
+        config,
+        seal_runtime::worker_count(),
+        &DetectConfig::default(),
+    )
+    .unwrap_or_else(|e| panic!("pipeline failed: {e}"))
 }
 
 /// Relation counts per provenance category (the §8.2 statistics).
@@ -187,7 +102,7 @@ mod tests {
         assert!(!r.specs.is_empty());
         assert!(!r.reports.is_empty());
         assert!(r.score.recall() > 0.5);
-        assert!(r.detect_stats.regions > 0);
+        assert!(r.stats.regions > 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Worker-count independence: the pipeline must produce byte-identical
 //! specifications, reports, and scores for any number of workers.
 
-use seal_bench::{run_pipeline_with_jobs, PipelineResult};
-use seal_core::{detect_bugs_isolated, BugReport, DetectStats, Seal};
+use seal::scale::{run_materialized, Materialized};
+use seal_core::{detect_bugs_isolated, BugReport, DetectConfig, DetectStats, Seal};
 use seal_corpus::CorpusConfig;
 use seal_spec::parse::to_line;
 use seal_spec::Specification;
@@ -18,7 +18,12 @@ fn config() -> CorpusConfig {
     }
 }
 
-fn render(r: &PipelineResult) -> String {
+/// The harness pipeline at an explicit worker count.
+fn run_with_jobs(cfg: &CorpusConfig, jobs: usize) -> Materialized {
+    run_materialized(cfg, jobs, &DetectConfig::default()).expect("corpus pipeline runs")
+}
+
+fn render(r: &Materialized) -> String {
     let mut out = String::new();
     for s in &r.specs {
         out.push_str(&to_line(s));
@@ -31,7 +36,7 @@ fn render(r: &PipelineResult) -> String {
         out.push_str(&format!("{rep}\n"));
     }
     out.push_str(&format!("{:?}\n", r.score));
-    out.push_str(&render_detection(&r.reports, &r.detect_stats));
+    out.push_str(&render_detection(&r.reports, &r.stats));
     out
 }
 
@@ -64,8 +69,8 @@ fn infer_all(corpus: &seal_corpus::Corpus) -> Vec<Specification> {
 #[test]
 fn one_vs_four_workers_byte_identical() {
     let cfg = config();
-    let seq = run_pipeline_with_jobs(&cfg, 1);
-    let par = run_pipeline_with_jobs(&cfg, 4);
+    let seq = run_with_jobs(&cfg, 1);
+    let par = run_with_jobs(&cfg, 4);
     assert!(
         !seq.specs.is_empty(),
         "config too small to exercise inference"
@@ -80,10 +85,10 @@ fn one_vs_four_workers_byte_identical() {
 #[test]
 fn oversubscribed_pool_is_still_deterministic() {
     let cfg = config();
-    let seq = run_pipeline_with_jobs(&cfg, 1);
+    let seq = run_with_jobs(&cfg, 1);
     // More workers than shards/patches: workers must idle without
     // perturbing merge order.
-    let par = run_pipeline_with_jobs(&cfg, 17);
+    let par = run_with_jobs(&cfg, 17);
     assert_eq!(render(&seq), render(&par));
 }
 

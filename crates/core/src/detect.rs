@@ -75,6 +75,19 @@ pub struct DetectStats {
     pub sources_skipped_unreachable: u64,
 }
 
+impl std::ops::AddAssign for DetectStats {
+    fn add_assign(&mut self, s: DetectStats) {
+        self.pdg_time += s.pdg_time;
+        self.search_time += s.search_time;
+        self.regions += s.regions;
+        self.skipped += s.skipped;
+        self.solver_queries += s.solver_queries;
+        self.solver_cache_hits += s.solver_cache_hits;
+        self.subtrees_pruned += s.subtrees_pruned;
+        self.sources_skipped_unreachable += s.sources_skipped_unreachable;
+    }
+}
+
 /// One shard's worth of work: every `(spec, region)` pair whose region has
 /// the same scope, tagged with `(spec index, region rank)` for the merge.
 struct Shard {
@@ -167,48 +180,6 @@ pub fn detect_bugs_isolated_cached(
         .map(|(scope, items)| Shard { scope, items })
         .collect();
 
-    // Pre-intern every checked spec condition once, in deterministic spec
-    // order, into an immutable snapshot each shard's solver cache is
-    // seeded from. Shards share nothing mutable: the snapshot is read-only
-    // and each worker copies it into its own cache at shard start. With a
-    // warm layer attached (`seal serve`), the snapshot is reused across
-    // requests keyed on the deduped specs' content — its node table is a
-    // pure function of those conditions in that order, so an exact-content
-    // re-request skips the rebuild entirely.
-    let build_snapshot = || {
-        seal_solver::FormulaSnapshot::build(spec_indices.iter().flat_map(|&si| {
-            specs[si]
-                .constraints
-                .iter()
-                .filter_map(|c| match &c.relation {
-                    Relation::Reach { cond, .. } => Some(cond),
-                    Relation::Order { .. } => None,
-                })
-        }))
-    };
-    let spec_cond_snapshot: Arc<seal_solver::FormulaSnapshot<SpecValue>> = if cache.warm().is_some()
-    {
-        let mut h = seal_store::Hasher128::new();
-        h.update_str("detect.snapshot.v1");
-        h.update_u64(spec_indices.len() as u64);
-        for &si in &spec_indices {
-            let enc = seal_spec::binary::encode_specs(std::slice::from_ref(&specs[si]));
-            h.update(seal_store::ContentHash::of(&enc).as_bytes());
-        }
-        let key = h.finish();
-        match cache.get_snapshot(&key) {
-            Some(s) => s,
-            None => {
-                let s = Arc::new(build_snapshot());
-                cache.put_snapshot(key, &s);
-                s
-            }
-        }
-    } else {
-        Arc::new(build_snapshot())
-    };
-    let spec_cond_snapshot = &*spec_cond_snapshot;
-
     // Cache-key ingredients. The position-free environment hash plus
     // per-scope body keys (instead of one whole-module hash) are what keep
     // invalidation proportional to the edit set: a mutated or moved
@@ -231,6 +202,42 @@ pub fn detect_bugs_isolated_cached(
     } else {
         Vec::new()
     };
+
+    // Pre-intern every checked spec condition once, in deterministic spec
+    // order, into an immutable snapshot each shard's solver cache is
+    // seeded from. Shards share nothing mutable: the snapshot is read-only
+    // and each worker copies it into its own cache at shard start. With a
+    // warm layer attached (`seal serve`), the snapshot is reused across
+    // requests keyed on the deduped specs' content — its node table is a
+    // pure function of those conditions in that order, so an exact-content
+    // re-request skips the rebuild entirely. A warm layer makes the cache
+    // enabled, so the spec hashes above are there to key it.
+    let build_snapshot = || {
+        seal_solver::FormulaSnapshot::build(spec_indices.iter().flat_map(|&si| {
+            specs[si]
+                .constraints
+                .iter()
+                .filter_map(|c| match &c.relation {
+                    Relation::Reach { cond, .. } => Some(cond),
+                    Relation::Order { .. } => None,
+                })
+        }))
+    };
+    let spec_cond_snapshot: Arc<seal_solver::FormulaSnapshot<SpecValue>> = if cache.warm().is_some()
+    {
+        let key = snapshot_key(&spec_hashes, &spec_indices);
+        match cache.get_snapshot(&key) {
+            Some(s) => s,
+            None => {
+                let s = Arc::new(build_snapshot());
+                cache.put_snapshot(key, &s);
+                s
+            }
+        }
+    } else {
+        Arc::new(build_snapshot())
+    };
+    let spec_cond_snapshot = &*spec_cond_snapshot;
 
     let run_shard = |shard: &Shard| -> Result<ShardOut, SealError> {
         // A task root: the shard subtree is identical whether it ran inline
@@ -369,6 +376,21 @@ pub fn detect_bugs_isolated_cached(
         stats.sources_skipped_unreachable,
     );
     (out, stats, errors)
+}
+
+/// Warm-layer key of the condition snapshot over the deduped specs
+/// `spec_indices`, from their content hashes.
+fn snapshot_key(
+    spec_hashes: &[seal_store::ContentHash],
+    spec_indices: &[usize],
+) -> seal_store::ContentHash {
+    let mut h = seal_store::Hasher128::new();
+    h.update_str("detect.snapshot.v1");
+    h.update_u64(spec_indices.len() as u64);
+    for &si in spec_indices {
+        h.update(spec_hashes[si].as_bytes());
+    }
+    h.finish()
 }
 
 /// One shard's results plus its phase timings and counters.
@@ -1074,8 +1096,16 @@ fn dedup_reports(reports: &mut Vec<BugReport>) {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::patch::Patch;
+    use crate::warm::WarmMemory;
     use crate::Seal;
+
+    /// Infers from `patch` and detects in `target` with default budgets.
+    fn hunt(patch: &Patch, target: &Module) -> Vec<BugReport> {
+        let seal = Seal::default();
+        seal.detect(target, &seal.infer(patch).unwrap())
+    }
 
     /// End-to-end Fig. 1/Fig. 3 scenario: the spec inferred from the
     /// cx23885 patch finds the same bug in a sibling implementation.
@@ -1125,8 +1155,7 @@ struct vb2_ops tw68_qops = {{ .buf_prepare = tw68_buf_prepare, }};
 struct vb2_ops good_qops = {{ .buf_prepare = good_buf_prepare, }};"
         );
         let target = seal_ir::lower(&seal_kir::compile(&target_src, "target.c").unwrap());
-        let seal = Seal::default();
-        let reports = seal.run(&Patch::new("fig3", pre, post), &target).unwrap();
+        let reports = hunt(&Patch::new("fig3", pre, post), &target);
         assert!(
             reports.iter().any(|r| r.function == "tw68_buf_prepare"),
             "reports: {:#?}",
@@ -1176,8 +1205,7 @@ struct i2c_algorithm { int (*smbus_xfer)(int size, struct smbus_data *data); };
              struct i2c_algorithm a2 = {{ .smbus_xfer = safe_xfer, }};"
         );
         let target = seal_ir::lower(&seal_kir::compile(&target_src, "target.c").unwrap());
-        let seal = Seal::default();
-        let reports = seal.run(&Patch::new("fig4", pre, post), &target).unwrap();
+        let reports = hunt(&Patch::new("fig4", pre, post), &target);
         assert!(
             reports.iter().any(|r| r.function == "xgene_xfer"),
             "reports: {:#?}",
@@ -1225,8 +1253,7 @@ void release_resources(struct device *dev);
              struct platform_driver d2 = {{ .remove = ok_remove, }};"
         );
         let target = seal_ir::lower(&seal_kir::compile(&target_src, "target.c").unwrap());
-        let seal = Seal::default();
-        let reports = seal.run(&Patch::new("fig5", pre, post), &target).unwrap();
+        let reports = hunt(&Patch::new("fig5", pre, post), &target);
         assert!(
             reports.iter().any(|r| r.function == "viacam_remove"),
             "reports: {:#?}",
@@ -1266,12 +1293,74 @@ struct vb2_ops { int (*buf_prepare)(struct riscmem *risc); };
              struct vb2_ops q2 = {{ .buf_prepare = simple_prepare, }};"
         );
         let target = seal_ir::lower(&seal_kir::compile(&target_src, "t2.c").unwrap());
-        let seal = Seal::default();
-        let reports = seal.run(&Patch::new("p", pre, post), &target).unwrap();
+        let reports = hunt(&Patch::new("p", pre, post), &target);
         assert!(
             reports.is_empty(),
             "{:#?}",
             reports.iter().map(|r| r.to_string()).collect::<Vec<_>>()
         );
+    }
+
+    /// With a warm layer, the condition snapshot is keyed on the specs'
+    /// content: detecting the same list twice builds it once, and a list
+    /// that differs in one condition gets a snapshot of its own.
+    #[test]
+    fn warm_snapshot_is_built_once_per_spec_content() {
+        let decl = "struct ops { int (*prep)(int *p); };\n";
+        let pre = format!(
+            "{decl}int do_prep(int *p) {{ return *p; }}\nstruct ops t = {{ .prep = do_prep, }};"
+        );
+        let post = format!(
+            "{decl}int do_prep(int *p) {{ if (p == NULL) return -22; return *p; }}\n\
+             struct ops t = {{ .prep = do_prep, }};"
+        );
+        let target_src = format!(
+            "{decl}int other_prep(int *p) {{ return *p; }}\nstruct ops u = {{ .prep = other_prep, }};"
+        );
+        let target = seal_ir::lower(&seal_kir::compile(&target_src, "t.c").unwrap());
+        let spec = Seal::default()
+            .infer(&Patch::new("p", pre, post))
+            .unwrap()
+            .into_iter()
+            .find(|s| {
+                s.constraints
+                    .iter()
+                    .any(|c| matches!(c.relation, Relation::Reach { .. }))
+            })
+            .expect("the patch yields a reach spec");
+        let mut changed = spec.clone();
+        for c in &mut changed.constraints {
+            if let Relation::Reach { cond, .. } = &mut c.relation {
+                *cond = Formula::Not(Box::new(cond.clone()));
+                break;
+            }
+        }
+
+        let cache = AnalysisCache::disabled().with_warm(WarmMemory::new(1 << 20));
+        let facts = ModuleFacts::new(&target);
+        let snapshot = |spec: &Specification| {
+            let specs = std::slice::from_ref(spec);
+            let (_, _, errors) = detect_bugs_isolated_cached(
+                &target,
+                &facts,
+                specs,
+                &DetectConfig::default(),
+                1,
+                &cache,
+            );
+            assert!(errors.is_empty(), "{errors:?}");
+            let hash = seal_store::ContentHash::of(&seal_spec::binary::encode_specs(specs));
+            let key = snapshot_key(&[hash], &[0]);
+            (key, cache.get_snapshot(&key).expect("the snapshot is warm"))
+        };
+        let (key, first) = snapshot(&spec);
+        let (_, again) = snapshot(&spec);
+        assert!(
+            Arc::ptr_eq(&first, &again),
+            "identical specs rebuilt the snapshot"
+        );
+        let (other_key, other) = snapshot(&changed);
+        assert_ne!(key, other_key);
+        assert!(!Arc::ptr_eq(&first, &other));
     }
 }

@@ -159,15 +159,4 @@ impl Seal {
         }
         reports
     }
-
-    /// Convenience: infer from a patch and immediately hunt for violations
-    /// in a target module.
-    pub fn run(
-        &self,
-        patch: &Patch,
-        target: &seal_ir::Module,
-    ) -> Result<Vec<BugReport>, SealError> {
-        let specs = self.infer(patch)?;
-        Ok(self.detect(target, &specs))
-    }
 }

@@ -408,7 +408,8 @@ echo "serve-concurrency smoke: ok (4 parallel clients, poisoned sibling isolated
 # --- scale-tier smoke ------------------------------------------------------
 # A small streamed run (4x corpus) under a zero RSS budget: every chunk and
 # spec segment must round-trip through the spill layer, the run must exit
-# cleanly, and the reports must be byte-identical to the materialized path.
+# cleanly, and the reports must be byte-identical to the materialized path,
+# whose JSON row must agree with the streamed one on every count and score.
 # The 10x test runs below on every pass; the 100x test stays behind
 # SEAL_SCALE=1 (set it in the env to run the whole suite here as well).
 SCALE_DIR=$(mktemp -d)
@@ -420,12 +421,16 @@ if ! cmp -s "$SCALE_DIR/streamed.reports" "$SCALE_DIR/materialized.reports"; the
     echo "scale smoke: streamed and materialized reports differ" >&2
     exit 1
 fi
-python3 - "$SCALE_DIR/streamed.json" <<'EOF'
+python3 - "$SCALE_DIR/streamed.json" "$SCALE_DIR/materialized.json" <<'EOF'
 import json, sys
 
 row = json.load(open(sys.argv[1]))
+mat = json.load(open(sys.argv[2]))
 spill = row.get("spill", {})
 errors = []
+for key in ("drivers", "patches", "specs", "reports", "fingerprint", "precision", "recall"):
+    if key not in row or row.get(key) != mat.get(key):
+        errors.append(f"`{key}`: streamed {row.get(key)} != materialized {mat.get(key)}")
 if spill.get("writes", 0) < 1 or spill.get("reads", 0) < 1:
     errors.append(f"no spill round-trip under a zero budget: {spill}")
 if spill.get("bytes_read") != spill.get("bytes_written"):
@@ -439,7 +444,7 @@ if errors:
         print(f"scale smoke: {e}", file=sys.stderr)
     sys.exit(1)
 print(f"scale smoke: ok (streamed 4x, {int(spill['writes'])} spill writes, "
-      f"{int(spill['reads'])} reads, reports identical to materialized)")
+      f"{int(spill['reads'])} reads, reports and counts identical to materialized)")
 EOF
 rm -rf "$SCALE_DIR"
 SEAL_SCALE=1 cargo test --release --offline --test scale \

@@ -231,7 +231,6 @@ fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
             "seed",
             "max-rss-mb",
             "spill-dir",
-            "chunk-drivers",
             "reports-out",
         ],
         "gen-corpus" => &["dir", "seed", "drivers"],
@@ -449,7 +448,7 @@ fn usage() -> String {
      seal hunt   --pre <file,...> --post <file,...> --target <file,...> [--jobs <n>]\n  \
      seal merge  --specs <file,file,...> --out <specs-file>\n  \
      seal scale-run [--scale <n>] [--mode streamed|materialized] [--jobs <n>] [--seed <n>]\n  \
-     \u{20}              [--max-rss-mb <mb>] [--spill-dir <dir>] [--chunk-drivers <n>] [--reports-out <file>]\n  \
+     \u{20}              [--max-rss-mb <mb>] [--spill-dir <dir>] [--reports-out <file>]\n  \
      seal gen-corpus --dir <dir> [--seed <n>] [--drivers <n>]\n  \
      seal mutate --src <file,...> --out <dir> [--n <k>] [--seed <n>]\n  \
      seal serve  [--listen <socket>] [--jobs <n>] [--warm-mb <mb>] [--max-conns <n>]\n  \
@@ -682,17 +681,19 @@ fn merge(opts: &HashMap<String, String>) -> Result<Outcome, String> {
     })
 }
 
+/// The numeric value of `--key`, or `default` when the flag is absent.
+fn parse_num(opts: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, String> {
+    match opts.get(key) {
+        Some(v) => v.parse().map_err(|_| format!("--{key} must be a number")),
+        None => Ok(default),
+    }
+}
+
 /// Runs one scale-tier configuration and prints a single JSON line with
 /// the score, throughput, peak RSS, and spill counters. Benches and the
 /// gated scale suite spawn one process per row: VmHWM is process-lifetime
 /// monotonic, so a fresh process is what makes per-row peak RSS readable.
 fn scale_run(opts: &HashMap<String, String>) -> Result<Outcome, String> {
-    let parse_num = |key: &str, default: u64| -> Result<u64, String> {
-        match opts.get(key) {
-            Some(v) => v.parse().map_err(|_| format!("--{key} must be a number")),
-            None => Ok(default),
-        }
-    };
     let streamed = match opts.get("mode").map(String::as_str) {
         None | Some("streamed") => true,
         Some("materialized") => false,
@@ -703,13 +704,12 @@ fn scale_run(opts: &HashMap<String, String>) -> Result<Outcome, String> {
         }
     };
     let mut config = seal::scale::eval_base_config();
-    config.seed = parse_num("seed", config.seed)?;
-    config.scale = parse_num("scale", 1)?.max(1) as usize;
+    config.seed = parse_num(opts, "seed", config.seed)?;
+    config.scale = parse_num(opts, "scale", 1)?.max(1) as usize;
     let sopts = seal::scale::ScaleOptions {
         config,
         jobs: jobs(opts)?,
         streamed,
-        chunk_drivers: parse_num("chunk-drivers", 256)?.max(1) as usize,
         max_rss_mb: opts
             .get("max-rss-mb")
             .map(|v| {
@@ -754,7 +754,7 @@ fn scale_run(opts: &HashMap<String, String>) -> Result<Outcome, String> {
         out.spill.reads,
         out.spill.bytes_written,
         out.spill.bytes_read,
-        out.spill.recomputes,
+        out.recomputes,
         out.store_errors.len(),
         mode = if streamed { "streamed" } else { "materialized" },
     );
@@ -768,15 +768,9 @@ fn gen_corpus(opts: &HashMap<String, String>) -> Result<Outcome, String> {
     let dir = opts
         .get("dir")
         .ok_or_else(|| format!("missing --dir\n{}", usage()))?;
-    let parse_num = |key: &str, default: u64| -> Result<u64, String> {
-        match opts.get(key) {
-            Some(v) => v.parse().map_err(|_| format!("--{key} must be a number")),
-            None => Ok(default),
-        }
-    };
     let config = seal::corpus::CorpusConfig {
-        seed: parse_num("seed", 0xC0FFEE)?,
-        drivers_per_template: parse_num("drivers", 24)? as usize,
+        seed: parse_num(opts, "seed", 0xC0FFEE)?,
+        drivers_per_template: parse_num(opts, "drivers", 24)? as usize,
         ..seal::corpus::CorpusConfig::default()
     };
     let corpus = seal::corpus::generate(&config);
@@ -799,14 +793,8 @@ fn mutate(opts: &HashMap<String, String>) -> Result<Outcome, String> {
     let out_dir = opts
         .get("out")
         .ok_or_else(|| format!("missing --out\n{}", usage()))?;
-    let parse_num = |key: &str, default: u64| -> Result<u64, String> {
-        match opts.get(key) {
-            Some(v) => v.parse().map_err(|_| format!("--{key} must be a number")),
-            None => Ok(default),
-        }
-    };
-    let n = parse_num("n", 8)? as usize;
-    let seed = parse_num("seed", 0xFA11)?;
+    let n = parse_num(opts, "n", 8)? as usize;
+    let seed = parse_num(opts, "seed", 0xFA11)?;
     std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
     let mut written = 0usize;
     for (si, src_path) in srcs.iter().enumerate() {

@@ -22,25 +22,27 @@
 //!   [`SealError::Store`] per damaged file, never a panic, and
 //!   byte-identical surviving reports.
 //!
-//! Byte-identity with the materialized path holds because detection
-//! regions are per-driver (drivers are self-contained; interfaces live in
-//! the shared header every chunk carries), chunk order equals source
-//! order, and report identity keys are function-unique. The scale suite
-//! (`tests/scale.rs`) and the bench `scale` section assert it end to end.
+//! The materialized path, [`run_materialized`], is also the whole-corpus
+//! driver of the paper's §8 harness (`seal-bench`). Byte-identity with it
+//! holds because detection regions are per-driver (drivers are
+//! self-contained; interfaces live in the shared header every chunk
+//! carries), chunk order equals source order, and report identity keys
+//! are function-unique. The scale suite (`tests/scale.rs`) and the
+//! `scripts/ci.sh` scale smoke assert it end to end.
 
-use seal_core::spill::{SpillBudget, SpillDir, SpillHandle};
+use seal_core::spill::{SpillBudget, SpillDir, SpillHandle, SpillStats};
 use seal_core::{detect::DetectConfig, BugReport, DetectStats, Seal, SealError};
 use seal_corpus::ledger::{score, Score, SeededBug};
 use seal_corpus::stream::{CorpusStream, StreamItem};
-use seal_corpus::{generate, CorpusConfig};
+use seal_corpus::{generate, Corpus, CorpusConfig};
 use seal_spec::Specification;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// Base configuration of the scale tier (the RQ harness evaluation
-/// config); `--scale N` multiplies it via [`CorpusConfig::at_scale`].
+/// The evaluation corpus of the paper harnesses (`seal-bench`) and the
+/// scale tier; `--scale N` multiplies it via [`CorpusConfig::at_scale`].
 pub fn eval_base_config() -> CorpusConfig {
     CorpusConfig {
         seed: 0x5EA1,
@@ -97,21 +99,6 @@ impl Default for ScaleOptions {
     }
 }
 
-/// Spill activity over one run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpillSummary {
-    /// Payloads written to the spill directory.
-    pub writes: u64,
-    /// Payloads read back intact.
-    pub reads: u64,
-    /// Payload bytes written.
-    pub bytes_written: u64,
-    /// Payload bytes read back.
-    pub bytes_read: u64,
-    /// Chunks/segments recomputed from the seed after a corrupt reload.
-    pub recomputes: u64,
-}
-
 /// Result of one scale-tier run.
 #[derive(Debug)]
 pub struct ScaleOutcome {
@@ -131,7 +118,9 @@ pub struct ScaleOutcome {
     /// Compiled chunks (1 in materialized mode).
     pub chunks: usize,
     /// Spill counters.
-    pub spill: SpillSummary,
+    pub spill: SpillStats,
+    /// Chunks/segments recomputed from the seed after a corrupt reload.
+    pub recomputes: u64,
     /// Typed store errors from corrupt spill files (each one was
     /// recomputed; reports are unaffected).
     pub store_errors: Vec<SealError>,
@@ -248,7 +237,10 @@ impl ScaleRun {
         let prelude_newlines = prelude.matches('\n').count();
         let mut run = ScaleRun {
             jobs,
-            seal: Seal::default(),
+            seal: Seal {
+                detect: scale_detect_config(),
+                ..Seal::default()
+            },
             prelude,
             prelude_newlines,
             chunks: Vec::new(),
@@ -286,7 +278,7 @@ impl ScaleRun {
                     chunk_text.push_str(&d.source);
                     chunk_text.push('\n');
                     chunk_count += 1;
-                    self_extend(&mut run.ground_truth, d.bug);
+                    run.ground_truth.extend(d.bug);
                     run.drivers += 1;
                     if chunk_count == run.opts.chunk_drivers.max(1) {
                         run.seal_chunk(
@@ -409,7 +401,6 @@ impl ScaleRun {
     /// detection shard ends the run with its error.
     pub fn finish(mut self) -> Result<ScaleOutcome, SealError> {
         let t0 = Instant::now();
-        let cfg = scale_detect_config();
 
         // Reload the full spec list (small next to any module chunk).
         let mut specs: Vec<Specification> = Vec::new();
@@ -476,7 +467,7 @@ impl ScaleRun {
                 }
             };
             let (reports, s, errors) =
-                seal_core::detect_bugs_isolated(&module, &specs, &cfg, self.jobs);
+                seal_core::detect_bugs_isolated(&module, &specs, &self.seal.detect, self.jobs);
             if let Some(e) = errors.into_iter().next() {
                 return Err(e);
             }
@@ -485,12 +476,11 @@ impl ScaleRun {
                 let name_key = r.spec.interface.is_some().then(|| r.function.clone());
                 merged.push((si, name_key, ci, pos, r));
             }
-            add_stats(&mut stats, &s);
+            stats += s;
         }
         merged.sort_by(|a, b| (a.0, &a.1, a.2, a.3).cmp(&(b.0, &b.1, b.2, b.3)));
         let reports: Vec<BugReport> = merged.into_iter().map(|(_, _, _, _, r)| r).collect();
 
-        let spill_stats = self.spill.as_ref().map(|s| s.stats()).unwrap_or_default();
         if let Some(dir) = &self.cleanup_dir {
             std::fs::remove_dir_all(dir).ok();
         }
@@ -501,13 +491,8 @@ impl ScaleRun {
             patches: self.patches,
             specs: specs.len(),
             chunks: n_chunks,
-            spill: SpillSummary {
-                writes: spill_stats.writes,
-                reads: spill_stats.reads,
-                bytes_written: spill_stats.bytes_written,
-                bytes_read: spill_stats.bytes_read,
-                recomputes: self.recomputes,
-            },
+            spill: self.spill.as_ref().map(|s| s.stats()).unwrap_or_default(),
+            recomputes: self.recomputes,
             store_errors: std::mem::take(&mut self.store_errors),
             gen_infer: self.gen_infer,
             detect: t0.elapsed(),
@@ -520,47 +505,92 @@ impl ScaleRun {
 /// Runs one scale-tier configuration end to end.
 pub fn run(opts: ScaleOptions) -> Result<ScaleOutcome, SealError> {
     if opts.streamed {
-        ScaleRun::prepare(opts)?.finish()
-    } else {
-        run_materialized(opts)
+        return ScaleRun::prepare(opts)?.finish();
     }
+    let m = run_materialized(&opts.config, opts.jobs, &scale_detect_config())?;
+    Ok(ScaleOutcome {
+        drivers: seal_corpus::stream::total_drivers(&opts.config),
+        patches: m.corpus.patches.len(),
+        specs: m.specs.len(),
+        chunks: 1,
+        spill: SpillStats::default(),
+        recomputes: 0,
+        store_errors: Vec::new(),
+        gen_infer: m.gen_time + m.infer_time,
+        detect: m.detect_time,
+        reports: m.reports,
+        stats: m.stats,
+        score: m.score,
+    })
 }
 
-/// The reference path: materialize everything, compile one TU, detect
-/// once. Same spec order, same detect config — the streamed path must
-/// reproduce its reports byte for byte. A failed detection shard ends the
-/// run with its error.
-fn run_materialized(opts: ScaleOptions) -> Result<ScaleOutcome, SealError> {
-    let jobs = seal_runtime::effective_jobs(opts.jobs.max(1));
-    let seal = Seal::default();
+/// Everything one whole-corpus run produces.
+pub struct Materialized {
+    /// The generated corpus.
+    pub corpus: Corpus,
+    /// Every inferred specification, in patch order.
+    pub specs: Vec<Specification>,
+    /// Specifications per patch: (patch id, count), in patch order.
+    pub per_patch_specs: Vec<(String, usize)>,
+    /// Deduplicated reports, in detection order.
+    pub reports: Vec<BugReport>,
+    /// Detection phase split and counters.
+    pub stats: DetectStats,
+    /// Precision/recall against the corpus ground truth.
+    pub score: Score,
+    /// Wall clock of corpus generation and the target's compile.
+    pub gen_time: Duration,
+    /// Wall clock of inference.
+    pub infer_time: Duration,
+    /// Wall clock of detection.
+    pub detect_time: Duration,
+}
+
+/// The whole-corpus pipeline of the paper's §8 evaluation, and the
+/// reference the streamed path must reproduce byte for byte: generate the
+/// corpus, infer every patch ([`seal_core::infer_batch`], results in patch
+/// order), detect once on the one-TU target, and score. `jobs` is capped
+/// at the host's parallelism; the output does not depend on it. The first
+/// failed patch (in patch order) or failed detection shard ends the run
+/// with its error.
+pub fn run_materialized(
+    config: &CorpusConfig,
+    jobs: usize,
+    detect: &DetectConfig,
+) -> Result<Materialized, SealError> {
+    let jobs = seal_runtime::effective_jobs(jobs.max(1));
     let t0 = Instant::now();
-    let corpus = generate(&opts.config);
+    let corpus = generate(config);
     let target = corpus.target_module();
-    let per_patch = seal_runtime::par_map_jobs(jobs, &corpus.patches, |p| seal.infer(p));
-    let mut specs = Vec::new();
-    for s in per_patch {
-        specs.extend(s?);
-    }
-    let gen_infer = t0.elapsed();
+    let gen_time = t0.elapsed();
 
     let t1 = Instant::now();
-    let cfg = scale_detect_config();
-    let (reports, stats, errors) = seal_core::detect_bugs_isolated(&target, &specs, &cfg, jobs);
+    let mut specs = Vec::new();
+    let mut per_patch_specs = Vec::with_capacity(corpus.patches.len());
+    let per_patch = seal_core::infer_batch(&Seal::default(), &corpus.patches, jobs);
+    for (patch, s) in corpus.patches.iter().zip(per_patch) {
+        let s = s?;
+        per_patch_specs.push((patch.id.clone(), s.len()));
+        specs.extend(s);
+    }
+    let infer_time = t1.elapsed();
+
+    let t2 = Instant::now();
+    let (reports, stats, errors) = seal_core::detect_bugs_isolated(&target, &specs, detect, jobs);
     if let Some(e) = errors.into_iter().next() {
         return Err(e);
     }
-    Ok(ScaleOutcome {
+    let detect_time = t2.elapsed();
+    Ok(Materialized {
         score: score(&reports, &corpus.ground_truth),
-        stats,
-        drivers: seal_corpus::stream::total_drivers(&opts.config),
-        patches: corpus.patches.len(),
-        specs: specs.len(),
-        chunks: 1,
-        spill: SpillSummary::default(),
-        store_errors: Vec::new(),
-        gen_infer,
-        detect: t1.elapsed(),
+        corpus,
+        specs,
+        per_patch_specs,
         reports,
+        stats,
+        gen_time,
+        infer_time,
+        detect_time,
     })
 }
 
@@ -644,21 +674,6 @@ fn regen_specs(
         }
     }
     infer_batch_ordered(seal, jobs, &batch)
-}
-
-fn add_stats(acc: &mut DetectStats, s: &DetectStats) {
-    acc.pdg_time += s.pdg_time;
-    acc.search_time += s.search_time;
-    acc.regions += s.regions;
-    acc.skipped += s.skipped;
-    acc.solver_queries += s.solver_queries;
-    acc.solver_cache_hits += s.solver_cache_hits;
-    acc.subtrees_pruned += s.subtrees_pruned;
-    acc.sources_skipped_unreachable += s.sources_skipped_unreachable;
-}
-
-fn self_extend(v: &mut Vec<SeededBug>, bug: Option<SeededBug>) {
-    v.extend(bug);
 }
 
 #[cfg(test)]

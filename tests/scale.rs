@@ -270,7 +270,7 @@ fn corrupt_spill_files_degrade_to_recompute() {
         for e in &damaged.store_errors {
             assert_eq!(e.stage(), seal::core::error::Stage::Store, "{e}");
         }
-        assert_eq!(damaged.spill.recomputes, files.len() as u64);
+        assert_eq!(damaged.recomputes, files.len() as u64);
         assert_eq!(
             render_reports(&damaged.reports),
             render_reports(&clean.reports),
