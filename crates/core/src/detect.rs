@@ -22,8 +22,8 @@ use seal_pdg::graph::{NodeId, Pdg};
 use seal_pdg::slice::{forward_paths_pruned, SinkReach, SliceConfig, SliceStats, ValueFlowPath};
 use seal_runtime::FxHashMap;
 use seal_solver::{Formula, IncrementalTheory, SolverCache, Verdict};
-use seal_spec::{Quantifier, Relation, SpecUse, SpecValue, Specification};
-use std::collections::{BTreeSet, HashMap};
+use seal_spec::{Constraint, Quantifier, Relation, SpecUse, SpecValue, Specification};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Budgets and ablation switches for detection.
@@ -145,40 +145,9 @@ pub fn detect_bugs_isolated_cached(
     assert!(facts.fits(module), "module facts built for another module");
     let cg = facts.call_graph();
 
-    // Spec-identity memoization: detection sees a spec only through its
-    // interface and constraints, so groups that agree on both are checked
-    // once, through the group's *earliest* member — exactly the one whose
-    // reports would survive `dedup_reports` in a full sequential run.
-    let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-    let spec_indices: Vec<usize> = (0..specs.len())
-        .filter(|&si| {
-            let s = &specs[si];
-            seen.insert(format!("{:?}|{:?}", s.interface, s.constraints))
-        })
-        .collect();
-
-    // Group work items by region scope so each shard builds one PDG and
-    // keeps the §6.2.3 summary reuse local to a worker. `BTreeMap` keeps
-    // the shard order deterministic.
-    let mut shards: std::collections::BTreeMap<BTreeSet<FuncId>, Vec<(usize, usize, FuncId)>> =
-        std::collections::BTreeMap::new();
+    let spec_indices = distinct_specs(specs);
     let mut stats = DetectStats::default();
-    for &si in &spec_indices {
-        let spec = &specs[si];
-        for (ri, region) in regions_for_with_cg(module, cg, spec)
-            .into_iter()
-            .take(cfg.max_regions)
-            .enumerate()
-        {
-            stats.regions += 1;
-            let scope = region_scope(cg, region);
-            shards.entry(scope).or_default().push((si, ri, region));
-        }
-    }
-    let shards: Vec<Shard> = shards
-        .into_iter()
-        .map(|(scope, items)| Shard { scope, items })
-        .collect();
+    let shards = plan_shards(module, cg, specs, &spec_indices, cfg, &mut stats);
 
     // Cache-key ingredients. The position-free environment hash plus
     // per-scope body keys (instead of one whole-module hash) are what keep
@@ -378,6 +347,83 @@ pub fn detect_bugs_isolated_cached(
     (out, stats, errors)
 }
 
+/// Spec-identity memoization: detection sees a spec only through its
+/// interface and constraints, so groups that agree on both are checked
+/// once, through the group's *earliest* member — exactly the one whose
+/// reports would survive `dedup_reports` in a full sequential run. Returns
+/// the indices of those members, ascending.
+fn distinct_specs(specs: &[Specification]) -> Vec<usize> {
+    let mut seen: HashSet<(&Option<String>, &[Constraint])> = HashSet::new();
+    (0..specs.len())
+        .filter(|&si| seen.insert((&specs[si].interface, &specs[si].constraints[..])))
+        .collect()
+}
+
+/// What a spec's detection regions read of it (see
+/// [`regions_for_with_cg`]): its interface alone or, without one, its APIs
+/// alone. The APIs are sorted because the regions are a union over them.
+#[derive(PartialEq, Eq, Hash)]
+enum RegionKey<'s> {
+    Interface(&'s str),
+    Apis(Vec<String>),
+}
+
+/// Groups the `(spec, region)` work items of `spec_indices` by region
+/// scope, so each shard builds one PDG and keeps the §6.2.3 summary reuse
+/// local to a worker. Shards come in scope order and items in `(spec,
+/// region rank)` order within a shard. Within the call, each region key's
+/// regions and each distinct region's scope are computed once. A scope is
+/// the region plus its transitive defined callees: bottom-up summaries
+/// stay within direct calls, and indirect calls are not expanded, matching
+/// "our slicing does not cross the boundary of function pointers" (§7).
+/// Counts the items into `stats.regions`.
+fn plan_shards(
+    module: &Module,
+    cg: &CallGraph,
+    specs: &[Specification],
+    spec_indices: &[usize],
+    cfg: &DetectConfig,
+    stats: &mut DetectStats,
+) -> Vec<Shard> {
+    let mut regions_of: HashMap<RegionKey, Vec<FuncId>> = HashMap::new();
+    let mut slot_of_region: FxHashMap<FuncId, usize> = FxHashMap::default();
+    let mut slot_of_scope: BTreeMap<BTreeSet<FuncId>, usize> = BTreeMap::new();
+    let mut items: Vec<Vec<(usize, usize, FuncId)>> = Vec::new();
+    for &si in spec_indices {
+        let spec = &specs[si];
+        let key = match &spec.interface {
+            Some(iface) => RegionKey::Interface(iface),
+            None => {
+                let mut apis = spec.apis();
+                apis.sort_unstable();
+                RegionKey::Apis(apis)
+            }
+        };
+        let regions = regions_of
+            .entry(key)
+            .or_insert_with(|| regions_for_with_cg(module, cg, spec));
+        for (ri, &region) in regions.iter().take(cfg.max_regions).enumerate() {
+            stats.regions += 1;
+            let slot = *slot_of_region.entry(region).or_insert_with(|| {
+                *slot_of_scope
+                    .entry(cg.reachable_from(&[region]))
+                    .or_insert_with(|| {
+                        items.push(Vec::new());
+                        items.len() - 1
+                    })
+            });
+            items[slot].push((si, ri, region));
+        }
+    }
+    slot_of_scope
+        .into_iter()
+        .map(|(scope, slot)| Shard {
+            scope,
+            items: std::mem::take(&mut items[slot]),
+        })
+        .collect()
+}
+
 /// Warm-layer key of the condition snapshot over the deduped specs
 /// `spec_indices`, from their content hashes.
 fn snapshot_key(
@@ -447,17 +493,17 @@ fn decode_shard(bytes: &[u8], items: &[(usize, usize, FuncId)]) -> Option<ShardO
 /// the id resolves, the raw id where it does not (an invalid scope is
 /// exactly the case these errors exist for).
 fn scope_names(module: &Module, scope: &BTreeSet<FuncId>) -> String {
-    scope
-        .iter()
-        .map(|&fid| {
-            if fid.index() < module.functions.len() {
-                module.body(fid).name.clone()
-            } else {
-                fid.to_string()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join(",")
+    let mut out = String::new();
+    for (i, &fid) in scope.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match module.functions.get(fid.index()) {
+            Some(body) => out.push_str(&body.name),
+            None => out.push_str(&fid.to_string()),
+        }
+    }
+    out
 }
 
 /// Detection regions for a specification (§6.4.1): sibling implementations
@@ -504,14 +550,6 @@ pub fn regions_for_with_cg(module: &Module, cg: &CallGraph, spec: &Specification
             out.into_iter().collect()
         }
     }
-}
-
-/// Region scope: the region function plus its transitive defined callees
-/// (bottom-up summaries stay within direct calls; indirect calls are not
-/// expanded, matching "our slicing does not cross the boundary of function
-/// pointers", §7).
-fn region_scope(cg: &CallGraph, region: FuncId) -> BTreeSet<FuncId> {
-    cg.reachable_from(&[region])
 }
 
 /// Search-phase counters for one shard (summed into [`DetectStats`]).
@@ -1083,15 +1121,23 @@ fn make_report(
 fn dedup_reports(reports: &mut Vec<BugReport>) {
     // Identity excludes the origin patch: the same logical violation found
     // through specs mined from different historical patches is one report.
-    let mut seen = BTreeSet::new();
-    reports.retain(|r| {
-        seen.insert((
-            r.module.clone(),
-            r.function.clone(),
-            r.bug_type,
-            format!("{:?}{:?}", r.spec.interface, r.spec.constraints),
-        ))
-    });
+    let keep: Vec<bool> = {
+        let mut seen = HashSet::new();
+        reports
+            .iter()
+            .map(|r| {
+                seen.insert((
+                    &r.module,
+                    &r.function,
+                    r.bug_type,
+                    &r.spec.interface,
+                    &r.spec.constraints,
+                ))
+            })
+            .collect()
+    };
+    let mut keep = keep.into_iter();
+    reports.retain(|_| keep.next() == Some(true));
 }
 
 #[cfg(test)]
@@ -1362,5 +1408,240 @@ struct vb2_ops { int (*buf_prepare)(struct riscmem *risc); };
         let (other_key, other) = snapshot(&changed);
         assert_ne!(key, other_key);
         assert!(!Arc::ptr_eq(&first, &other));
+    }
+
+    // ------------------------------------------------------------ planning
+
+    const SHARED: &str = "\
+struct dev { int *buf; int state; };
+struct probe_ops { int (*probe)(struct dev *d); };
+struct remove_ops { int (*remove)(struct dev *d); };
+int *alloc_buf(unsigned long size);
+void free_buf(int *p);
+";
+
+    /// A generated multi-driver target. Driver `i` has a probe through a
+    /// private helper, which drops the helper's error code in every third
+    /// driver, and a remove that frees its buffer, before its last use in
+    /// every fourth. Every fifth driver adds two mutually recursive probes,
+    /// registered in two tables, so two distinct regions share one scope;
+    /// and every driver calls the allocator through a shared wrapper, so
+    /// interface-free regions include transitive callers.
+    fn generated_target(drivers: usize) -> Module {
+        let mut src = String::from(SHARED);
+        src.push_str("int *get_buf(struct dev *d) { d->buf = alloc_buf(8); return d->buf; }\n");
+        for i in 0..drivers {
+            let call = if i % 3 == 0 {
+                format!("helper_{i}(d); return 0;")
+            } else {
+                format!("return helper_{i}(d);")
+            };
+            src.push_str(&format!(
+                "static int helper_{i}(struct dev *d) {{ if (get_buf(d) == NULL) return -12; return 0; }}\n\
+                 int probe_{i}(struct dev *d) {{ {call} }}\n"
+            ));
+            let remove = if i % 4 == 0 {
+                "free_buf(d->buf); d->state = *d->buf;"
+            } else {
+                "d->state = *d->buf; free_buf(d->buf);"
+            };
+            src.push_str(&format!(
+                "int remove_{i}(struct dev *d) {{ {remove} return 0; }}\n\
+                 struct probe_ops p_{i} = {{ .probe = probe_{i}, }};\n\
+                 struct remove_ops r_{i} = {{ .remove = remove_{i}, }};\n"
+            ));
+            if i % 5 == 0 {
+                src.push_str(&format!(
+                    "int ping_{i}(struct dev *d) {{ if (d->state > 0) return pong_{i}(d); return helper_{i}(d); }}\n\
+                     int pong_{i}(struct dev *d) {{ if (d->state > 1) return ping_{i}(d); return 0; }}\n\
+                     struct probe_ops pi_{i} = {{ .probe = ping_{i}, }};\n\
+                     struct probe_ops po_{i} = {{ .probe = pong_{i}, }};\n"
+                ));
+            }
+        }
+        seal_ir::lower(&seal_kir::compile(&src, "generated.c").unwrap())
+    }
+
+    /// Specs inferred from three patches (a dropped error code, a use
+    /// after free, a missing NULL check on an interface-free helper) plus
+    /// two written out. Each is followed by copies that differ only in
+    /// origin patch, only in provenance, or in their constraints (listed
+    /// twice), and then the list comes again.
+    fn generated_specs() -> Vec<Specification> {
+        let seal = Seal::default();
+        let patch = |id: &str, pre: &str, post: &str| {
+            seal.infer(&Patch::new(
+                id,
+                format!("{SHARED}{pre}"),
+                format!("{SHARED}{post}"),
+            ))
+            .unwrap()
+        };
+        let alloc = "static int setup(struct dev *d) { d->buf = alloc_buf(8); if (d->buf == NULL) return -12; return 0; }\n";
+        let mut inferred = patch(
+            "drop-err",
+            &format!("{alloc}int pr(struct dev *d) {{ setup(d); return 0; }}\nstruct probe_ops t = {{ .probe = pr, }};"),
+            &format!("{alloc}int pr(struct dev *d) {{ return setup(d); }}\nstruct probe_ops t = {{ .probe = pr, }};"),
+        );
+        inferred.extend(patch(
+            "uaf",
+            "int rm(struct dev *d) { free_buf(d->buf); d->state = *d->buf; return 0; }\nstruct remove_ops t = { .remove = rm, };",
+            "int rm(struct dev *d) { d->state = *d->buf; free_buf(d->buf); return 0; }\nstruct remove_ops t = { .remove = rm, };",
+        ));
+        inferred.extend(patch(
+            "null",
+            "int use_buf(struct dev *d) { int *p = alloc_buf(8); return *p; }",
+            "int use_buf(struct dev *d) { int *p = alloc_buf(8); if (p == NULL) return -12; return *p; }",
+        ));
+        // Interface-free specs over two APIs and over an API the target
+        // never calls, so region keys differ beyond their first API.
+        inferred.extend(
+            [
+                "spec[*] <PΨ> { ∄: ret^alloc_buf ↪ arg_1^free_buf under ret^alloc_buf == 0 } (from pair)",
+                "spec[*] <PΨ> { ∄: ret^kmalloc ↪ deref under ret^kmalloc == 0 } (from absent)",
+            ]
+            .map(|line| seal_spec::parse::parse_line(line).unwrap()),
+        );
+        assert!(
+            inferred.iter().any(|s| s.interface.is_none()),
+            "no interface-free spec"
+        );
+        assert!(
+            inferred.iter().any(|s| s.interface.is_some()),
+            "no interface spec"
+        );
+        let mut specs = Vec::new();
+        for s in &inferred {
+            specs.push(s.clone());
+            specs.push(Specification {
+                origin_patch: format!("{}-again", s.origin_patch),
+                ..s.clone()
+            });
+            specs.push(Specification {
+                provenance: match s.provenance {
+                    seal_spec::Provenance::AddedPath => seal_spec::Provenance::RemovedPath,
+                    _ => seal_spec::Provenance::AddedPath,
+                },
+                ..s.clone()
+            });
+            let mut repeated = s.clone();
+            repeated.constraints.extend(s.constraints.clone());
+            specs.push(repeated);
+        }
+        specs.extend(inferred);
+        specs
+    }
+
+    /// The planning construction the per-call memos replaced: regions and
+    /// a fresh scope per `(spec, region)` item, grouped in a map keyed on
+    /// scopes.
+    #[allow(clippy::type_complexity)]
+    fn reference_plan(
+        module: &Module,
+        specs: &[Specification],
+        spec_indices: &[usize],
+        cfg: &DetectConfig,
+    ) -> Vec<(BTreeSet<FuncId>, Vec<(usize, usize, FuncId)>)> {
+        let cg = CallGraph::build(module);
+        let mut shards: BTreeMap<BTreeSet<FuncId>, Vec<(usize, usize, FuncId)>> = BTreeMap::new();
+        for &si in spec_indices {
+            let regions = regions_for_with_cg(module, &cg, &specs[si]);
+            for (ri, region) in regions.into_iter().take(cfg.max_regions).enumerate() {
+                let scope = cg.reachable_from(&[region]);
+                shards.entry(scope).or_default().push((si, ri, region));
+            }
+        }
+        shards.into_iter().collect()
+    }
+
+    /// The memoized plan has the shard scopes, shard order and item order
+    /// of the per-item construction, with and without a region cap.
+    #[test]
+    fn memoized_plan_matches_per_item_construction() {
+        let module = generated_target(24);
+        let specs = generated_specs();
+        let spec_indices = distinct_specs(&specs);
+        let cg = CallGraph::build(&module);
+        for max_regions in [512, 3] {
+            let cfg = DetectConfig {
+                max_regions,
+                ..DetectConfig::default()
+            };
+            let reference = reference_plan(&module, &specs, &spec_indices, &cfg);
+            let items: usize = reference.iter().map(|(_, items)| items.len()).sum();
+            let mut stats = DetectStats::default();
+            let plan: Vec<_> = plan_shards(&module, &cg, &specs, &spec_indices, &cfg, &mut stats)
+                .into_iter()
+                .map(|s| (s.scope, s.items))
+                .collect();
+            assert_eq!(plan, reference, "max_regions {max_regions}");
+            assert_eq!(stats.regions, items);
+        }
+        // The target exercises what the grouping must get right: a shard
+        // holding two distinct regions, and a spec without an interface.
+        let reference = reference_plan(&module, &specs, &spec_indices, &DetectConfig::default());
+        assert!(reference.iter().any(|(_, items)| {
+            items
+                .iter()
+                .map(|&(_, _, r)| r)
+                .collect::<BTreeSet<_>>()
+                .len()
+                > 1
+        }));
+        assert!(spec_indices.iter().any(|&si| specs[si].interface.is_none()));
+    }
+
+    /// Structural dedup keeps exactly the indices the `Debug`-string rule
+    /// kept, copies that differ only in origin patch or provenance
+    /// included.
+    #[test]
+    fn structural_spec_dedup_matches_debug_strings() {
+        let specs = generated_specs();
+        let mut seen = std::collections::HashSet::new();
+        let by_debug: Vec<usize> = (0..specs.len())
+            .filter(|&si| {
+                let s = &specs[si];
+                seen.insert(format!("{:?}|{:?}", s.interface, s.constraints))
+            })
+            .collect();
+        let kept = distinct_specs(&specs);
+        assert_eq!(kept, by_debug);
+        // Every inferred spec has one copy with other constraints kept.
+        assert!(kept.len() < specs.len());
+        assert_eq!(kept.len() % 2, 0);
+    }
+
+    /// A second detection over the same facts repeats the first run's
+    /// reports and counters, and both equal a run over fresh facts.
+    #[test]
+    fn second_detection_on_the_same_facts_is_identical() {
+        let module = generated_target(12);
+        let specs = generated_specs();
+        let facts = ModuleFacts::new(&module);
+        let cache = AnalysisCache::disabled();
+        let run = |facts: &ModuleFacts| {
+            let (reports, stats, errors) = detect_bugs_isolated_cached(
+                &module,
+                facts,
+                &specs,
+                &DetectConfig::default(),
+                2,
+                &cache,
+            );
+            assert!(errors.is_empty(), "{errors:?}");
+            let counters = (
+                stats.regions,
+                stats.skipped,
+                stats.solver_queries,
+                stats.solver_cache_hits,
+                stats.subtrees_pruned,
+                stats.sources_skipped_unreachable,
+            );
+            (reports, counters)
+        };
+        let first = run(&facts);
+        assert!(!first.0.is_empty(), "the generated target reports nothing");
+        assert_eq!(run(&facts), first);
+        assert_eq!(run(&ModuleFacts::new(&module)), first);
     }
 }

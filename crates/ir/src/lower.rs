@@ -20,7 +20,7 @@ use crate::tac::{Callee, Inst, Operand, Place, PlaceBase, Projection, Rvalue, Te
 use seal_kir::ast::*;
 use seal_kir::span::Span;
 use seal_kir::types::Type;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A structural defect in a lowered module.
 ///
@@ -235,10 +235,11 @@ pub fn lower(tu: &TranslationUnit) -> Module {
         structs: tu.structs.clone(),
         ..Default::default()
     };
+    let names = Names::of(tu);
 
     // APIs: every declaration without a body.
     for d in &tu.decls {
-        if tu.function(&d.name).is_none() {
+        if !names.functions.contains(d.name.as_str()) {
             module.apis.push(ApiDecl {
                 name: d.name.clone(),
                 ret: d.ret.clone(),
@@ -276,13 +277,13 @@ pub fn lower(tu: &TranslationUnit) -> Module {
             span: g.span,
         });
         if let (Type::Struct(sname), Some(Initializer::Designated(pairs))) = (&g.ty, &g.init) {
-            collect_bindings(tu, sname, pairs, &mut module.bindings);
+            collect_bindings(tu, &names, sname, pairs, &mut module.bindings);
         }
     }
 
     // Function bodies.
     for (i, f) in tu.functions.iter().enumerate() {
-        let body = FunctionLowerer::new(tu, FuncId(i as u32), f).run();
+        let body = FunctionLowerer::new(tu, &names, FuncId(i as u32), f).run();
         module.functions.push(body);
     }
     seal_obs::metrics::counter_add("ir.lower.functions", module.functions.len() as u64);
@@ -317,8 +318,27 @@ pub fn lower(tu: &TranslationUnit) -> Module {
     module
 }
 
+/// The unit's top-level names, hashed once so that resolving an
+/// identifier never scans the unit's function or global lists.
+struct Names<'a> {
+    /// Functions with a body.
+    functions: HashSet<&'a str>,
+    /// Global variables.
+    globals: HashSet<&'a str>,
+}
+
+impl<'a> Names<'a> {
+    fn of(tu: &'a TranslationUnit) -> Self {
+        Names {
+            functions: tu.functions.iter().map(|f| f.name.as_str()).collect(),
+            globals: tu.globals.iter().map(|g| g.name.as_str()).collect(),
+        }
+    }
+}
+
 fn collect_bindings(
     tu: &TranslationUnit,
+    names: &Names,
     struct_name: &str,
     pairs: &[(String, Initializer)],
     out: &mut Vec<Binding>,
@@ -327,7 +347,7 @@ fn collect_bindings(
         match init {
             Initializer::Expr(e) => {
                 if let ExprKind::Ident(fname) = &e.kind {
-                    if tu.function(fname).is_some() {
+                    if names.functions.contains(fname.as_str()) {
                         out.push(Binding {
                             interface: InterfaceId::new(struct_name, field),
                             func: fname.clone(),
@@ -339,7 +359,7 @@ fn collect_bindings(
                 // Nested ops table: resolve the field's struct type.
                 if let Some(fdef) = tu.structs.get(struct_name).and_then(|d| d.field(field)) {
                     if let Type::Struct(inner) = &fdef.ty {
-                        collect_bindings(tu, inner, nested, out);
+                        collect_bindings(tu, names, inner, nested, out);
                     }
                 }
             }
@@ -381,7 +401,8 @@ struct LoopCtx {
 
 struct FunctionLowerer<'a> {
     tu: &'a TranslationUnit,
-    ast_body: Block,
+    names: &'a Names<'a>,
+    ast_body: &'a Block,
     body: FuncBody,
     current: BlockId,
     /// Scoped name → local map.
@@ -394,7 +415,7 @@ struct FunctionLowerer<'a> {
 }
 
 impl<'a> FunctionLowerer<'a> {
-    fn new(tu: &'a TranslationUnit, id: FuncId, f: &'a Function) -> Self {
+    fn new(tu: &'a TranslationUnit, names: &'a Names<'a>, id: FuncId, f: &'a Function) -> Self {
         let mut locals = Vec::new();
         let mut scope = HashMap::new();
         for p in &f.params {
@@ -421,7 +442,8 @@ impl<'a> FunctionLowerer<'a> {
         };
         FunctionLowerer {
             tu,
-            ast_body: f.body.clone(),
+            names,
+            ast_body: &f.body,
             body,
             current: BlockId(0),
             scopes: vec![scope],
@@ -433,9 +455,7 @@ impl<'a> FunctionLowerer<'a> {
     }
 
     fn run(mut self) -> FuncBody {
-        // Clone once to appease the borrow checker; bodies are small.
-        let block = std::mem::replace(&mut self.ast_body, Block::empty(Span::DUMMY));
-        self.lower_block(&block);
+        self.lower_block(self.ast_body);
         if !self.terminated {
             self.set_terminator(Terminator::Return(None), Span::DUMMY);
         }
@@ -530,11 +550,7 @@ impl<'a> FunctionLowerer<'a> {
     }
 
     fn is_global(&self, name: &str) -> bool {
-        self.tu.global(name).is_some()
-    }
-
-    fn is_function(&self, name: &str) -> bool {
-        self.tu.function(name).is_some() || self.tu.decl(name).is_some()
+        self.names.globals.contains(name)
     }
 
     // ----------------------------------------------------------- statements
@@ -833,11 +849,10 @@ impl<'a> FunctionLowerer<'a> {
                     Operand::Local(lid)
                 } else if self.is_global(name) {
                     Operand::Global(name.clone())
-                } else if self.is_function(name) {
-                    Operand::FuncRef(name.clone())
                 } else {
-                    // Unknown identifier survived type checking only if it
-                    // was an implicit API use; treat as a function ref.
+                    // A defined function or a declared API; an unknown
+                    // identifier survived type checking only as an
+                    // implicit API use, so it is a function ref too.
                     Operand::FuncRef(name.clone())
                 }
             }
@@ -1155,6 +1170,86 @@ mod tests {
         lower(&compile(src, "t.c").unwrap())
     }
 
+    /// The operand of the first `return <value>` in `func`.
+    fn returned(m: &Module, func: &str) -> Operand {
+        let body = m.function(func).unwrap();
+        body.blocks
+            .iter()
+            .find_map(|b| match &b.terminator {
+                Terminator::Return(Some(op)) => Some(op.clone()),
+                _ => None,
+            })
+            .unwrap()
+    }
+
+    /// Whether `func` copies `op` into a local somewhere.
+    fn copies(m: &Module, func: &str, op: &Operand) -> bool {
+        let body = m.function(func).unwrap();
+        body.blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .any(|i| matches!(i, Inst::Assign { rv: Rvalue::Use(o), .. } if o == op))
+    }
+
+    /// Identifiers resolve to the innermost local first, then to a global,
+    /// and only then to a function, whatever else shares the name.
+    #[test]
+    fn names_resolve_local_then_global_then_function() {
+        let m = lower_src(
+            "int count;\n\
+             int helper(int x) { return x; }\n\
+             int api(int x);\n\
+             int param_shadows_global(int count) { return count; }\n\
+             int local_shadows_function(void) { int helper = 3; return helper; }\n\
+             int inner_shadows_outer(int x) { if (x) { int count = 2; return count; } return 0; }\n\
+             int reads_global(void) { return count; }\n\
+             int takes_fn(void) { int (*fp)(int x) = helper; return fp(1); }\n\
+             int takes_api(void) { int (*fp)(int x) = api; return fp(1); }",
+        );
+        let local = |func: &str| match returned(&m, func) {
+            Operand::Local(l) => m.function(func).unwrap().locals[l.index()].name.clone(),
+            other => panic!("{func} returned {other:?}"),
+        };
+        assert_eq!(local("param_shadows_global"), "count");
+        assert_eq!(local("local_shadows_function"), "helper");
+        assert_eq!(local("inner_shadows_outer"), "count");
+        assert_eq!(
+            returned(&m, "reads_global"),
+            Operand::Global("count".into())
+        );
+        assert!(copies(&m, "takes_fn", &Operand::FuncRef("helper".into())));
+        assert!(copies(&m, "takes_api", &Operand::FuncRef("api".into())));
+    }
+
+    /// A global that shares a function's name resolves as the global, as
+    /// an operand and as a place base.
+    #[test]
+    fn a_global_shadows_a_same_named_function() {
+        let mut tu = compile(
+            "struct box { int v; };\n\
+             int tag;\n\
+             struct box boxed;\n\
+             int tag_fn(void) { return 1; }\n\
+             int boxed_fn(void) { return 2; }\n\
+             int reads(void) { return tag; }\n\
+             int reads_field(void) { return boxed.v; }",
+            "t.c",
+        )
+        .unwrap();
+        // The checker rejects such a clash in source, so make it in the
+        // checked unit: the two functions take the globals' names.
+        tu.functions[0].name = "tag".into();
+        tu.functions[1].name = "boxed".into();
+        let m = lower(&tu);
+        assert_eq!(returned(&m, "reads"), Operand::Global("tag".into()));
+        let body = m.function("reads_field").unwrap();
+        assert!(body.blocks.iter().flat_map(|b| &b.insts).any(|i| matches!(
+            i,
+            Inst::Load { place, .. } if place.base == PlaceBase::Global("boxed".into())
+        )));
+        assert!(m.function("tag").is_some() && !m.is_api("tag"));
+    }
+
     #[test]
     fn lowered_modules_validate_clean() {
         let m = lower_src(
@@ -1241,6 +1336,23 @@ mod tests {
             m.interfaces_of("buffer_prepare").collect::<Vec<_>>(),
             vec![&iface]
         );
+    }
+
+    /// `interfaces` comes out sorted by id, and `Module::interface` (a
+    /// binary search) finds each entry and nothing else.
+    #[test]
+    fn interfaces_are_sorted_and_each_is_found() {
+        let m = lower_src(
+            "struct zops { int (*open)(int v); int (*close)(int v); };\n\
+             struct aops { int (*run)(int v); int (*stop)(int v); };",
+        );
+        assert_eq!(m.interfaces.len(), 4);
+        assert!(m.interfaces.windows(2).all(|w| w[0].id < w[1].id));
+        for def in &m.interfaces {
+            assert_eq!(m.interface(&def.id).map(|d| &d.id), Some(&def.id));
+        }
+        assert!(m.interface(&InterfaceId::new("zops", "run")).is_none());
+        assert!(m.interface(&InterfaceId::new("bops", "open")).is_none());
     }
 
     #[test]

@@ -98,7 +98,8 @@ pub struct Module {
     pub globals: Vec<GlobalVar>,
     /// API declarations (externs without bodies).
     pub apis: Vec<ApiDecl>,
-    /// Function-pointer interfaces found in struct definitions.
+    /// Function-pointer interfaces found in struct definitions, sorted by
+    /// id (lowering sorts them; [`Module::interface`] binary-searches).
     pub interfaces: Vec<InterfaceDef>,
     /// Interface-to-implementation bindings.
     pub bindings: Vec<Binding>,
@@ -173,9 +174,12 @@ impl Module {
         self.function(name).is_none()
     }
 
-    /// Looks up an interface definition.
+    /// Looks up an interface definition in the id-sorted `interfaces`.
     pub fn interface(&self, id: &InterfaceId) -> Option<&InterfaceDef> {
-        self.interfaces.iter().find(|i| &i.id == id)
+        self.interfaces
+            .binary_search_by(|i| i.id.cmp(id))
+            .ok()
+            .map(|at| &self.interfaces[at])
     }
 
     fn binding_index(&self) -> &BindingIndex {

@@ -30,6 +30,8 @@ pub use ast::TranslationUnit;
 pub use diag::{Diagnostic, KirError};
 pub use span::Span;
 
+use std::collections::HashSet;
+
 /// Parses and type-checks a KIR source string into a translation unit.
 ///
 /// This is the crate's main entry point; `file` is only used to label
@@ -64,6 +66,11 @@ pub fn parse_only(source: &str, file: &str) -> Result<TranslationUnit, KirError>
 pub fn compile_many(files: &[(&str, &str)]) -> Result<TranslationUnit, KirError> {
     let mut merged = TranslationUnit::default();
     let mut labels = Vec::new();
+    // Names seen so far, one set per namespace, so each check is a hash
+    // probe rather than a scan of everything merged before it.
+    let mut functions: HashSet<String> = HashSet::new();
+    let mut decls: HashSet<String> = HashSet::new();
+    let mut globals: HashSet<String> = HashSet::new();
     for (file, source) in files {
         labels.push(*file);
         let tokens = lexer::lex(source, file)?;
@@ -84,7 +91,7 @@ pub fn compile_many(files: &[(&str, &str)]) -> Result<TranslationUnit, KirError>
             merged.structs.insert(def.clone());
         }
         for f in tu.functions {
-            if merged.function(&f.name).is_some() {
+            if !functions.insert(f.name.clone()) {
                 return Err(KirError::single(
                     diag::Stage::Type,
                     format!("duplicate definition of function `{}`", f.name),
@@ -95,12 +102,12 @@ pub fn compile_many(files: &[(&str, &str)]) -> Result<TranslationUnit, KirError>
             merged.functions.push(f);
         }
         for d in tu.decls {
-            if merged.decl(&d.name).is_none() {
+            if decls.insert(d.name.clone()) {
                 merged.decls.push(d);
             }
         }
         for g in tu.globals {
-            if merged.global(&g.name).is_some() {
+            if !globals.insert(g.name.clone()) {
                 return Err(KirError::single(
                     diag::Stage::Type,
                     format!("duplicate definition of global `{}`", g.name),

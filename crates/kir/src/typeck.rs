@@ -13,7 +13,7 @@ use crate::ast::*;
 use crate::diag::{Diagnostic, KirError, Stage};
 use crate::span::Span;
 use crate::types::{FuncSig, Type};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Runs the checker over a parsed translation unit, mutating it in place.
 pub fn check(tu: &mut TranslationUnit) -> Result<(), KirError> {
@@ -23,12 +23,22 @@ pub fn check(tu: &mut TranslationUnit) -> Result<(), KirError> {
         cx.check_function(tu, f);
     }
     tu.functions = functions;
-    // Register implicit declarations discovered during checking.
-    for (name, decl) in cx.implicit_decls {
-        if tu.decl(&name).is_none() && tu.function(&name).is_none() {
-            tu.decls.push(decl);
-        }
-    }
+    // Register implicit declarations discovered during checking, unless
+    // a declaration or definition of that name already exists.
+    let implicit: Vec<FuncDecl> = {
+        let mut known: HashSet<&str> = tu
+            .decls
+            .iter()
+            .map(|d| d.name.as_str())
+            .chain(tu.functions.iter().map(|f| f.name.as_str()))
+            .collect();
+        cx.implicit_decls
+            .iter()
+            .filter(|(name, _)| known.insert(name))
+            .map(|(_, decl)| decl.clone())
+            .collect()
+    };
+    tu.decls.extend(implicit);
     if cx.diagnostics.is_empty() {
         Ok(())
     } else {
@@ -40,7 +50,7 @@ pub fn check(tu: &mut TranslationUnit) -> Result<(), KirError> {
 
 struct Checker {
     file: String,
-    labels: std::collections::HashSet<String>,
+    labels: HashSet<String>,
     globals: HashMap<String, Type>,
     funcs: HashMap<String, FuncSig>,
     consts: HashMap<String, i64>,
@@ -79,7 +89,7 @@ impl Checker {
         }
         Checker {
             file: tu.file.clone(),
-            labels: std::collections::HashSet::new(),
+            labels: HashSet::new(),
             globals,
             funcs,
             consts: tu.consts.clone(),
