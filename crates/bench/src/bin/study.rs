@@ -59,8 +59,22 @@ fn main() {
             ],
         ],
     );
+    // The conclusion follows the measured split, not the paper's.
+    let crossing_share = 100.0 * crossing as f64 / total as f64;
+    let who = if crossing > confined {
+        "the majority"
+    } else {
+        "a minority"
+    };
     println!(
-        "\nConclusion (paper §3.2 C1): the majority of traces leave the patched\n\
-         function, so high-sensitivity inter-procedural analysis is required."
+        "\nConclusion (paper §3.2 C1): {crossing_share:.1}% of traces leave the patched\n\
+         function ({who}; paper 65.2%). An analysis confined to the patched\n\
+         function misses them, so inter-procedural analysis is still required."
     );
+    if crossing_share < 65.2 {
+        println!(
+            "The share is below the paper's because the synthetic corpus has more\n\
+             single-function patches than the kernel's patch population."
+        );
+    }
 }

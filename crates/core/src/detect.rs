@@ -21,7 +21,7 @@ use seal_pdg::cond::{CondCtx, CondVar};
 use seal_pdg::graph::{NodeId, Pdg};
 use seal_pdg::slice::{forward_paths_pruned, SinkReach, SliceConfig, SliceStats, ValueFlowPath};
 use seal_runtime::FxHashMap;
-use seal_solver::{Formula, IncrementalTheory, SolverCache, Verdict};
+use seal_solver::{Formula, FormulaId, FormulaSnapshot, IncrementalTheory, SolverCache, Verdict};
 use seal_spec::{Constraint, Quantifier, Relation, SpecUse, SpecValue, Specification};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -174,8 +174,9 @@ pub fn detect_bugs_isolated_cached(
 
     // Pre-intern every checked spec condition once, in deterministic spec
     // order, into an immutable snapshot each shard's solver cache is
-    // seeded from. Shards share nothing mutable: the snapshot is read-only
-    // and each worker copies it into its own cache at shard start. With a
+    // layered over. Shards share nothing mutable: the snapshot is
+    // read-only, each shard's cache holds it by `Arc` and looks nodes up
+    // there before its own table, so seeding a shard copies nothing. With a
     // warm layer attached (`seal serve`), the snapshot is reused across
     // requests keyed on the deduped specs' content — its node table is a
     // pure function of those conditions in that order, so an exact-content
@@ -206,7 +207,7 @@ pub fn detect_bugs_isolated_cached(
     } else {
         Arc::new(build_snapshot())
     };
-    let spec_cond_snapshot = &*spec_cond_snapshot;
+    let spec_cond_snapshot = &spec_cond_snapshot;
 
     let run_shard = |shard: &Shard| -> Result<ShardOut, SealError> {
         // A task root: the shard subtree is identical whether it ran inline
@@ -588,10 +589,12 @@ impl SearchCounters {
 ///   [`forward_paths_pruned`] (reference: `slice::forward_paths`);
 /// * one reusable [`IncrementalTheory`] threaded through the DFS that
 ///   abandons UNSAT prefixes, only with `path_sensitive`;
-/// * hash-consed solver caches for path feasibility (`Formula<CondVar>`)
-///   and spec-condition consistency (`Formula<SpecValue>`), plus a memo of
-///   the Ψ abstraction keyed on the path (reference:
-///   `seal_solver::is_sat`).
+/// * hash-consed solver caches for path feasibility (the condition
+///   context's, on each path's `cond_id`) and spec-condition consistency
+///   (layered over the shared spec-condition snapshot, on `cond ∧ Ψ` ids),
+///   plus memos of the Ψ abstraction per path condition and of node
+///   classification per node (references: `seal_solver::is_sat`,
+///   `roles::abstract_cond`).
 struct PathCache<'p, 'm> {
     pdg: &'p Pdg<'m>,
     cctx: CondCtx<'p, 'm>,
@@ -601,15 +604,24 @@ struct PathCache<'p, 'm> {
     slice: SliceConfig,
     reach: SinkReach,
     theory: Option<IncrementalTheory<CondVar>>,
-    cond_solver: SolverCache<CondVar>,
     spec_solver: SolverCache<SpecValue>,
-    psi_memo: FxHashMap<PathKey, Formula<SpecValue>>,
-    consistency_memo: FxHashMap<(PathKey, seal_solver::FormulaId, bool), bool>,
+    /// Ψ per path condition, keyed on the path's `cond_id`.
+    psi_memo: FxHashMap<FormulaId, std::rc::Rc<Psi>>,
+    /// `classify_value` per node (`None` until first asked).
+    class_memo: Vec<Option<Option<SpecValue>>>,
+    consistency_memo: FxHashMap<(PathKey, FormulaId, bool), bool>,
     roles_memo: FxHashMap<PathKey, PathRoles>,
     /// Keyed on spec values, whose names come from the patches: the
     /// collision-resistant default hasher.
     instantiate_memo: HashMap<(FuncId, SpecValue), std::rc::Rc<Vec<NodeId>>>,
     counters: SearchCounters,
+}
+
+/// The Ψ abstraction of one path condition: its id in the spec solver and
+/// its variables.
+struct Psi {
+    id: FormulaId,
+    vars: Vec<SpecValue>,
 }
 
 /// A path's classification into the spec domain — its source value and
@@ -627,7 +639,7 @@ impl<'p, 'm> PathCache<'p, 'm> {
     fn new(
         pdg: &'p Pdg<'m>,
         cfg: &DetectConfig,
-        spec_base: &seal_solver::FormulaSnapshot<SpecValue>,
+        spec_base: &Arc<FormulaSnapshot<SpecValue>>,
     ) -> Self {
         PathCache {
             pdg,
@@ -638,9 +650,9 @@ impl<'p, 'm> PathCache<'p, 'm> {
             slice: cfg.slice,
             reach: SinkReach::build(pdg),
             theory: cfg.path_sensitive.then(IncrementalTheory::new),
-            cond_solver: SolverCache::new(),
             spec_solver: SolverCache::with_base(spec_base),
             psi_memo: FxHashMap::default(),
+            class_memo: vec![None; pdg.len()],
             consistency_memo: FxHashMap::default(),
             roles_memo: FxHashMap::default(),
             instantiate_memo: HashMap::new(),
@@ -654,35 +666,42 @@ impl<'p, 'm> PathCache<'p, 'm> {
         !self.reach.reaches_sink(s)
     }
 
-    /// Satisfiability of an IR-level path condition, counted and memoized.
-    fn sat_cond(&mut self, f: &Formula<CondVar>) -> Verdict {
+    /// Satisfiability of an interned IR-level path condition, counted and
+    /// memoized.
+    fn sat_cond(&mut self, id: FormulaId) -> Verdict {
         self.counters.solver_queries += 1;
-        let h0 = self.cond_solver.hits;
-        let v = self.cond_solver.is_sat(f);
-        self.counters.solver_cache_hits += self.cond_solver.hits - h0;
+        let solver = self.cctx.solver();
+        let h0 = solver.hits;
+        let v = solver.is_sat_id(id);
+        self.counters.solver_cache_hits += solver.hits - h0;
         v
     }
 
-    /// Satisfiability of a spec-level condition, counted and memoized.
-    fn sat_spec(&mut self, f: &Formula<SpecValue>) -> Verdict {
+    /// Satisfiability of an interned spec-level condition, counted and
+    /// memoized.
+    fn sat_spec(&mut self, id: FormulaId) -> Verdict {
         self.counters.solver_queries += 1;
         let h0 = self.spec_solver.hits;
-        let v = self.spec_solver.is_sat(f);
+        let v = self.spec_solver.is_sat_id(id);
         self.counters.solver_cache_hits += self.spec_solver.hits - h0;
         v
     }
 
-    /// Ψ abstraction of a path condition (§6.4.2), memoized per path.
-    /// `abstract_cond` is pure in the formula and the enumeration behind
-    /// `key` is deterministic, so the path key is a safe stand-in for the
-    /// condition itself.
-    fn abstract_cond_of(&mut self, key: PathKey, p: &ValueFlowPath) -> Formula<SpecValue> {
-        if let Some(f) = self.psi_memo.get(&key) {
-            return f.clone();
+    /// Ψ abstraction of a path condition (§6.4.2), memoized per distinct
+    /// condition: `abstract_cond` is pure in the formula, and equal
+    /// `cond_id`s are equal conditions. Node classification is memoized
+    /// per node underneath.
+    fn psi_of(&mut self, p: &ValueFlowPath) -> std::rc::Rc<Psi> {
+        if let Some(psi) = self.psi_memo.get(&p.cond_id) {
+            return psi.clone();
         }
-        let f = roles::abstract_cond(self.pdg, &p.cond);
-        self.psi_memo.insert(key, f.clone());
-        f
+        let f = roles::abstract_cond_with(&p.cond, &mut classifier(self.pdg, &mut self.class_memo));
+        let psi = std::rc::Rc::new(Psi {
+            id: self.spec_solver.intern(&f),
+            vars: f.vars(),
+        });
+        self.psi_memo.insert(p.cond_id, psi.clone());
+        psi
     }
 
     /// Condition consistency (§6.4.2), directional by quantifier:
@@ -694,12 +713,16 @@ impl<'p, 'm> PathCache<'p, 'm> {
     /// * `∃`/`∀` specs require the flow to cover situation `c`; besides
     ///   joint satisfiability, the relaxed containment check asks that the
     ///   critical interaction data of `c` occur along `Ψ(p)` at all.
+    ///
+    /// `cid` is the spec condition's id and `cond_vars` its variables,
+    /// both hoisted out of the path loop by the caller.
     fn cond_consistent(
         &mut self,
         key: PathKey,
-        cid: seal_solver::FormulaId,
         p: &ValueFlowPath,
         cond: &Formula<SpecValue>,
+        cid: FormulaId,
+        cond_vars: &[SpecValue],
         strict: bool,
     ) -> bool {
         if matches!(cond, Formula::True) {
@@ -707,40 +730,19 @@ impl<'p, 'm> PathCache<'p, 'm> {
         }
         // Deduped specs re-check the same (path, condition) pair across
         // many regions; the verdict is pure in both, so memoize it on the
-        // path key plus the interned spec condition (`cid`, hoisted out of
-        // the path loop by the caller).
+        // path key plus the interned spec condition.
         let mk = (key, cid, strict);
         if let Some(&v) = self.consistency_memo.get(&mk) {
             self.counters.solver_queries += 1;
             self.counters.solver_cache_hits += 1;
             return v;
         }
-        let v = self.cond_consistent_uncached(key, p, cond, strict);
+        let psi = self.psi_of(p);
+        let joint = self.spec_solver.and(cid, psi.id);
+        let v = self.sat_spec(joint).possibly_sat()
+            && (!strict || psi.vars.is_empty() || cond_vars.iter().any(|v| psi.vars.contains(v)));
         self.consistency_memo.insert(mk, v);
         v
-    }
-
-    fn cond_consistent_uncached(
-        &mut self,
-        key: PathKey,
-        p: &ValueFlowPath,
-        cond: &Formula<SpecValue>,
-        strict: bool,
-    ) -> bool {
-        let psi = self.abstract_cond_of(key, p);
-        let joint = cond.clone().and(psi.clone());
-        if !self.sat_spec(&joint).possibly_sat() {
-            return false;
-        }
-        if !strict {
-            return true;
-        }
-        let cond_vars = cond.vars();
-        let psi_vars = psi.vars();
-        if psi_vars.is_empty() {
-            return true;
-        }
-        cond_vars.iter().any(|v| psi_vars.contains(v)) || matches!(psi, Formula::True)
     }
 
     /// Spec-domain roles of a path (source value + sink use), memoized per
@@ -748,9 +750,16 @@ impl<'p, 'm> PathCache<'p, 'm> {
     /// (specification, region) pair re-asks it.
     fn roles_of(&mut self, key: PathKey, p: &ValueFlowPath) -> PathRoles {
         let pdg = self.pdg;
+        let class_memo = &mut self.class_memo;
         self.roles_memo
             .entry(key)
-            .or_insert_with(|| (roles::source_value(pdg, p), roles::sink_use(pdg, p)))
+            .or_insert_with(|| {
+                let classify = &mut classifier(pdg, class_memo);
+                (
+                    roles::source_value_with(pdg, p, classify),
+                    roles::sink_use(pdg, p),
+                )
+            })
             .clone()
     }
 
@@ -760,9 +769,13 @@ impl<'p, 'm> PathCache<'p, 'm> {
     /// every region in the shard.
     fn instantiate(&mut self, region: FuncId, value: &SpecValue) -> std::rc::Rc<Vec<NodeId>> {
         let pdg = self.pdg;
+        let class_memo = &mut self.class_memo;
         self.instantiate_memo
             .entry((region, value.clone()))
-            .or_insert_with(|| std::rc::Rc::new(roles::instantiate_value(pdg, region, value)))
+            .or_insert_with(|| {
+                let classify = &mut classifier(pdg, class_memo);
+                std::rc::Rc::new(roles::instantiate_value_with(pdg, region, value, classify))
+            })
             .clone()
     }
 
@@ -808,7 +821,7 @@ impl<'p, 'm> PathCache<'p, 'm> {
         );
         self.counters.subtrees_pruned += sstats.subtrees_pruned;
         if self.path_sensitive {
-            paths.retain(|p| self.sat_cond(&p.cond).possibly_sat());
+            paths.retain(|p| self.sat_cond(p.cond_id).possibly_sat());
         }
         let rc = std::rc::Rc::new(paths);
         let memo = if cone {
@@ -818,6 +831,18 @@ impl<'p, 'm> PathCache<'p, 'm> {
         };
         memo.insert(s, rc.clone());
         rc
+    }
+}
+
+/// [`roles::classify_value`] through a per-PDG memo.
+fn classifier<'a>(
+    pdg: &'a Pdg<'_>,
+    memo: &'a mut [Option<Option<SpecValue>>],
+) -> impl FnMut(NodeId) -> Option<SpecValue> + 'a {
+    move |n| {
+        memo[n as usize]
+            .get_or_insert_with(|| roles::classify_value(pdg, n))
+            .clone()
     }
 }
 
@@ -840,8 +865,9 @@ fn check_region(
                 return None;
             }
             // Condition variables must also instantiate in this region.
-            for v in cond.vars() {
-                if paths.instantiate(region, &v).is_empty() {
+            let cond_vars = cond.vars();
+            for v in &cond_vars {
+                if paths.instantiate(region, v).is_empty() {
                     return None;
                 }
             }
@@ -873,7 +899,8 @@ fn check_region(
                 for (i, p) in ps.iter().enumerate() {
                     let key = (s, i as u32, cone);
                     if !applicable
-                        && (!cfg.path_sensitive || paths.cond_consistent(key, cid, p, cond, false))
+                        && (!cfg.path_sensitive
+                            || paths.cond_consistent(key, p, cond, cid, &cond_vars, false))
                     {
                         applicable = true;
                         if !matching.is_empty() {
@@ -883,7 +910,9 @@ fn check_region(
                     if !paths.path_matches(key, p, value, use_, &body.name) {
                         continue;
                     }
-                    if !cfg.path_sensitive || paths.cond_consistent(key, cid, p, cond, strict) {
+                    if !cfg.path_sensitive
+                        || paths.cond_consistent(key, p, cond, cid, &cond_vars, strict)
+                    {
                         matching.push(p.clone());
                         // `∄` reports the first witness; `∃`/`∀` only ask
                         // whether a matching path exists once applicable.
@@ -1609,6 +1638,58 @@ void free_buf(int *p);
         // Every inferred spec has one copy with other constraints kept.
         assert!(kept.len() < specs.len());
         assert_eq!(kept.len() % 2, 0);
+    }
+
+    /// The memoized Ψ abstraction, path roles and value instantiation
+    /// (through the per-node classification memo) equal the `roles`
+    /// functions they stand in for.
+    #[test]
+    fn classification_memos_match_roles_references() {
+        let module = generated_target(6);
+        let specs = generated_specs();
+        let cg = CallGraph::build(&module);
+        let scope: BTreeSet<FuncId> = (0..module.functions.len() as u32).map(FuncId).collect();
+        let pdg = Pdg::build(&module, &cg, &scope);
+        let conds: Vec<&Formula<SpecValue>> = specs
+            .iter()
+            .flat_map(|s| &s.constraints)
+            .filter_map(|c| match &c.relation {
+                Relation::Reach { cond, .. } => Some(cond),
+                Relation::Order { .. } => None,
+            })
+            .collect();
+        let base = Arc::new(FormulaSnapshot::build(conds));
+        let mut cache = PathCache::new(&pdg, &DetectConfig::default(), &base);
+        let mut abstracted = 0;
+        for n in 0..pdg.len() as NodeId {
+            if !seal_pdg::slice::is_source(&pdg, n) {
+                continue;
+            }
+            for (i, p) in cache.paths_from(n, false).iter().enumerate() {
+                let psi = cache.psi_of(p);
+                let reference = roles::abstract_cond(&pdg, &p.cond);
+                assert_eq!(cache.spec_solver.formula(psi.id), reference);
+                assert_eq!(psi.vars, reference.vars());
+                abstracted += !psi.vars.is_empty() as usize;
+                let (value, use_) = cache.roles_of((n, i as u32, false), p);
+                assert_eq!(value, roles::source_value(&pdg, p));
+                assert_eq!(use_, roles::sink_use(&pdg, p));
+            }
+        }
+        assert!(
+            abstracted > 0,
+            "no path condition abstracts to interaction data"
+        );
+        let mut instantiated = 0;
+        for spec in &specs {
+            let value = spec.constraints[0].relation.value();
+            for &region in &scope {
+                let got = cache.instantiate(region, value);
+                assert_eq!(*got, roles::instantiate_value(&pdg, region, value));
+                instantiated += got.len();
+            }
+        }
+        assert!(instantiated > 0, "no spec value instantiates");
     }
 
     /// A second detection over the same facts repeats the first run's

@@ -189,7 +189,17 @@ fn api_of_call(pdg: &Pdg<'_>, loc: seal_ir::ids::InstLoc) -> Option<String> {
 /// field load along the path (so `arg_2.block` and `arg_2.len` become
 /// distinct values, as in Spec 4.2).
 pub fn source_value(pdg: &Pdg<'_>, path: &ValueFlowPath) -> Option<SpecValue> {
-    let base = classify_value(pdg, path.source())?;
+    source_value_with(pdg, path, &mut |n| classify_value(pdg, n))
+}
+
+/// [`source_value`] with the node classification supplied by the caller
+/// (see [`abstract_cond_with`]).
+pub(crate) fn source_value_with(
+    pdg: &Pdg<'_>,
+    path: &ValueFlowPath,
+    classify: &mut impl FnMut(NodeId) -> Option<SpecValue>,
+) -> Option<SpecValue> {
+    let base = classify(path.source())?;
     if let SpecValue::ArgI { index, fields } = &base {
         if fields.is_empty() && path.nodes.len() > 1 {
             // Skip interprocedural Param hops (the argument re-enters a
@@ -201,7 +211,7 @@ pub fn source_value(pdg: &Pdg<'_>, path: &ValueFlowPath) -> Option<SpecValue> {
                 if matches!(pdg.kind(n), NodeKind::Param { .. }) {
                     continue;
                 }
-                if let Some(SpecValue::ArgI { fields: f2, .. }) = classify_value(pdg, n) {
+                if let Some(SpecValue::ArgI { fields: f2, .. }) = classify(n) {
                     if !f2.is_empty() {
                         return Some(SpecValue::ArgI {
                             index: *index,
@@ -263,12 +273,22 @@ pub fn abstract_cond(
     pdg: &Pdg<'_>,
     cond: &seal_solver::Formula<seal_pdg::cond::CondVar>,
 ) -> Formula<SpecValue> {
+    abstract_cond_with(cond, &mut |node| classify_value(pdg, node))
+}
+
+/// [`abstract_cond`] with the node classification supplied by the caller:
+/// detection memoizes [`classify_value`] per PDG, and a memo returns what
+/// the function would.
+pub(crate) fn abstract_cond_with(
+    cond: &seal_solver::Formula<seal_pdg::cond::CondVar>,
+    classify: &mut impl FnMut(NodeId) -> Option<SpecValue>,
+) -> Formula<SpecValue> {
     let vars = cond.vars();
     let mapped: std::collections::HashMap<seal_pdg::cond::CondVar, SpecValue> = vars
         .into_iter()
         .filter_map(|v| {
             let node = v.node()?;
-            classify_value(pdg, node).map(|sv| (v, sv))
+            classify(node).map(|sv| (v, sv))
         })
         .collect();
     cond.clone()
@@ -310,6 +330,17 @@ pub fn instantiate_value(
     region: seal_ir::ids::FuncId,
     v: &SpecValue,
 ) -> Vec<NodeId> {
+    instantiate_value_with(pdg, region, v, &mut |n| classify_value(pdg, n))
+}
+
+/// [`instantiate_value`] with the node classification supplied by the
+/// caller (see [`abstract_cond_with`]).
+pub(crate) fn instantiate_value_with(
+    pdg: &Pdg<'_>,
+    region: seal_ir::ids::FuncId,
+    v: &SpecValue,
+    classify: &mut impl FnMut(NodeId) -> Option<SpecValue>,
+) -> Vec<NodeId> {
     let mut out = Vec::new();
     for n in 0..pdg.nodes.len() as NodeId {
         if !seal_pdg::slice::is_source(pdg, n) {
@@ -323,7 +354,7 @@ pub fn instantiate_value(
         {
             continue;
         }
-        let Some(cv) = classify_value(pdg, n) else {
+        let Some(cv) = classify(n) else {
             continue;
         };
         let matched = match (v, &cv) {

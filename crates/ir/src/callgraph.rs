@@ -241,9 +241,11 @@ fn address_taken(module: &Module, name: &str) -> bool {
     }
     module.functions.iter().any(|f| {
         f.blocks.iter().flat_map(|b| &b.insts).any(|i| {
-            i.uses()
-                .iter()
-                .any(|op| matches!(op, crate::tac::Operand::FuncRef(n) if n == name))
+            let mut taken = false;
+            i.for_each_use(|op| {
+                taken |= matches!(op, crate::tac::Operand::FuncRef(n) if n == name);
+            });
+            taken
         })
     })
 }

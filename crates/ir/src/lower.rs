@@ -5,13 +5,16 @@
 //! memory accesses become explicit `Load`/`Store` on [`Place`]s with
 //! byte-offset field projections.
 //!
-//! Deviation from C semantics (documented for DESIGN.md): `&&`/`||` are
-//! lowered as strict binary rvalues rather than short-circuit control flow.
-//! KIR sources have no side-effecting subexpressions inside conditions
-//! (assignments-in-conditions are hoisted before the branch), so this only
-//! affects evaluation order, not the path conditions the analyses extract —
-//! and it keeps branch conditions symbolically intact for the quasi
-//! path-sensitive analysis of §6.1.
+//! Deviation from C semantics (DESIGN.md, "Known deviations" 2): `&&`/`||`
+//! are lowered as strict binary rvalues rather than short-circuit control
+//! flow. KIR sources have no side-effecting subexpressions inside
+//! conditions (assignments-in-conditions are hoisted before the branch),
+//! and the strict form keeps branch conditions symbolically intact for the
+//! quasi path-sensitive analysis of §6.1. It does change what the analyses
+//! see, not just evaluation order: the second operand's loads are
+//! unconditional, so in `if (m == NULL || m->cookie < 0)` the dereference
+//! of `m` is reachable with `m == NULL`, and NULL-guard idioms are reported
+//! as NPDs (ROADMAP.md, "Short-circuit `&&`/`||`", gives the probe).
 
 use crate::body::{BasicBlock, FuncBody, LocalDecl};
 use crate::ids::{BlockId, FuncId, LocalId};

@@ -212,44 +212,47 @@ impl Inst {
         }
     }
 
-    /// All operands read by this instruction, including place base locals
-    /// (reading through `p->f` reads `p`) and index operands.
-    pub fn uses(&self) -> Vec<Operand> {
-        let mut out = Vec::new();
+    /// Visits every operand read by this instruction, in order, including
+    /// place base locals (reading through `p->f` reads `p`) and index
+    /// operands. Allocates nothing.
+    pub fn for_each_use(&self, mut f: impl FnMut(&Operand)) {
         match self {
-            Inst::Assign { rv, .. } => out.extend(rv.operands().into_iter().cloned()),
+            Inst::Assign { rv, .. } => match rv {
+                Rvalue::Use(a) | Rvalue::Unary(_, a) => f(a),
+                Rvalue::Binary(_, a, b) => {
+                    f(a);
+                    f(b);
+                }
+            },
             // Reading memory reads the base (even a struct local's own
             // storage counts: its contents flow into the loaded value).
-            Inst::Load { place, .. } => collect_place_operands(place, true, &mut out),
+            Inst::Load { place, .. } => visit_place_operands(place, true, &mut f),
             Inst::Store { place, value } => {
-                out.push(value.clone());
+                f(value);
                 // A store reads the base only when it is a pointer being
                 // followed; writing a local aggregate's field reads nothing.
-                collect_place_operands(place, place.is_indirect(), &mut out);
+                visit_place_operands(place, place.is_indirect(), &mut f);
             }
-            Inst::AddrOf { place, .. } => {
-                collect_place_operands(place, place.is_indirect(), &mut out)
-            }
+            Inst::AddrOf { place, .. } => visit_place_operands(place, place.is_indirect(), &mut f),
             Inst::Call { callee, args, .. } => {
                 if let Callee::Indirect { ptr, .. } = callee {
-                    out.push(ptr.clone());
+                    f(ptr);
                 }
-                out.extend(args.iter().cloned());
+                args.iter().for_each(f);
             }
         }
-        out
     }
 }
 
-fn collect_place_operands(place: &Place, base_is_read: bool, out: &mut Vec<Operand>) {
+fn visit_place_operands(place: &Place, base_is_read: bool, f: &mut impl FnMut(&Operand)) {
     if base_is_read {
         if let PlaceBase::Local(l) = &place.base {
-            out.push(Operand::Local(*l));
+            f(&Operand::Local(*l));
         }
     }
     for p in &place.projections {
         if let Projection::Index { index, .. } = p {
-            out.push(index.clone());
+            f(index);
         }
     }
 }
@@ -413,6 +416,12 @@ mod tests {
     use super::*;
     use crate::ids::BlockId;
 
+    fn use_count(i: &Inst) -> usize {
+        let mut n = 0;
+        i.for_each_use(|_| n += 1);
+        n
+    }
+
     #[test]
     fn inst_def_and_uses() {
         let i = Inst::Assign {
@@ -420,7 +429,7 @@ mod tests {
             rv: Rvalue::Binary(BinOp::Add, Operand::Local(LocalId(1)), Operand::Const(2)),
         };
         assert_eq!(i.def(), Some(LocalId(0)));
-        assert_eq!(i.uses().len(), 2);
+        assert_eq!(use_count(&i), 2);
 
         let s = Inst::Store {
             place: Place {
@@ -437,7 +446,7 @@ mod tests {
         };
         assert_eq!(s.def(), None);
         // value + base pointer + index operand
-        assert_eq!(s.uses().len(), 3);
+        assert_eq!(use_count(&s), 3);
     }
 
     #[test]

@@ -50,15 +50,19 @@ pub use trace::{Span, SpanRec, SpanTotals, Trace, TraceData};
 macro_rules! span {
     ($name:expr) => {
         if $crate::trace::enabled() {
-            $crate::trace::Span::enter($name, ::std::vec::Vec::new())
+            $crate::trace::Span::enter($name, ::std::time::Instant::now(), ::std::vec::Vec::new())
         } else {
             $crate::trace::Span::disabled()
         }
     };
     ($name:expr, $($k:ident = $v:expr),+ $(,)?) => {
         if $crate::trace::enabled() {
+            // The span starts before its fields render, so building a
+            // label is booked to the span, not to its caller.
+            let start = ::std::time::Instant::now();
             $crate::trace::Span::enter(
                 $name,
+                start,
                 ::std::vec![$((stringify!($k), ($v).to_string())),+],
             )
         } else {
@@ -78,15 +82,19 @@ macro_rules! span {
 macro_rules! task_span {
     ($name:expr) => {
         if $crate::trace::enabled() {
-            $crate::trace::Span::root($name, ::std::vec::Vec::new())
+            $crate::trace::Span::root($name, ::std::time::Instant::now(), ::std::vec::Vec::new())
         } else {
             $crate::trace::Span::disabled()
         }
     };
     ($name:expr, $($k:ident = $v:expr),+ $(,)?) => {
         if $crate::trace::enabled() {
+            // The span starts before its fields render, so building a
+            // label is booked to the span, not to its caller.
+            let start = ::std::time::Instant::now();
             $crate::trace::Span::root(
                 $name,
+                start,
                 ::std::vec![$((stringify!($k), ($v).to_string())),+],
             )
         } else {

@@ -86,15 +86,16 @@ pub struct Span {
 }
 
 impl Span {
-    /// Opens a nesting span (macro backend; prefer [`crate::span!`]).
-    pub fn enter(name: &'static str, fields: Vec<(&'static str, String)>) -> Span {
-        Span::begin(name, fields, false)
+    /// Opens a nesting span that started at `start` (macro backend;
+    /// prefer [`crate::span!`]).
+    pub fn enter(name: &'static str, start: Instant, fields: Vec<(&'static str, String)>) -> Span {
+        Span::begin(name, start, fields, false)
     }
 
-    /// Opens a task-root span (macro backend; prefer
-    /// [`crate::task_span!`]).
-    pub fn root(name: &'static str, fields: Vec<(&'static str, String)>) -> Span {
-        Span::begin(name, fields, true)
+    /// Opens a task-root span that started at `start` (macro backend;
+    /// prefer [`crate::task_span!`]).
+    pub fn root(name: &'static str, start: Instant, fields: Vec<(&'static str, String)>) -> Span {
+        Span::begin(name, start, fields, true)
     }
 
     /// The no-op guard the macros return while tracing is disabled.
@@ -102,7 +103,12 @@ impl Span {
         Span { active: false }
     }
 
-    fn begin(name: &'static str, fields: Vec<(&'static str, String)>, detached: bool) -> Span {
+    fn begin(
+        name: &'static str,
+        start: Instant,
+        fields: Vec<(&'static str, String)>,
+        detached: bool,
+    ) -> Span {
         if !enabled() {
             return Span::disabled();
         }
@@ -114,7 +120,7 @@ impl Span {
                     dur_us: 0,
                     children: Vec::new(),
                 },
-                start: Instant::now(),
+                start,
                 detached,
             })
         });

@@ -14,8 +14,9 @@ use seal_ir::ids::LocalId;
 use seal_ir::tac::{Inst, Operand, Rvalue, Terminator};
 use seal_kir::ast::{BinOp, UnOp};
 use seal_runtime::FxHashMap;
-use seal_solver::{CmpOp, Formula, Term};
-use std::collections::HashSet;
+use seal_solver::{CmpOp, Formula, FormulaId, SolverCache, Term};
+use std::collections::{BTreeSet, HashSet};
+use std::rc::Rc;
 
 /// A symbolic variable of a path condition.
 ///
@@ -50,10 +51,34 @@ impl std::fmt::Display for CondVar {
     }
 }
 
+/// One distinct top-level conjunct of a node's execution condition, with
+/// its id in the owning [`CondCtx`]'s solver.
+#[derive(Debug, Clone)]
+pub struct Conjunct {
+    /// The conjunct (never `True` and never an `And`).
+    pub formula: Formula<CondVar>,
+    /// Its interned id.
+    pub id: FormulaId,
+}
+
+/// A node's distinct top-level conjuncts in `Formula` order (the order
+/// [`collect_conjuncts`] yields), shared by every path through the node.
+pub type Conjuncts = Rc<[Conjunct]>;
+
 /// Memoizing condition evaluator over one PDG.
+///
+/// Each node's condition is symbolized, split into its distinct top-level
+/// conjuncts and interned once; paths and the DFS's incremental theory
+/// work on those shared lists and their ids. The context owns the
+/// [`SolverCache`] the ids belong to, so path feasibility is asked on the
+/// same ids ([`CondCtx::solver`]).
 pub struct CondCtx<'p, 'm> {
     pdg: &'p Pdg<'m>,
-    memo: FxHashMap<NodeId, Formula<CondVar>>,
+    conjuncts: Vec<Option<Conjuncts>>,
+    /// Lists shared by every non-terminator instruction of one block, by
+    /// control-dependence list id (see [`CondCtx::node_conjuncts`]).
+    block_conjuncts: FxHashMap<u32, Conjuncts>,
+    solver: SolverCache<CondVar>,
 }
 
 impl<'p, 'm> CondCtx<'p, 'm> {
@@ -61,20 +86,92 @@ impl<'p, 'm> CondCtx<'p, 'm> {
     pub fn new(pdg: &'p Pdg<'m>) -> Self {
         CondCtx {
             pdg,
-            memo: FxHashMap::default(),
+            conjuncts: vec![None; pdg.len()],
+            block_conjuncts: FxHashMap::default(),
+            solver: SolverCache::new(),
         }
     }
 
+    /// The solver cache that interns this context's conditions.
+    pub fn solver(&mut self) -> &mut SolverCache<CondVar> {
+        &mut self.solver
+    }
+
     /// The condition under which `n` executes: the conjunction of its
-    /// governing branch conditions, transitively.
+    /// governing branch conditions, transitively. Recomputed on each call;
+    /// the search reads the memoized [`CondCtx::node_conjuncts`] instead.
     pub fn node_cond(&mut self, n: NodeId) -> Formula<CondVar> {
-        if let Some(f) = self.memo.get(&n) {
-            return f.clone();
+        self.node_cond_inner(n, &mut HashSet::new())
+    }
+
+    /// The distinct top-level conjuncts of [`CondCtx::node_cond`]`(n)` in
+    /// the order [`collect_conjuncts`] yields, computed and interned once.
+    ///
+    /// A non-terminator instruction's condition is a function of its
+    /// block's control-dependence list alone: the recursion visits only
+    /// branch terminators (so the node never meets itself in the cycle
+    /// guard) and call-site inheritance applies to parameters only. Such
+    /// nodes share one list per block.
+    pub fn node_conjuncts(&mut self, n: NodeId) -> Conjuncts {
+        if let Some(c) = &self.conjuncts[n as usize] {
+            return c.clone();
         }
-        let mut guard = HashSet::new();
-        let f = self.node_cond_inner(n, &mut guard);
-        self.memo.insert(n, f.clone());
-        f
+        let block = match self.pdg.kind(n) {
+            NodeKind::Inst(loc) if !loc.is_terminator() => self.pdg.ctrl_list_id(n),
+            _ => None,
+        };
+        let shared = block.and_then(|b| self.block_conjuncts.get(&b).cloned());
+        let list = match shared {
+            Some(list) => list,
+            None => {
+                let mut set = BTreeSet::new();
+                collect_conjuncts(self.node_cond(n), &mut set);
+                let list: Conjuncts = set
+                    .into_iter()
+                    .map(|formula| Conjunct {
+                        id: self.solver.intern(&formula),
+                        formula,
+                    })
+                    .collect();
+                if let Some(b) = block {
+                    self.block_conjuncts.insert(b, list.clone());
+                }
+                list
+            }
+        };
+        self.conjuncts[n as usize] = Some(list.clone());
+        list
+    }
+
+    /// Ψ(p) of a path through `nodes` — the conjunction of the nodes'
+    /// distinct conjuncts in `Formula` order — and its id, built from the
+    /// memoized conjunct lists without re-interning any conjunct.
+    pub(crate) fn path_cond(&mut self, nodes: &[NodeId]) -> (Formula<CondVar>, FormulaId) {
+        // Nodes of one block share one list; collect each list once.
+        let mut lists: Vec<Conjuncts> = Vec::new();
+        for &n in nodes {
+            let c = self.node_conjuncts(n);
+            if !c.is_empty() && !lists.iter().any(|l| Rc::ptr_eq(l, &c)) {
+                lists.push(c);
+            }
+        }
+        let mut all: Vec<&Conjunct> = lists.iter().flat_map(|l| l.iter()).collect();
+        if lists.len() > 1 {
+            // Equal ids ⇔ equal formulas, so dedup by id after the sort.
+            all.sort_by(|a, b| {
+                if a.id == b.id {
+                    std::cmp::Ordering::Equal
+                } else {
+                    a.formula.cmp(&b.formula)
+                }
+            });
+            all.dedup_by_key(|c| c.id);
+        }
+        let cond = all
+            .iter()
+            .fold(Formula::True, |acc, c| acc.and(c.formula.clone()));
+        let id = self.solver.conjoin(all.iter().map(|c| c.id));
+        (cond, id)
     }
 
     fn node_cond_inner(&mut self, n: NodeId, guard: &mut HashSet<NodeId>) -> Formula<CondVar> {
@@ -83,18 +180,18 @@ impl<'p, 'm> CondCtx<'p, 'm> {
             // depend on themselves): drop the cyclic conjunct.
             return Formula::True;
         }
-        let deps = self.pdg.ctrl_deps(n).to_vec();
+        let pdg = self.pdg;
         let mut acc = Formula::True;
-        for (branch, edge) in deps {
-            let local = self.edge_formula(branch, &edge);
-            let outer = self.node_cond_inner(branch, guard);
+        for (branch, edge) in pdg.ctrl_deps(n) {
+            let local = self.edge_formula(*branch, edge);
+            let outer = self.node_cond_inner(*branch, guard);
             acc = acc.and(local).and(outer);
         }
         // Context sensitivity: a parameter of a function with a single
         // in-scope call site inherits that site's condition (function
         // cloning in spirit, §7; multiple callers merge to True).
-        if matches!(self.pdg.kind(n), NodeKind::Param { .. }) {
-            let sites = self.pdg.param_call_sites(n).to_vec();
+        if matches!(pdg.kind(n), NodeKind::Param { .. }) {
+            let sites = pdg.param_call_sites(n);
             if sites.len() == 1 && !guard.contains(&sites[0]) {
                 acc = acc.and(self.node_cond_inner(sites[0], guard));
             }
@@ -250,6 +347,23 @@ enum Sym {
     T(Term<CondVar>),
     /// A formula (comparison-like).
     F(Formula<CondVar>),
+}
+
+/// Splits `f` into its distinct top-level conjuncts: `True` contributes
+/// nothing and nested `And`s flatten. The reference for
+/// [`CondCtx::node_conjuncts`].
+pub fn collect_conjuncts(f: Formula<CondVar>, out: &mut BTreeSet<Formula<CondVar>>) {
+    match f {
+        Formula::True => {}
+        Formula::And(xs) => {
+            for x in xs {
+                collect_conjuncts(x, out);
+            }
+        }
+        other => {
+            out.insert(other);
+        }
+    }
 }
 
 fn cmp_of(op: BinOp) -> Option<CmpOp> {

@@ -334,6 +334,16 @@ impl<'m> Pdg<'m> {
         }
     }
 
+    /// Identity of a node's control-dependence list: the nodes of one
+    /// block share one list and so one id. `None` without dependences.
+    pub(crate) fn ctrl_list_id(&self, n: NodeId) -> Option<u32> {
+        let (Store::Log { ctrl_of, .. } | Store::Csr { ctrl_of, .. }) = &self.store;
+        match ctrl_of[n as usize] {
+            NO_CTRL => None,
+            id => Some(id),
+        }
+    }
+
     /// Total edge count (`E_d` + `E_c`), for sizing/metrics. Control
     /// dependences count per *node*: each block's list is stored once, but
     /// stands for one edge set per referencing node.
@@ -746,7 +756,7 @@ impl<'m> Pdg<'m> {
                             .map(|id| self.scope.contains(&id))
                             .unwrap_or(false)
                 );
-                for op in inst.uses() {
+                inst.for_each_use(|op| {
                     if let Some(l) = op.as_local() {
                         let def_nodes: Vec<NodeId> = defs_of(&defs, l).collect();
                         if !precise_callee {
@@ -756,7 +766,7 @@ impl<'m> Pdg<'m> {
                         }
                         self.op_defs.insert((n, l), def_nodes);
                     }
-                }
+                });
                 if let Some(d) = inst.def() {
                     let at = defs.partition_point(|&(l, _)| l < d);
                     let end = defs.partition_point(|&(l, _)| l <= d);
@@ -967,21 +977,18 @@ impl<'m> Pdg<'m> {
             let Some(n) = self.node(&NodeKind::Inst(loc)) else {
                 continue;
             };
-            let ops: Vec<Operand> = if loc.is_terminator() {
-                body.block(loc.block)
-                    .terminator
-                    .operand()
-                    .into_iter()
-                    .cloned()
-                    .collect()
-            } else {
-                body.inst_at(loc).map(|i| i.uses()).unwrap_or_default()
-            };
-            for op in ops {
+            let mut read_global = |op: &Operand| {
                 if let Operand::Global(g) = op {
-                    let gn = self.intern(NodeKind::GlobalDef { name: g });
+                    let gn = self.intern(NodeKind::GlobalDef { name: g.clone() });
                     self.add_edge(gn, n);
                 }
+            };
+            if loc.is_terminator() {
+                if let Some(op) = body.block(loc.block).terminator.operand() {
+                    read_global(op);
+                }
+            } else if let Some(i) = body.inst_at(loc) {
+                i.for_each_use(read_global);
             }
         }
     }

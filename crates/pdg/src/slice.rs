@@ -10,8 +10,8 @@
 use crate::cond::{CondCtx, CondVar};
 use crate::graph::{NodeId, NodeKind, Pdg, UseKind};
 use seal_ir::tac::{Inst, Operand, Rvalue, Terminator};
-use seal_runtime::Symbol;
-use seal_solver::{Formula, IncrementalTheory};
+use seal_runtime::{FxHashSet, Symbol};
+use seal_solver::{Formula, FormulaId, IncrementalTheory};
 use std::collections::BTreeSet;
 
 /// Budgets for path enumeration.
@@ -33,14 +33,25 @@ impl Default for SliceConfig {
 }
 
 /// One inter-procedural value-flow path.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ValueFlowPath {
     /// Nodes from source to sink.
     pub nodes: Vec<NodeId>,
     /// Path condition `Ψ(p)` over PDG value nodes.
     pub cond: Formula<CondVar>,
+    /// Id of `cond` in the solver of the [`CondCtx`] that enumerated the
+    /// path; meaningless with any other context.
+    pub cond_id: FormulaId,
     /// Classification of the final hop, when it is a `U`-domain use.
     pub sink_kind: Option<UseKind>,
+}
+
+/// Structural equality: `cond_id` is context-relative, so two contexts
+/// enumerating the same path agree on everything but it.
+impl PartialEq for ValueFlowPath {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes && self.cond == other.cond && self.sink_kind == other.sink_kind
+    }
 }
 
 impl ValueFlowPath {
@@ -170,9 +181,8 @@ fn dfs_forward(
         out.push(finish_path(pdg, cctx, stack, None));
         return;
     }
-    let succs: Vec<NodeId> = pdg.data_succs(cur).to_vec();
     let mut extended = false;
-    for next in succs {
+    for &next in pdg.data_succs(cur) {
         if stack.contains(&next) {
             continue; // cycle
         }
@@ -231,13 +241,13 @@ fn dfs_backward(
         out.push(finish_path_nodes(pdg, cctx, nodes, None));
         return;
     }
-    let preds: Vec<NodeId> = pdg.data_preds(cur).to_vec();
+    let preds = pdg.data_preds(cur);
     if preds.is_empty() {
         let nodes: Vec<NodeId> = stack.iter().rev().copied().collect();
         out.push(finish_path_nodes(pdg, cctx, nodes, None));
         return;
     }
-    for prev in preds {
+    for &prev in preds {
         if stack.contains(&prev) {
             continue;
         }
@@ -295,30 +305,12 @@ fn finish_path_nodes(
     sink_kind: Option<UseKind>,
 ) -> ValueFlowPath {
     // Ψ(p): conjunction of per-node execution conditions, deduplicated.
-    let mut conjuncts: BTreeSet<Formula<CondVar>> = BTreeSet::new();
-    for &n in &nodes {
-        let c = cctx.node_cond(n);
-        collect_conjuncts(c, &mut conjuncts);
-    }
-    let cond = conjuncts.into_iter().fold(Formula::True, Formula::and);
+    let (cond, cond_id) = cctx.path_cond(&nodes);
     ValueFlowPath {
         nodes,
         cond,
+        cond_id,
         sink_kind,
-    }
-}
-
-fn collect_conjuncts(f: Formula<CondVar>, out: &mut BTreeSet<Formula<CondVar>>) {
-    match f {
-        Formula::True => {}
-        Formula::And(xs) => {
-            for x in xs {
-                collect_conjuncts(x, out);
-            }
-        }
-        other => {
-            out.insert(other);
-        }
     }
 }
 
@@ -510,25 +502,22 @@ impl SinkReach {
 }
 
 /// Asserts the not-yet-seen conjuncts of `n`'s execution condition into
-/// the theory, recording them in `seen`. Returns the conjuncts added here
+/// the theory, recording their ids in `seen`. Returns the ids added here
 /// (for undo) and whether the state is still consistent.
 fn assert_node_conjuncts(
     cctx: &mut CondCtx<'_, '_>,
     theory: &mut IncrementalTheory<CondVar>,
-    seen: &mut BTreeSet<Formula<CondVar>>,
+    seen: &mut FxHashSet<FormulaId>,
     n: NodeId,
-) -> (Vec<Formula<CondVar>>, bool) {
-    let mut fresh = BTreeSet::new();
-    collect_conjuncts(cctx.node_cond(n), &mut fresh);
+) -> (Vec<FormulaId>, bool) {
     let mut added = Vec::new();
     let mut ok = true;
-    for c in fresh {
-        if seen.contains(&c) {
+    for c in cctx.node_conjuncts(n).iter() {
+        if !seen.insert(c.id) {
             continue;
         }
-        ok = theory.assert_formula(&c);
-        seen.insert(c.clone());
-        added.push(c);
+        ok = theory.assert_formula(&c.formula);
+        added.push(c.id);
         if !ok {
             break;
         }
@@ -543,12 +532,12 @@ struct PruneCtx<'a> {
     /// subtrees produce nothing but unclassifiable dead ends.
     cone: bool,
     theory: Option<&'a mut IncrementalTheory<CondVar>>,
-    seen: BTreeSet<Formula<CondVar>>,
+    seen: FxHashSet<FormulaId>,
     stats: &'a mut SliceStats,
 }
 
 impl PruneCtx<'_> {
-    fn undo(&mut self, mark: Option<seal_solver::Mark>, added: Vec<Formula<CondVar>>) {
+    fn undo(&mut self, mark: Option<seal_solver::Mark>, added: Vec<FormulaId>) {
         if let (Some(t), Some(m)) = (self.theory.as_deref_mut(), mark) {
             t.undo_to(m);
         }
@@ -583,7 +572,7 @@ pub fn forward_paths_pruned(
 ) -> Vec<ValueFlowPath> {
     let mut out = Vec::new();
     let outer_mark = theory.as_ref().map(|t| t.mark());
-    let mut seen = BTreeSet::new();
+    let mut seen = FxHashSet::default();
     let mut ok = true;
     if let Some(t) = theory.as_deref_mut() {
         let (_, o) = assert_node_conjuncts(cctx, t, &mut seen, start);
@@ -627,10 +616,9 @@ fn dfs_forward_pruned(
         out.push(finish_path(pdg, cctx, stack, None));
         return;
     }
-    let succs: Vec<NodeId> = pdg.data_succs(cur).to_vec();
     let mut extended = false;
     let cur_can_sink = ctx.reach.is_none_or(|r| r.has_sink_succ(cur));
-    for next in succs {
+    for &next in pdg.data_succs(cur) {
         if stack.contains(&next) {
             continue; // cycle
         }
@@ -695,7 +683,7 @@ pub fn backward_paths_pruned(
 ) -> Vec<ValueFlowPath> {
     let mut out = Vec::new();
     let outer_mark = theory.as_ref().map(|t| t.mark());
-    let mut seen = BTreeSet::new();
+    let mut seen = FxHashSet::default();
     let mut ok = true;
     if let Some(t) = theory.as_deref_mut() {
         let (_, o) = assert_node_conjuncts(cctx, t, &mut seen, end);
@@ -737,13 +725,13 @@ fn dfs_backward_pruned(
         out.push(finish_path_nodes(pdg, cctx, nodes, None));
         return;
     }
-    let preds: Vec<NodeId> = pdg.data_preds(cur).to_vec();
+    let preds = pdg.data_preds(cur);
     if preds.is_empty() {
         let nodes: Vec<NodeId> = stack.iter().rev().copied().collect();
         out.push(finish_path_nodes(pdg, cctx, nodes, None));
         return;
     }
-    for prev in preds {
+    for &prev in preds {
         if stack.contains(&prev) {
             continue;
         }

@@ -5,10 +5,11 @@
 use seal_ir::callgraph::CallGraph;
 use seal_ir::ids::FuncId;
 use seal_pdg::cell::{Cell, CellRoot, PathElem};
-use seal_pdg::cond::CondCtx;
+use seal_pdg::cond::{collect_conjuncts, CondCtx};
 use seal_pdg::graph::Pdg;
 use seal_pdg::slice::{backward_paths, forward_paths, is_source, SliceConfig};
 use seal_runtime::rng::Rng;
+use seal_solver::Formula;
 use std::collections::BTreeSet;
 
 fn gen_root(rng: &mut Rng) -> CellRoot {
@@ -207,4 +208,108 @@ fn omega_is_consistent() {
             }
         }
     }
+}
+
+/// Generated programs with nested, compound and negated guards and loops,
+/// so node conditions have several (and repeated) conjuncts,
+/// disjunctions, negations and cyclic control dependences.
+fn nested_program(rng: &mut Rng) -> String {
+    fn guard(rng: &mut Rng) -> String {
+        let c = rng.gen_range(0..8i64);
+        let atom = |rng: &mut Rng| match rng.gen_range(0..4u8) {
+            0 => format!("x > {c}"),
+            1 => format!("y == {c}"),
+            2 => "p == NULL".to_string(),
+            _ => format!("x != {c}"),
+        };
+        match rng.gen_range(0..4u8) {
+            0 => format!("{} && {}", atom(rng), atom(rng)),
+            1 => format!("{} || {}", atom(rng), atom(rng)),
+            2 => format!("!({})", atom(rng)),
+            _ => atom(rng),
+        }
+    }
+    fn block(rng: &mut Rng, depth: u32, out: &mut String) {
+        for _ in 0..rng.gen_range(1..3usize) {
+            match rng.gen_range(0..4u8) {
+                0 if depth > 0 => {
+                    out.push_str(&format!("if ({}) {{\n", guard(rng)));
+                    block(rng, depth - 1, out);
+                    out.push_str("} else {\n");
+                    block(rng, depth - 1, out);
+                    out.push_str("}\n");
+                }
+                1 if depth > 0 => {
+                    out.push_str(&format!("if ({}) {{\n", guard(rng)));
+                    block(rng, depth - 1, out);
+                    out.push_str("}\n");
+                }
+                // Loop headers depend on themselves (the cycle guard).
+                2 if depth > 0 && rng.gen_bool(0.5) => {
+                    out.push_str(&format!("while ({}) {{\n", guard(rng)));
+                    block(rng, depth - 1, out);
+                    out.push_str("x = x - 1;\n}\n");
+                }
+                2 => out.push_str("acc = acc + *p;\n"),
+                // A defined callee: with one call site its parameter
+                // inherits that site's condition.
+                3 if rng.gen_bool(0.3) => out.push_str("acc = inner(acc);\n"),
+                _ => out.push_str("acc = helper_api(acc);\n"),
+            }
+        }
+    }
+    let mut body = String::from("int acc = 0;\n");
+    block(rng, 3, &mut body);
+    format!(
+        "int helper_api(int v);\n\
+         int inner(int v) {{ if (v > 3) {{ return helper_api(v); }} return 0; }}\n\
+         int gen(int x, int y, int *p) {{\n{body}return acc;\n}}"
+    )
+}
+
+/// Each node's memoized conjunct list is the reference split of its
+/// recomputed condition, in the same order and carrying the interned ids;
+/// each enumerated path's condition is the reference fold of its nodes'
+/// conjuncts and its `cond_id` the id of that condition.
+#[test]
+fn node_conjuncts_match_collect_conjuncts() {
+    let mut rng = Rng::seed_from_u64(0xD0_0008);
+    let (mut multi, mut paths) = (0, 0);
+    for _ in 0..PIPELINE_CASES {
+        let src = nested_program(&mut rng);
+        let module = seal_ir::lower(&seal_kir::compile(&src, "g.c").unwrap());
+        let cg = CallGraph::build(&module);
+        let scope: BTreeSet<FuncId> = (0..module.functions.len() as u32).map(FuncId).collect();
+        let pdg = Pdg::build(&module, &cg, &scope);
+        let mut cctx = CondCtx::new(&pdg);
+        for n in 0..pdg.nodes.len() as u32 {
+            let mut want = BTreeSet::new();
+            collect_conjuncts(cctx.node_cond(n), &mut want);
+            let got = cctx.node_conjuncts(n);
+            multi += (got.len() > 1) as usize;
+            let got_formulas: Vec<_> = got.iter().map(|c| &c.formula).collect();
+            assert_eq!(got_formulas, want.iter().collect::<Vec<_>>(), "node {n}");
+            for c in got.iter() {
+                assert_eq!(c.id, cctx.solver().intern(&c.formula));
+            }
+        }
+        for n in 0..pdg.nodes.len() as u32 {
+            if !is_source(&pdg, n) {
+                continue;
+            }
+            for p in forward_paths(&pdg, &mut cctx, n, SliceConfig::default()) {
+                let mut all = BTreeSet::new();
+                for &m in &p.nodes {
+                    collect_conjuncts(cctx.node_cond(m), &mut all);
+                }
+                assert_eq!(p.cond, all.into_iter().fold(Formula::True, Formula::and));
+                assert_eq!(p.cond_id, cctx.solver().intern(&p.cond));
+                paths += 1;
+            }
+        }
+    }
+    assert!(
+        multi > 0 && paths > 0,
+        "vacuous: {multi} nodes, {paths} paths"
+    );
 }

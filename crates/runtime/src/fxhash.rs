@@ -14,11 +14,14 @@
 //! point-queried, never iterated into output, and keyed on values the
 //! program derives rather than on names from its input.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A [`HashMap`] hashed with [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A [`HashSet`] hashed with [`FxHasher`].
+pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 

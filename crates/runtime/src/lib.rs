@@ -30,7 +30,7 @@ pub mod pool;
 pub mod rng;
 pub mod symbol;
 
-pub use fxhash::FxHashMap;
+pub use fxhash::{FxHashMap, FxHashSet};
 pub use panic::{catch_task_panic, TaskPanic};
 pub use pool::{
     effective_jobs, par_map, par_map_indexed, par_map_indexed_jobs, par_map_indexed_jobs_with,

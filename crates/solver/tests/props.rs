@@ -3,9 +3,13 @@
 //! normal-form transformations. Driven by the in-tree PRNG so the suite
 //! runs fully offline.
 
+use seal_obs::metrics::{self, MetricValue};
 use seal_runtime::rng::Rng;
-use seal_solver::{implies, is_sat, CmpOp, Formula, Term, Verdict};
+use seal_solver::{
+    implies, is_sat, CmpOp, Formula, FormulaInterner, FormulaSnapshot, SolverCache, Term, Verdict,
+};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const CASES: usize = 200;
 
@@ -220,5 +224,87 @@ fn var_renaming_preserves_sat() {
         let f = gen_formula(&mut rng, 3);
         let renamed: Formula<u8> = f.clone().map(&mut |v| v + 100);
         assert_eq!(is_sat(&f), is_sat(&renamed));
+    }
+}
+
+/// A formula whose top level is often an `And` holding further `And`s —
+/// the shapes `Formula::and` flattens.
+fn gen_conjunctive(rng: &mut Rng) -> Formula<u8> {
+    let n = rng.gen_range(0..4usize);
+    let parts: Vec<Formula<u8>> = (0..n)
+        .map(|_| {
+            if rng.gen_bool(0.3) {
+                Formula::And((0..2).map(|_| gen_formula(rng, 1)).collect())
+            } else {
+                gen_formula(rng, 2)
+            }
+        })
+        .collect();
+    match rng.gen_range(0..3usize) {
+        0 => parts.into_iter().fold(Formula::True, Formula::and),
+        1 => Formula::And(parts),
+        _ => gen_formula(rng, 3),
+    }
+}
+
+/// A cache layered over a shared snapshot behaves like the reference it
+/// replaced, a cache over its own copy of the base interner:
+/// * the same intern sequence gives the same ids;
+/// * a query on `a ∧ b` built on ids (`and` + `is_sat_id`, with `a` and
+///   `b` interned first, as detection does) gets the verdict the tree
+///   gives and publishes the `solver.interner.nodes` delta the copied
+///   interner grows by when it interns only the queried trees;
+/// * id-level `and` equals interning `a.and(b)`.
+#[test]
+fn layered_cache_matches_cache_over_copied_base() {
+    let mut rng = Rng::seed_from_u64(0x50_0009);
+    for _ in 0..CASES / 4 {
+        let base: Vec<Formula<u8>> = (0..4).map(|_| gen_conjunctive(&mut rng)).collect();
+        let snap = Arc::new(FormulaSnapshot::build(&base));
+        let pick = |rng: &mut Rng| {
+            if rng.gen_bool(0.4) {
+                base[rng.gen_range(0..base.len())].clone()
+            } else {
+                gen_conjunctive(rng)
+            }
+        };
+        let pairs: Vec<(Formula<u8>, Formula<u8>)> =
+            (0..12).map(|_| (pick(&mut rng), pick(&mut rng))).collect();
+
+        // Same ids for the same intern sequence.
+        let mut copied = FormulaInterner::default();
+        for f in &base {
+            copied.intern(f);
+        }
+        let mut layered: SolverCache<u8> = SolverCache::with_base(&snap);
+        for (a, b) in &pairs {
+            for f in [a, b, &a.clone().and(b.clone())] {
+                assert_eq!(layered.intern(f), copied.intern(f), "{f}");
+            }
+        }
+
+        // Same verdicts and node delta for detection-style queries.
+        let mut copied = FormulaInterner::default();
+        for f in &base {
+            copied.intern(f);
+        }
+        let base_len = copied.len();
+        metrics::enable();
+        {
+            let mut layered: SolverCache<u8> = SolverCache::with_base(&snap);
+            for (a, b) in &pairs {
+                let joint = a.clone().and(b.clone());
+                let (ia, ib) = (layered.intern(a), layered.intern(b));
+                let id = layered.and(ia, ib);
+                assert_eq!(id, layered.intern(&joint), "{a} && {b}");
+                assert_eq!(layered.is_sat_id(id), is_sat(&joint), "{joint}");
+                copied.intern(&joint);
+            }
+        }
+        let snapshot = metrics::take();
+        assert_eq!(
+            snapshot.metrics["solver.interner.nodes"].value,
+            MetricValue::Counter((copied.len() - base_len) as u64)
+        );
     }
 }

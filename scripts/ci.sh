@@ -103,9 +103,22 @@ for OUT in reports specs det; do
         exit 1
     fi
 done
+# The jobs-1 reports and det metrics are also pinned to a committed
+# digest, so a change in any report or deterministic count (solver
+# queries, interner nodes, paths, PDG builds, ...) fails here until the
+# digest is updated with a CHANGES.md entry that explains the drift.
+# Reports name their files, so the temporary directory is cut from them.
+sed "s|$BIG_DIR/||g" "$BIG_DIR/reports.j1" >"$BIG_DIR/reports"
+cp "$BIG_DIR/det.j1" "$BIG_DIR/det"
+(cd "$BIG_DIR" && sha256sum reports det) >"$BIG_DIR/digest"
+if ! diff -u tests/golden/hunt_240.sha256 "$BIG_DIR/digest"; then
+    echo "large-target smoke: reports or det metrics differ from tests/golden/hunt_240.sha256" >&2
+    rm -rf "$BIG_DIR"
+    exit 1
+fi
 echo "large-target smoke: ok ($(grep -c '' "$BIG_DIR/reports.j1") report, \
 $(grep -c '' "$BIG_DIR/specs.j1") spec-echo and $(grep -c '' "$BIG_DIR/det.j1") det-metric \
-lines identical at jobs 1 and 2)"
+lines identical at jobs 1 and 2, and pinned)"
 rm -rf "$BIG_DIR"
 
 # Fault-injection smoke: mutate a real corpus patch and batch-infer the
