@@ -5,7 +5,8 @@
 //! config fingerprint of the stage that produced it, and a domain-version
 //! string — so a warm run serves byte-identical results or recomputes;
 //! there is no "stale hit" state. Four artifact kinds live in one
-//! [`Store`] (see DESIGN.md, "Incremental cache & binary store"):
+//! [`Store`] (see DESIGN.md, "Incremental cache & binary store"), and three
+//! more only in the warm layer:
 //!
 //! | kind | artifact | keyed on |
 //! |------|----------|----------|
@@ -13,6 +14,15 @@
 //! | [`KIND_SPECS_SEM`] | inferred specs | patch id + KIR unit hashes + diff fp |
 //! | [`KIND_SHARD`]     | detection shard results | position-free env hash + per scope body: body hash + sites of the globals it names + items + detect fp |
 //! | [`KIND_MODULE`]    | lowered module | module name + raw source text |
+//! | [`KIND_SNAPSHOT`]  | spec-condition snapshot (warm only) | spec list |
+//! | [`KIND_TARGET`]    | a target's last texts and their module key (warm only) | the target's paths |
+//! | [`KIND_SPEC_LIST`] | one decoded spec list, shared by the spec entries holding it (warm only) | the list's encoding |
+//!
+//! [`KIND_TARGET`] is the one entry not keyed on its content: it maps a
+//! target's paths to the `(path, text)` files last read under them and their
+//! [`KIND_MODULE`] key. It stays exact because the key is reused only when
+//! the freshly read files are byte-equal to the stored ones; any other
+//! request hashes its texts as if the entry did not exist.
 //!
 //! The two spec kinds form a two-level lookup: the raw key is a pure text
 //! hash (no parsing needed — the common warm path), the semantic key is
@@ -54,6 +64,16 @@ pub const KIND_MODULE: u8 = 4;
 /// only — never persisted (rebuilding it is cheap; re-reading the interner
 /// tables from disk would not be).
 pub const KIND_SNAPSHOT: u8 = 5;
+/// Record kind: a target module's last-seen `(path, text)` files with
+/// their [`KIND_MODULE`] key, keyed on the target's paths. Warm-memory only:
+/// it saves re-hashing an unchanged target on every request.
+pub const KIND_TARGET: u8 = 6;
+/// Record kind: one decoded spec list keyed on the hash of its encoding,
+/// shared by every spec entry with that content. Warm-memory only.
+pub const KIND_SPEC_LIST: u8 = 7;
+
+/// The `(path, text)` files linked into one target module, in link order.
+pub type TargetFiles = Arc<Vec<(String, String)>>;
 
 /// Stable fingerprint of a stage config: FNV-1a over its `Debug` render.
 /// `Debug` covers every field (budgets included), so any config edit —
@@ -208,12 +228,8 @@ impl AnalysisCache {
         let bytes = self.store.get(kind, key)?;
         let specs = self.decode_specs(&bytes)?;
         if let Some(warm) = &self.warm {
-            warm.put(
-                kind,
-                *key,
-                WarmValue::Specs(Arc::new(specs.clone())),
-                bytes.len() as u64,
-            );
+            let list = Self::shared_spec_list(warm, &bytes, &specs);
+            warm.put(kind, *key, WarmValue::Specs(list), bytes.len() as u64);
         }
         Some(specs)
     }
@@ -221,14 +237,36 @@ impl AnalysisCache {
     fn put_specs(&self, kind: u8, key: ContentHash, specs: &[Specification]) {
         let bytes = seal_spec::binary::encode_specs(specs);
         if let Some(warm) = &self.warm {
-            warm.put(
-                kind,
-                key,
-                WarmValue::Specs(Arc::new(specs.to_vec())),
-                bytes.len() as u64,
-            );
+            let list = Self::shared_spec_list(warm, &bytes, specs);
+            warm.put(kind, key, WarmValue::Specs(list), bytes.len() as u64);
         }
         self.store.put(kind, key, bytes);
+    }
+
+    /// The resident decoded copy of the spec list encoded as `bytes`. The
+    /// list is kept once under the hash of its encoding
+    /// ([`KIND_SPEC_LIST`]), so spec entries with equal content — the raw
+    /// and semantic entry of one patch, or a re-submitted patch whose edit
+    /// moved no spec — share one `Arc` instead of each holding a copy. The
+    /// encoding is lossless (store hits replay it), so equal bytes mean
+    /// equal lists.
+    fn shared_spec_list(
+        warm: &WarmMemory,
+        bytes: &[u8],
+        specs: &[Specification],
+    ) -> Arc<Vec<Specification>> {
+        let content = ContentHash::of(bytes);
+        if let Some(WarmValue::Specs(list)) = warm.get(KIND_SPEC_LIST, &content) {
+            return list;
+        }
+        let list = Arc::new(specs.to_vec());
+        warm.put(
+            KIND_SPEC_LIST,
+            content,
+            WarmValue::Specs(list.clone()),
+            bytes.len() as u64,
+        );
+        list
     }
 
     /// Looks up inferred specs by raw patch text.
@@ -268,31 +306,87 @@ impl AnalysisCache {
 
     // ---- lowered modules ----------------------------------------------
 
-    fn module_key(name: &str, source: &str) -> ContentHash {
+    /// The [`KIND_MODULE`] key of the module linked from `files`: its name
+    /// (each path followed by `,`) and the files framed as one string field
+    /// `path\0text\0…`. The framing is streamed into the hasher, so the
+    /// concatenation is never built.
+    fn hash_module_key(files: &[(String, String)]) -> ContentHash {
         let mut h = Hasher128::new();
         h.update_str("core.module.v1");
-        h.update_str(name);
-        h.update_str(source);
+        let name_len: usize = files.iter().map(|(p, _)| p.len() + 1).sum();
+        h.update_u64(name_len as u64);
+        for (p, _) in files {
+            h.update(p.as_bytes());
+            h.update(b",");
+        }
+        let src_len: usize = files.iter().map(|(p, t)| p.len() + t.len() + 2).sum();
+        h.update_u64(src_len as u64);
+        for (p, t) in files {
+            h.update(p.as_bytes());
+            h.update(b"\0");
+            h.update(t.as_bytes());
+            h.update(b"\0");
+        }
         h.finish()
     }
 
-    /// Looks up a lowered module by `(name, raw source)`, with its derived
-    /// [`ModuleFacts`]. A warm hit shares both `Arc`s, so the call graph
-    /// and every body hash already computed for this module are reused; a
-    /// store hit decodes the module and builds fresh facts.
-    pub fn get_module(&self, name: &str, source: &str) -> Option<(Arc<Module>, Arc<ModuleFacts>)> {
-        let key = Self::module_key(name, source);
+    /// Warm key of the [`KIND_TARGET`] entry for the module linked from
+    /// `files`: its paths only, so an edited target finds the entry it
+    /// replaces.
+    fn target_name_key(files: &[(String, String)]) -> ContentHash {
+        let mut h = Hasher128::new();
+        h.update_str("core.target.v1");
+        for (p, _) in files {
+            h.update_str(p);
+        }
+        h.finish()
+    }
+
+    /// The [`KIND_MODULE`] key of the target module linked from `files`.
+    /// With a warm layer attached, a target whose files are byte-equal to
+    /// the ones last read under the same paths reuses their key instead of
+    /// hashing every text again; otherwise the key is hashed and kept with
+    /// the files (shared, not copied) for the next request.
+    pub fn module_key(&self, files: &TargetFiles) -> ContentHash {
+        let Some(warm) = &self.warm else {
+            return Self::hash_module_key(files);
+        };
+        let name_key = Self::target_name_key(files);
+        if let Some(WarmValue::Target(seen, key)) = warm.get(KIND_TARGET, &name_key) {
+            if seen == *files {
+                return key;
+            }
+        }
+        let key = Self::hash_module_key(files);
+        let cost = files
+            .iter()
+            .map(|(p, t)| (p.len() + t.len()) as u64)
+            .sum::<u64>();
+        warm.put(
+            KIND_TARGET,
+            name_key,
+            WarmValue::Target(files.clone(), key),
+            cost,
+        );
+        key
+    }
+
+    /// Looks up a lowered module by its [`AnalysisCache::module_key`], with
+    /// its derived [`ModuleFacts`]. A warm hit shares both `Arc`s, so the
+    /// call graph and every body hash already computed for this module are
+    /// reused; a store hit decodes the module and builds fresh facts.
+    pub fn get_module(&self, key: &ContentHash) -> Option<(Arc<Module>, Arc<ModuleFacts>)> {
         if let Some(WarmValue::Module(m, facts)) =
-            self.warm.as_ref().and_then(|w| w.get(KIND_MODULE, &key))
+            self.warm.as_ref().and_then(|w| w.get(KIND_MODULE, key))
         {
             return Some((m, facts));
         }
-        let bytes = self.store.get(KIND_MODULE, &key)?;
+        let bytes = self.store.get(KIND_MODULE, key)?;
         match seal_ir::codec::decode_module(&bytes) {
             Ok(m) => {
                 let m = Arc::new(m);
                 let facts = Arc::new(ModuleFacts::new(&m));
-                self.put_warm_module(key, &m, &facts, bytes.len() as u64);
+                self.put_warm_module(*key, &m, &facts, bytes.len() as u64);
                 Some((m, facts))
             }
             Err(_) => {
@@ -302,16 +396,9 @@ impl AnalysisCache {
         }
     }
 
-    /// Stores a lowered module under its `(name, raw source)` key; the
-    /// warm layer also keeps its facts.
-    pub fn put_module(
-        &self,
-        name: &str,
-        source: &str,
-        module: &Arc<Module>,
-        facts: &Arc<ModuleFacts>,
-    ) {
-        let key = Self::module_key(name, source);
+    /// Stores a lowered module under its [`AnalysisCache::module_key`];
+    /// the warm layer also keeps its facts.
+    pub fn put_module(&self, key: ContentHash, module: &Arc<Module>, facts: &Arc<ModuleFacts>) {
         let bytes = seal_ir::codec::encode_module(module);
         self.put_warm_module(key, module, facts, bytes.len() as u64);
         self.store.put(KIND_MODULE, key, bytes);
@@ -720,6 +807,101 @@ mod tests {
             through_facts.to_string(),
             "c55bf61dcbff21eac46b6f3f14c0809d"
         );
+    }
+
+    fn files(pairs: &[(&str, &str)]) -> TargetFiles {
+        Arc::new(
+            pairs
+                .iter()
+                .map(|(p, t)| (p.to_string(), t.to_string()))
+                .collect(),
+        )
+    }
+
+    /// The streamed module key hashes exactly the bytes of the name and
+    /// the concatenated `path\0text\0…` source it replaced, so `KIND_MODULE`
+    /// records written before streaming still hit. The literal pins the
+    /// derivation like the shard-key literal above.
+    #[test]
+    fn streamed_module_key_keeps_the_concatenated_bytes() {
+        let target = files(&[
+            ("k/a.c", "int a(void) { return 1; }\n"),
+            ("k/b.c", "int b(void) { return 2; }\n"),
+        ]);
+        let (mut name, mut src) = (String::new(), String::new());
+        for (p, t) in target.iter() {
+            name.push_str(p);
+            name.push(',');
+            src.push_str(p);
+            src.push('\0');
+            src.push_str(t);
+            src.push('\0');
+        }
+        let mut h = Hasher128::new();
+        h.update_str("core.module.v1");
+        h.update_str(&name);
+        h.update_str(&src);
+        let concatenated = h.finish();
+        let streamed = AnalysisCache::hash_module_key(&target);
+        assert_eq!(streamed, concatenated);
+        assert_eq!(streamed.to_string(), "ce612dffe0cca863547c7f9a23c12a67");
+        // The warm path returns the same key, first hashed, then reused.
+        let warm = AnalysisCache::disabled().with_warm(WarmMemory::new(1 << 20));
+        assert_eq!(warm.module_key(&target), streamed);
+        assert_eq!(warm.module_key(&target), streamed);
+    }
+
+    /// The name-keyed text memo reuses a key only for byte-equal files:
+    /// an edit of any file, same paths and sizes, gets its own key.
+    #[test]
+    fn target_memo_reuses_keys_only_for_byte_equal_texts() {
+        let warm = AnalysisCache::disabled().with_warm(WarmMemory::new(1 << 20));
+        let a = files(&[("a.c", "int x = 1;"), ("b.c", "int y = 2;")]);
+        let k_a = warm.module_key(&a);
+        let before = warm.warm().unwrap().stats();
+        // A fresh read of the same bytes: the stored key, no new entry.
+        let again = files(&[("a.c", "int x = 1;"), ("b.c", "int y = 2;")]);
+        assert_eq!(warm.module_key(&again), k_a);
+        let after = warm.warm().unwrap().stats();
+        assert_eq!(after.insertions, before.insertions);
+        assert_eq!(after.hits, before.hits + 1);
+        // One byte of the second file changes: a new key, equal to a cold
+        // hash of the new texts.
+        let edited = files(&[("a.c", "int x = 1;"), ("b.c", "int y = 3;")]);
+        let k_e = warm.module_key(&edited);
+        assert_ne!(k_e, k_a);
+        assert_eq!(k_e, AnalysisCache::hash_module_key(&edited));
+        // The same texts under other paths are another module.
+        let moved = files(&[("a.c", "int x = 1;"), ("c.c", "int y = 3;")]);
+        assert_ne!(warm.module_key(&moved), k_e);
+    }
+
+    /// Spec entries with equal content share one resident list; different
+    /// content gets its own, and every lookup serves its own content.
+    #[test]
+    fn equal_spec_lists_share_one_resident_copy() {
+        let c = AnalysisCache::disabled().with_warm(WarmMemory::new(1 << 20));
+        let patch = |pre: &str| Patch::new("p", pre, "int f(void) { return 2; }");
+        let (p1, p2, p3) = (
+            patch("int f(void) { return 1; }"),
+            patch("int f(void) { return 1; }\n"),
+            patch("int f(void) { return 3; }"),
+        );
+        c.put_specs_raw(0, &p1, &[spec("p")]);
+        c.put_specs_raw(0, &p2, &[spec("p")]);
+        c.put_specs_raw(0, &p3, &[spec("q")]);
+        let list = |p: &Patch| match c
+            .warm()
+            .unwrap()
+            .get(KIND_SPECS_RAW, &AnalysisCache::raw_spec_key(0, p))
+        {
+            Some(WarmValue::Specs(s)) => s,
+            _ => panic!("expected a warm spec entry"),
+        };
+        assert!(Arc::ptr_eq(&list(&p1), &list(&p2)));
+        assert!(!Arc::ptr_eq(&list(&p1), &list(&p3)));
+        assert_eq!(c.get_specs_raw(0, &p2), Some(vec![spec("p")]));
+        assert_eq!(c.get_specs_raw(0, &p3), Some(vec![spec("q")]));
     }
 
     #[test]

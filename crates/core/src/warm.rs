@@ -13,7 +13,10 @@
 //! Keys are the exact `(kind, ContentHash)` pairs the store uses (see
 //! [`crate::cache`]), so warm entries inherit the store's correctness
 //! story wholesale: a key covers every input the artifact is a function
-//! of, and there is no "stale hit" state — only hits and recomputes.
+//! of, and there is no "stale hit" state — only hits and recomputes. The
+//! one name-keyed entry, a target's last texts with their module key
+//! ([`crate::cache::KIND_TARGET`]), is exact by comparison instead: its
+//! key is reused only for byte-equal texts.
 //!
 //! **Concurrency.** The map is sharded internally: each `(kind, key)` is
 //! pinned to one of up to [`MAX_SHARDS`] shards by its content hash, and
@@ -30,7 +33,8 @@
 //! Eviction is least-recently-used under a byte budget, per shard. Costs
 //! are the encoded payload sizes (what the artifact costs in the store),
 //! plus the facts' resident size for a module entry, with the snapshot —
-//! never persisted — charged a fixed per-node estimate; the sum of the
+//! never persisted — charged a fixed per-node estimate and a target's
+//! texts their byte length; the sum of the
 //! shard budgets never exceeds the configured budget, so total resident
 //! warm bytes stay strictly bounded. An entry
 //! larger than its shard's budget is refused outright rather than
@@ -42,6 +46,7 @@
 //! timing-dependent even though every *served value* is content-addressed
 //! and exact.
 
+use crate::cache::TargetFiles;
 use crate::facts::ModuleFacts;
 use seal_ir::module::Module;
 use seal_solver::FormulaSnapshot;
@@ -72,12 +77,16 @@ pub enum WarmValue {
     /// A lowered target module ([`crate::cache::KIND_MODULE`]) with its
     /// derived facts (call graph, memoized env and body hashes).
     Module(Arc<Module>, Arc<ModuleFacts>),
-    /// An inferred spec list (both spec kinds).
+    /// An inferred spec list (both spec kinds, and the shared copy under
+    /// [`crate::cache::KIND_SPEC_LIST`]).
     Specs(Arc<Vec<Specification>>),
     /// An encoded shard-result payload ([`crate::cache::KIND_SHARD`]).
     Payload(Arc<Vec<u8>>),
     /// The pre-interned spec-condition snapshot (never on disk).
     Snapshot(Arc<FormulaSnapshot<SpecValue>>),
+    /// A target's last-seen files and their module key
+    /// ([`crate::cache::KIND_TARGET`], never on disk).
+    Target(TargetFiles, ContentHash),
 }
 
 struct Entry {

@@ -9,6 +9,10 @@
 //! ordered data (span fields) exactly. Numbers are `f64`;
 //! [`Json::as_u64`] and [`Json::as_i64`] hand out only the integers an
 //! `f64` holds exactly.
+//!
+//! Parsing is one linear pass: string bodies are copied a run of plain
+//! bytes at a time, so a request line of several MiB costs its length,
+//! not its length squared.
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -307,17 +311,24 @@ impl Parser<'_> {
                         _ => return Err(format!("bad escape `\\{}`", esc as char)),
                     }
                 }
+                b if b < 0x20 => {
+                    return Err("unescaped control character in string".to_string());
+                }
                 _ => {
-                    // Consume one UTF-8 scalar (input is &str, so this is
-                    // always on a char boundary).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err("unescaped control character in string".to_string());
+                    // Copy the whole run of plain bytes up to the next `"`,
+                    // `\` or control byte at once. Those stop bytes are
+                    // ASCII, so in `&str` input both run ends are char
+                    // boundaries and each byte is validated exactly once.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| "invalid utf-8".to_string())?;
+                    out.push_str(run);
                 }
             }
         }
@@ -383,5 +394,81 @@ mod tests {
         escape_into(raw, &mut out);
         assert_eq!(out, format!("x{}", escape(raw)));
         assert_eq!(escape(raw), "k\\\"\\u0001é\\n");
+    }
+
+    #[test]
+    fn raw_control_bytes_are_rejected_wherever_they_fall() {
+        // At the start of a string, right after a plain run (ASCII or
+        // multi-byte), and right after an escape.
+        for bad in [
+            "\"\u{1}\"",
+            "\"abc\u{1f}\"",
+            "\"é😀\n\"",
+            "\"x\\n\t\"",
+            "{\"k\u{0}\":1}",
+        ] {
+            assert_eq!(
+                Json::parse(bad),
+                Err("unescaped control character in string".to_string()),
+                "{bad:?}"
+            );
+        }
+        // DEL and every non-ASCII scalar are plain bytes.
+        assert_eq!(
+            Json::parse("\"\u{7f}\u{80}\u{ffff}\"").unwrap().as_str(),
+            Some("\u{7f}\u{80}\u{ffff}")
+        );
+    }
+
+    /// Every malformed input keeps the error message it had before string
+    /// runs were copied whole.
+    #[test]
+    fn malformed_inputs_keep_their_errors() {
+        let cases: &[(&str, &str)] = &[
+            ("", "unexpected end of input"),
+            ("{", "expected `\"` at byte 1"),
+            ("[1,]", "unexpected byte `]` at 3"),
+            ("nulll", "trailing characters at byte 4"),
+            ("\"abc", "unterminated string"),
+            ("\"abc\\", "unterminated escape"),
+            ("\"\\x\"", "bad escape `\\x`"),
+            ("\"\\ud83d\"", "lone high surrogate"),
+            ("\"\\ud83d\\u0041\"", "invalid low surrogate"),
+            ("\"\\u12xy\"", "bad \\u escape `12xy`"),
+            ("\"\\u1", "truncated \\u escape"),
+            ("\"\\uzzzz\"", "bad \\u escape `zzzz`"),
+            ("\"\\udc00\"", "invalid code point 0xdc00"),
+            ("\"é\"x", "trailing characters at byte 4"),
+            ("{\"a\" 1}", "expected `:` at byte 5"),
+            ("{1:2}", "expected `\"` at byte 1"),
+            ("[1 2]", "expected `,` or `]` at byte 3"),
+            ("{\"a\":1 \"b\"}", "expected `,` or `}` at byte 7"),
+            ("-x", "malformed number `-` at byte 0"),
+            ("nul", "unexpected byte `n` at 0"),
+        ];
+        for (input, err) in cases {
+            assert_eq!(Json::parse(input), Err(err.to_string()), "{input:?}");
+        }
+        let deep = "[".repeat(MAX_DEPTH + 2);
+        assert_eq!(
+            Json::parse(&deep),
+            Err(format!("nesting deeper than {MAX_DEPTH}"))
+        );
+    }
+
+    /// A string value of 1 MiB parses in one linear pass (a per-character
+    /// re-validation of the rest of the input took tens of seconds here).
+    #[test]
+    fn a_one_mib_string_value_parses() {
+        let chunk = "plain ascii run é😀 \\\"escaped\\\" \\u00e9\\ud83d\\ude00 ";
+        let decoded = "plain ascii run é😀 \"escaped\" é😀 ";
+        let reps = (1 << 20) / chunk.len() + 1;
+        let line = format!("{{\"id\":\"{}\"}}", chunk.repeat(reps));
+        assert!(line.len() >= 1 << 20);
+        let v = Json::parse(&line).unwrap();
+        assert_eq!(
+            v.get("id").and_then(Json::as_str),
+            Some(decoded.repeat(reps).as_str())
+        );
     }
 }

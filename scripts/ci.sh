@@ -300,8 +300,27 @@ if ! grep -q '"shutdown":true' "$SERVE_DIR/clean.jsonl"; then
     echo "serve smoke: shutdown was not acknowledged" >&2
     exit 1
 fi
+# A 1 MiB request line (a hunt whose id is 1 MiB of two-byte UTF-8) must
+# be answered and the session must keep serving. The JSON codec parses it
+# in one linear pass (well under a second); a codec that re-validates the
+# rest of the line per character needs minutes, so the timeout fails CI
+# instead of hanging it.
+LONG_ID=$(head -c 524288 /dev/zero | tr '\0' 'i' | sed 's/i/é/g')
+printf '%s\n' \
+    "{\"cmd\":\"hunt\",\"pre\":\"tests/data/npd-check.pre.c\",\"post\":\"tests/data/npd-check.post.c\",\"target\":\"tests/data/target.c\",\"id\":\"$LONG_ID\"}" \
+    '{"cmd":"ping"}' '{"cmd":"shutdown"}' >"$SERVE_DIR/long.in"
+if ! timeout 30 "$SEAL" serve <"$SERVE_DIR/long.in" >"$SERVE_DIR/long.jsonl"; then
+    echo "serve smoke: the 1 MiB request line failed or timed out" >&2
+    exit 1
+fi
+if [ "$(grep -c '"ok":true' "$SERVE_DIR/long.jsonl")" != 3 ] \
+    || ! grep -q '"pong":true' "$SERVE_DIR/long.jsonl"; then
+    echo "serve smoke: expected the 1 MiB hunt, a pong and a shutdown ack" >&2
+    cut -c1-300 "$SERVE_DIR/long.jsonl" >&2
+    exit 1
+fi
 rm -rf "$SERVE_DIR"
-echo "serve smoke: ok (3 per-item responses, clean shutdown)"
+echo "serve smoke: ok (3 per-item responses, a 1 MiB request line, clean shutdown)"
 
 # Serve-concurrency smoke: a socket-mode daemon with four simultaneous
 # clients, one of which sends protocol garbage. Contract: every client is

@@ -54,6 +54,61 @@ mod tests {
         }
     }
 
+    /// Seeded round trip over strings mixing ASCII runs, 2–4-byte UTF-8
+    /// and every character `escape` rewrites: each string survives
+    /// `escape` → `parse`, and also an encoding that spells characters with
+    /// every escape form the parser accepts (`\/`, `\b`, `\f`, `\uXXXX`,
+    /// surrogate pairs), mixed with raw runs.
+    #[test]
+    fn seeded_strings_round_trip_through_every_escape() {
+        let pool: Vec<char> =
+            "aZ0 ~/\"\\\n\r\t\u{8}\u{c}\u{0}\u{1f}\u{7f}éß€中\u{ffff}😀\u{10ffff}"
+                .chars()
+                .collect();
+        let mut rng = seal_runtime::rng::Rng::seed_from_u64(24);
+        for _ in 0..500 {
+            let mut raw = String::new();
+            let mut spelled = String::from("\"");
+            for _ in 0..rng.gen_range(0..40usize) {
+                // ASCII runs of varying length between special characters.
+                if rng.gen_bool(0.4) {
+                    let run: String = (0..rng.gen_range(1..12usize))
+                        .map(|_| (b'a' + rng.gen_range(0..26u8)) as char)
+                        .collect();
+                    raw.push_str(&run);
+                    spelled.push_str(&run);
+                    continue;
+                }
+                let c = pool[rng.gen_range(0..pool.len())];
+                raw.push(c);
+                let short = match c {
+                    '/' => Some("\\/"),
+                    '\u{8}' => Some("\\b"),
+                    '\u{c}' => Some("\\f"),
+                    _ => None,
+                };
+                match (rng.gen_range(0..3u8), short) {
+                    (0, Some(s)) => spelled.push_str(s),
+                    (1, _) => {
+                        let mut units = [0u16; 2];
+                        for u in c.encode_utf16(&mut units) {
+                            spelled.push_str(&format!("\\u{u:04X}"));
+                        }
+                    }
+                    _ => escape_into(&c.to_string(), &mut spelled),
+                }
+            }
+            spelled.push('"');
+            let escaped = format!("\"{}\"", escape(&raw));
+            assert_eq!(Json::parse(&escaped).unwrap().as_str(), Some(raw.as_str()));
+            assert_eq!(
+                Json::parse(&spelled).unwrap().as_str(),
+                Some(raw.as_str()),
+                "{spelled}"
+            );
+        }
+    }
+
     #[test]
     fn deep_nesting_is_rejected_not_overflowed() {
         let deep = "[".repeat(100_000) + &"]".repeat(100_000);

@@ -201,35 +201,27 @@ fn detect_into(
     for path in target {
         sources.push((path.clone(), read_file(path)?));
     }
-    let borrowed: Vec<(&str, &str)> = sources
-        .iter()
-        .map(|(p, t)| (p.as_str(), t.as_str()))
-        .collect();
+    let sources = Arc::new(sources);
     let _span = seal_obs::span!("cli.detect", targets = target.len());
-    // Module-level cache entry: the lowered target keyed on the raw source
-    // texts, so a warm run skips the frontend and lowering entirely. Paths
-    // and texts are framed with NULs to keep the key unambiguous.
-    let (module_name, module_src) = {
-        let mut name = String::new();
-        let mut src = String::new();
-        for (p, t) in &sources {
-            name.push_str(p);
-            name.push(',');
-            src.push_str(p);
-            src.push('\0');
-            src.push_str(t);
-            src.push('\0');
-        }
-        (name, src)
-    };
+    // Module-level cache entry: the lowered target keyed on its paths and
+    // raw texts, so a warm run skips the frontend and lowering entirely.
+    // With the cache off no lookup can hit, so the texts are not hashed.
+    let key = ctx
+        .cache
+        .is_enabled()
+        .then(|| ctx.cache.module_key(&sources));
     // The entry carries the module's facts (call graph, memoized hashes),
     // so a warm request re-derives nothing about a target it already holds.
-    let (module, facts) = match ctx.cache.get_module(&module_name, &module_src) {
+    let (module, facts) = match key.as_ref().and_then(|k| ctx.cache.get_module(k)) {
         Some(hit) => hit,
         None => {
             let module = {
                 let tu = {
                     let _span = seal_obs::span!("frontend.compile", ver = "target");
+                    let borrowed: Vec<(&str, &str)> = sources
+                        .iter()
+                        .map(|(p, t)| (p.as_str(), t.as_str()))
+                        .collect();
                     seal_kir::compile_many(&borrowed)
                         .map_err(|e| format!("target does not compile:\n{e}"))?
                 };
@@ -242,9 +234,8 @@ fn detect_into(
             // long as the module) reuse its memory instead of pinning the
             // heap above it.
             let facts = Arc::new(ModuleFacts::new(&module));
-            if ctx.cache.is_enabled() {
-                ctx.cache
-                    .put_module(&module_name, &module_src, &module, &facts);
+            if let Some(key) = key {
+                ctx.cache.put_module(key, &module, &facts);
             }
             (module, facts)
         }

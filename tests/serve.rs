@@ -525,6 +525,26 @@ fn protocol_garbage_never_kills_the_daemon() {
 
     // Failures were served, so the daemon exits with the partial class.
     assert_eq!(daemon.shutdown(), 2);
+
+    // Under the default line limit, a request line of over 1 MiB (a hunt
+    // whose id is 1 MiB) is parsed in one linear pass: it gets its one
+    // response, and the same connection keeps serving.
+    let target = write(&dir, "target.c", &buggy_target());
+    let mut daemon = Daemon::spawn(&[], &[]);
+    let id = "i".repeat(1 << 20);
+    let long = format!(
+        r#"{{"cmd":"hunt","pre":"{}","post":"{}","target":"{}","id":"{id}","jobs":1}}"#,
+        pre.display(),
+        post.display(),
+        target.display()
+    );
+    assert!(long.len() > 1 << 20);
+    let r = daemon.request(&long, 1).remove(0);
+    assert_ok_item(&r);
+    assert!(output(&r).contains("tw68_buf_prepare"), "{}", output(&r));
+    let pong = daemon.request(r#"{"cmd":"ping"}"#, 1).remove(0);
+    assert_eq!(pong.get("pong"), Some(&Json::Bool(true)));
+    assert_eq!(daemon.shutdown(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -586,10 +606,10 @@ fn edited_target() -> String {
     )
 }
 
-/// Hunts over the committed patches against `target`: each patch alone,
-/// then both together, and the whole list again, so every distinct
-/// request is also answered warm.
-fn hunt_requests(target: &Path) -> Vec<seal::request::RequestKind> {
+/// Hunts over the committed patches against the `target` files: each
+/// patch alone, then both together, and the whole list again, so every
+/// distinct request is also answered warm.
+fn hunt_requests(target: &[&Path]) -> Vec<seal::request::RequestKind> {
     let path = |p: PathBuf| p.display().to_string();
     let sets: [&[&str]; 3] = [&["npd-check"], &["uaf-order"], &["npd-check", "uaf-order"]];
     sets.iter()
@@ -604,7 +624,7 @@ fn hunt_requests(target: &Path) -> Vec<seal::request::RequestKind> {
                 .map(|n| path(data(&format!("{n}.post.c"))))
                 .collect(),
             id: "patch".to_string(),
-            target: vec![path(target.to_path_buf())],
+            target: target.iter().map(|t| path(t.to_path_buf())).collect(),
         })
         .collect()
 }
@@ -622,7 +642,7 @@ fn warm_context_matches_uncached_runs_across_in_place_target_edits() {
         let dir = temp_dir(&format!("facts-j{jobs}"));
         let target = dir.join("target.c");
         std::fs::copy(data("target.c"), &target).unwrap();
-        let hunts = hunt_requests(&target);
+        let hunts = hunt_requests(&[&target]);
         let warm = RunCtx {
             cache: AnalysisCache::disabled().with_warm(WarmMemory::with_default_budget()),
             jobs,
@@ -656,6 +676,155 @@ fn warm_context_matches_uncached_runs_across_in_place_target_edits() {
     }
 }
 
+/// Runs every hunt through `warm` and through an uncached context at the
+/// same worker count, asserts the outputs are byte-identical, and returns
+/// them.
+fn warm_equals_cold(
+    warm: &seal::request::RunCtx,
+    hunts: &[seal::request::RequestKind],
+    when: &str,
+) -> Vec<String> {
+    use seal::request::{run_request, RunCtx};
+    let cold = RunCtx {
+        cache: seal::core::AnalysisCache::disabled(),
+        jobs: warm.jobs,
+    };
+    hunts
+        .iter()
+        .map(|k| {
+            let out = run_request(warm, k).unwrap().stdout;
+            assert_eq!(out, run_request(&cold, k).unwrap().stdout, "{when}");
+            out
+        })
+        .collect()
+}
+
+/// A warm context over the default budget.
+fn warm_ctx(budget: u64) -> seal::request::RunCtx {
+    use seal::core::{AnalysisCache, WarmMemory};
+    seal::request::RunCtx {
+        cache: AnalysisCache::disabled().with_warm(WarmMemory::new(budget)),
+        jobs: 1,
+    }
+}
+
+/// The committed target with one byte changed in place: a guarded
+/// sibling's `==` NULL check becomes `!=`, so the file keeps its path and
+/// size and the sibling turns into a new NPD report.
+fn one_byte_edit(text: &str) -> String {
+    let guard = "em2102_2_alloc_state(id);\n    if (m == NULL)";
+    assert!(text.contains(guard), "target.c lost its guarded sibling");
+    let edited = text.replacen(guard, &guard.replace("==", "!="), 1);
+    assert_eq!(edited.len(), text.len());
+    edited
+}
+
+/// The warm target memo reuses a module key only for byte-equal texts: a
+/// one-byte edit that keeps the path, the size and even the mtime (which
+/// a size- or mtime-based shortcut would miss) gets answers equal to an
+/// uncached run.
+#[test]
+fn warm_target_memo_sees_a_same_size_in_place_edit() {
+    let dir = temp_dir("memo-one-byte");
+    let target = dir.join("target.c");
+    std::fs::copy(data("target.c"), &target).unwrap();
+    let hunts = hunt_requests(&[&target]);
+    let warm = warm_ctx(seal::core::warm::DEFAULT_WARM_BUDGET);
+    let before = warm_equals_cold(&warm, &hunts, "before the edit");
+
+    let mtime = std::fs::metadata(&target).unwrap().modified().unwrap();
+    let text = std::fs::read_to_string(&target).unwrap();
+    std::fs::write(&target, one_byte_edit(&text)).unwrap();
+    std::fs::File::options()
+        .write(true)
+        .open(&target)
+        .unwrap()
+        .set_modified(mtime)
+        .unwrap();
+    let after = warm_equals_cold(&warm, &hunts, "stale answer after a same-size edit");
+    assert!(after[0].contains("em2102_2_fw_probe"), "{}", after[0]);
+    assert_ne!(after[0], before[0], "the edit moved no report");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A second driver file, guarded or not, for two-file targets. It brings
+/// its own declarations, like every file of a linked target.
+fn second_file(guarded: bool) -> String {
+    format!(
+        "void *devm_kzalloc(unsigned long size);\n\
+         struct fw_mem_v1 {{ int ready; int cookie; }};\n\
+         struct firmware_ops_v1 {{ int (*fw_probe)(int id); }};\n\
+         struct fw_mem_v1 *zz9000_alloc_state(int id) {{\n\
+         \x20   struct fw_mem_v1 *m = (struct fw_mem_v1 *)devm_kzalloc(24);\n\
+         \x20   return m;\n\
+         }}\n\
+         int zz9000_fw_probe(int id) {{\n\
+         \x20   struct fw_mem_v1 *m = zz9000_alloc_state(id);\n\
+         {}\
+         \x20   m->ready = id;\n\
+         \x20   return 0;\n\
+         }}\n\
+         struct firmware_ops_v1 zz9000_fw_ops = {{ .fw_probe = zz9000_fw_probe, }};\n",
+        if guarded {
+            "    if (m == NULL) return -12;\n"
+        } else {
+            ""
+        }
+    )
+}
+
+/// In a two-file target where only the second file changes, the warm
+/// answers follow the new text of that file.
+#[test]
+fn warm_target_memo_sees_an_edit_of_the_second_file_only() {
+    let dir = temp_dir("memo-two-files");
+    let first = dir.join("target.c");
+    let second = dir.join("zz9000.c");
+    std::fs::copy(data("target.c"), &first).unwrap();
+    std::fs::write(&second, second_file(true)).unwrap();
+    let hunts = hunt_requests(&[&first, &second]);
+    let warm = warm_ctx(seal::core::warm::DEFAULT_WARM_BUDGET);
+    let before = warm_equals_cold(&warm, &hunts, "two files, before the edit");
+    assert!(!before[0].contains("zz9000_fw_probe"), "{}", before[0]);
+
+    std::fs::write(&second, second_file(false)).unwrap();
+    let after = warm_equals_cold(&warm, &hunts, "stale answer after editing file two");
+    assert!(after[0].contains("zz9000_fw_probe"), "{}", after[0]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Under a warm budget barely larger than the target text, the memo
+/// entry is evicted between requests; answers still equal uncached runs
+/// before and after a same-size edit, and the next lookup re-inserts it.
+#[test]
+fn warm_target_memo_survives_eviction_without_stale_answers() {
+    let dir = temp_dir("memo-evicted");
+    let target = dir.join("target.c");
+    std::fs::copy(data("target.c"), &target).unwrap();
+    let hunts = hunt_requests(&[&target]);
+    let text = std::fs::read_to_string(&target).unwrap();
+    let memo_cost = (text.len() + target.display().to_string().len()) as u64;
+    let warm = warm_ctx(memo_cost + 1024);
+    warm_equals_cold(&warm, &hunts, "small budget, before the edit");
+    std::fs::write(&target, one_byte_edit(&text)).unwrap();
+    warm_equals_cold(&warm, &hunts, "small budget, after the edit");
+
+    let layer = warm.cache.warm().unwrap();
+    assert!(layer.stats().evictions > 0, "{:?}", layer.stats());
+    let files = std::sync::Arc::new(vec![(
+        target.display().to_string(),
+        std::fs::read_to_string(&target).unwrap(),
+    )]);
+    let inserted = layer.stats().insertions;
+    warm.cache.module_key(&files);
+    assert_eq!(
+        layer.stats().insertions,
+        inserted + 1,
+        "the memo entry was still resident: the budget evicted nothing of it"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The daemon builds one call graph per distinct target text, however
 /// many requests it answers against it (`detect.callgraph_builds`), and
 /// its answers stay byte-identical to uncached runs across an in-place
@@ -667,7 +836,7 @@ fn daemon_builds_one_call_graph_per_distinct_target() {
     let target = dir.join("target.c");
     std::fs::copy(data("target.c"), &target).unwrap();
     let metrics = dir.join("metrics.json");
-    let hunts = hunt_requests(&target);
+    let hunts = hunt_requests(&[&target]);
     let batch = format!(
         r#"{{"cmd":"batch","items":[{}]}}"#,
         hunts
