@@ -353,7 +353,12 @@ pub fn detect_bugs_isolated_cached(
 /// once, through the group's *earliest* member — exactly the one whose
 /// reports would survive `dedup_reports` in a full sequential run. Returns
 /// the indices of those members, ascending.
-fn distinct_specs(specs: &[Specification]) -> Vec<usize> {
+///
+/// Public so a caller that detects one spec list against many modules
+/// (the streamed scale tier) can reduce the list once: detecting on the
+/// kept members alone gives the same reports, in an order-preserving
+/// relabeling of spec indices, and the same counters.
+pub fn distinct_specs(specs: &[Specification]) -> Vec<usize> {
     let mut seen: HashSet<(&Option<String>, &[Constraint])> = HashSet::new();
     (0..specs.len())
         .filter(|&si| seen.insert((&specs[si].interface, &specs[si].constraints[..])))
@@ -611,6 +616,9 @@ struct PathCache<'p, 'm> {
     class_memo: Vec<Option<Option<SpecValue>>>,
     consistency_memo: FxHashMap<(PathKey, FormulaId, bool), bool>,
     roles_memo: FxHashMap<PathKey, PathRoles>,
+    /// The PDG's in-scope source nodes by match class, built on the first
+    /// instantiation query.
+    sources: Option<roles::SourceIndex>,
     /// Keyed on spec values, whose names come from the patches: the
     /// collision-resistant default hasher.
     instantiate_memo: HashMap<(FuncId, SpecValue), std::rc::Rc<Vec<NodeId>>>,
@@ -655,6 +663,7 @@ impl<'p, 'm> PathCache<'p, 'm> {
             class_memo: vec![None; pdg.len()],
             consistency_memo: FxHashMap::default(),
             roles_memo: FxHashMap::default(),
+            sources: None,
             instantiate_memo: HashMap::new(),
             counters: SearchCounters::default(),
         }
@@ -764,17 +773,22 @@ impl<'p, 'm> PathCache<'p, 'm> {
     }
 
     /// Source-node instantiation of a spec value in a region (𝔸⁻¹),
-    /// memoized: the scan over the region's nodes is pure in
-    /// `(region, value)`, and specs sharing a value pattern re-ask it for
-    /// every region in the shard.
+    /// memoized: the answer is pure in `(region, value)`, and specs sharing
+    /// a value pattern re-ask it for every region in the shard. A miss
+    /// looks the value's match class up in the PDG's [`roles::SourceIndex`]
+    /// instead of scanning every node (reference:
+    /// `roles::instantiate_value`).
     fn instantiate(&mut self, region: FuncId, value: &SpecValue) -> std::rc::Rc<Vec<NodeId>> {
         let pdg = self.pdg;
         let class_memo = &mut self.class_memo;
+        let sources = &mut self.sources;
         self.instantiate_memo
             .entry((region, value.clone()))
             .or_insert_with(|| {
-                let classify = &mut classifier(pdg, class_memo);
-                std::rc::Rc::new(roles::instantiate_value_with(pdg, region, value, classify))
+                let sources = sources.get_or_insert_with(|| {
+                    roles::SourceIndex::build(pdg, &mut classifier(pdg, class_memo))
+                });
+                std::rc::Rc::new(sources.instantiate(region, value))
             })
             .clone()
     }
@@ -1690,6 +1704,71 @@ void free_buf(int *p);
             }
         }
         assert!(instantiated > 0, "no spec value instantiates");
+    }
+
+    /// The per-PDG source index answers every instantiation query with the
+    /// node list of the `roles` reference scan. Seeded queries mix values
+    /// the PDG classifies, argument field chains that refine them or not,
+    /// literals and names it lacks, in random regions, over the whole
+    /// module and over single-region scopes.
+    #[test]
+    fn source_index_matches_the_instantiation_scan() {
+        let mut rng = seal_runtime::rng::Rng::seed_from_u64(0x1DE5);
+        let module = generated_target(8);
+        let cg = CallGraph::build(&module);
+        let n_funcs = module.functions.len() as u32;
+        let full: BTreeSet<FuncId> = (0..n_funcs).map(FuncId).collect();
+        let fields = ["buf", "state", "len"];
+        let names = ["alloc_buf", "get_buf", "free_buf", "kmalloc", "nope"];
+        let (mut queries, mut instantiated) = (0, 0);
+        for round in 0..24 {
+            let scope = if round % 3 == 0 {
+                full.clone()
+            } else {
+                cg.reachable_from(&[FuncId(rng.gen_range(0..n_funcs))])
+            };
+            let pdg = Pdg::build(&module, &cg, &scope);
+            let present: Vec<SpecValue> = (0..pdg.len() as NodeId)
+                .filter_map(|n| roles::classify_value(&pdg, n))
+                .collect();
+            let index = roles::SourceIndex::build(&pdg, &mut |n| roles::classify_value(&pdg, n));
+            for _ in 0..40 {
+                let value = match rng.gen_range(0..5u32) {
+                    0 | 1 if !present.is_empty() => {
+                        present[rng.gen_range(0..present.len())].clone()
+                    }
+                    2 => SpecValue::ArgI {
+                        index: rng.gen_range(0..3usize),
+                        fields: (0..rng.gen_range(0..3usize))
+                            .map(|_| fields[rng.gen_range(0..fields.len())].to_string())
+                            .collect(),
+                    },
+                    3 => SpecValue::Literal(rng.gen_range(-14..2i64)),
+                    _ => {
+                        let name = names[rng.gen_range(0..names.len())].to_string();
+                        if rng.gen_bool(0.5) {
+                            SpecValue::RetF { api: name }
+                        } else {
+                            SpecValue::Global { name }
+                        }
+                    }
+                };
+                let region = FuncId(rng.gen_range(0..n_funcs));
+                let got = index.instantiate(region, &value);
+                assert_eq!(
+                    got,
+                    roles::instantiate_value(&pdg, region, &value),
+                    "round {round}: {value:?} in {region:?}"
+                );
+                queries += 1;
+                instantiated += !got.is_empty() as usize;
+            }
+        }
+        // Both outcomes are exercised, not just the empty answer.
+        assert!(
+            instantiated > queries / 10 && instantiated < queries,
+            "{instantiated} of {queries} queries instantiated"
+        );
     }
 
     /// A second detection over the same facts repeats the first run's

@@ -325,61 +325,125 @@ pub fn path_interface(pdg: &Pdg<'_>, path: &ValueFlowPath) -> Option<String> {
 /// literals — [`seal_pdg::slice::is_source`]): intermediate nodes such as
 /// loads or returns also classify into `V`, but starting a search there
 /// would skip the guards between the value's birth and that point.
+///
+/// This is the reference scan over every node; detection answers the same
+/// question from a `SourceIndex` built once per PDG.
 pub fn instantiate_value(
     pdg: &Pdg<'_>,
     region: seal_ir::ids::FuncId,
     v: &SpecValue,
 ) -> Vec<NodeId> {
-    instantiate_value_with(pdg, region, v, &mut |n| classify_value(pdg, n))
-}
-
-/// [`instantiate_value`] with the node classification supplied by the
-/// caller (see [`abstract_cond_with`]).
-pub(crate) fn instantiate_value_with(
-    pdg: &Pdg<'_>,
-    region: seal_ir::ids::FuncId,
-    v: &SpecValue,
-    classify: &mut impl FnMut(NodeId) -> Option<SpecValue>,
-) -> Vec<NodeId> {
     let mut out = Vec::new();
     for n in 0..pdg.nodes.len() as NodeId {
-        if !seal_pdg::slice::is_source(pdg, n) {
+        if !is_scoped_source(pdg, n) {
             continue;
         }
-        // Restrict to nodes of the region or its callees in scope.
-        if !pdg
-            .func_of(n)
-            .map(|f| pdg.scope.contains(&f))
-            .unwrap_or(matches!(pdg.kind(n), NodeKind::GlobalDef { .. }))
-        {
-            continue;
-        }
-        let Some(cv) = classify(n) else {
+        let Some(cv) = classify_value(pdg, n) else {
             continue;
         };
-        let matched = match (v, &cv) {
-            // A bare parameter can instantiate a field-refined value (the
-            // path's first load performs the refinement), and vice versa.
-            (
-                SpecValue::ArgI { index, fields },
-                SpecValue::ArgI {
-                    index: i2,
-                    fields: f2,
-                },
-            ) => index == i2 && (fields.is_empty() || f2.is_empty() || fields == f2),
-            (a, b) => a == b,
-        };
-        if matched {
-            // Parameters must belong to the region function itself.
-            if let NodeKind::Param { func, .. } = pdg.kind(n) {
-                if *func != region {
-                    continue;
-                }
-            }
+        if instantiates(v, &cv) && param_fits(param_func(pdg, n), region) {
             out.push(n);
         }
     }
     out
+}
+
+/// A source node of the region or its callees in scope (globals have no
+/// function and always qualify).
+fn is_scoped_source(pdg: &Pdg<'_>, n: NodeId) -> bool {
+    seal_pdg::slice::is_source(pdg, n)
+        && pdg
+            .func_of(n)
+            .map(|f| pdg.scope.contains(&f))
+            .unwrap_or(matches!(pdg.kind(n), NodeKind::GlobalDef { .. }))
+}
+
+/// Whether a node classified as `cv` instantiates the spec value `v`.
+fn instantiates(v: &SpecValue, cv: &SpecValue) -> bool {
+    match (v, cv) {
+        // A bare parameter can instantiate a field-refined value (the
+        // path's first load performs the refinement), and vice versa.
+        (
+            SpecValue::ArgI { index, fields },
+            SpecValue::ArgI {
+                index: i2,
+                fields: f2,
+            },
+        ) => index == i2 && (fields.is_empty() || f2.is_empty() || fields == f2),
+        (a, b) => a == b,
+    }
+}
+
+/// The function whose parameter `n` is, if it is a parameter node.
+fn param_func(pdg: &Pdg<'_>, n: NodeId) -> Option<seal_ir::ids::FuncId> {
+    match pdg.kind(n) {
+        NodeKind::Param { func, .. } => Some(*func),
+        _ => None,
+    }
+}
+
+/// Parameters must belong to the region function itself.
+fn param_fits(param_of: Option<seal_ir::ids::FuncId>, region: seal_ir::ids::FuncId) -> bool {
+    param_of.is_none_or(|f| f == region)
+}
+
+/// The in-scope source nodes of one PDG with their classification, grouped
+/// by what [`instantiates`] can match: an argument index, or any other
+/// value exactly. [`SourceIndex::instantiate`] returns what
+/// [`instantiate_value`] would, without scanning the PDG per query.
+pub(crate) struct SourceIndex {
+    /// Entries `(node, its value, its parameter's function)` per match
+    /// class, in node order.
+    by_class: std::collections::HashMap<SpecValue, Vec<SourceEntry>>,
+}
+
+type SourceEntry = (NodeId, SpecValue, Option<seal_ir::ids::FuncId>);
+
+/// The match class of a value: an argument without its fields (any two
+/// field chains of one index may match), any other value itself.
+fn match_class(v: &SpecValue) -> std::borrow::Cow<'_, SpecValue> {
+    match v {
+        SpecValue::ArgI { index, fields } if !fields.is_empty() => {
+            std::borrow::Cow::Owned(SpecValue::arg(*index))
+        }
+        _ => std::borrow::Cow::Borrowed(v),
+    }
+}
+
+impl SourceIndex {
+    /// Classifies every in-scope source node of `pdg` once, through the
+    /// caller's `classify` (detection memoizes [`classify_value`] per
+    /// node, and a memo returns what the function would).
+    pub(crate) fn build(
+        pdg: &Pdg<'_>,
+        classify: &mut impl FnMut(NodeId) -> Option<SpecValue>,
+    ) -> SourceIndex {
+        let mut by_class: std::collections::HashMap<SpecValue, Vec<SourceEntry>> =
+            std::collections::HashMap::new();
+        for n in 0..pdg.nodes.len() as NodeId {
+            if !is_scoped_source(pdg, n) {
+                continue;
+            }
+            if let Some(cv) = classify(n) {
+                by_class
+                    .entry(match_class(&cv).into_owned())
+                    .or_default()
+                    .push((n, cv, param_func(pdg, n)));
+            }
+        }
+        SourceIndex { by_class }
+    }
+
+    /// The nodes instantiating `v` in `region`, in node order.
+    pub(crate) fn instantiate(&self, region: seal_ir::ids::FuncId, v: &SpecValue) -> Vec<NodeId> {
+        self.by_class
+            .get(match_class(v).as_ref())
+            .into_iter()
+            .flatten()
+            .filter(|(_, cv, param_of)| instantiates(v, cv) && param_fits(*param_of, region))
+            .map(|&(n, _, _)| n)
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -33,6 +33,17 @@ impl std::fmt::Display for TaskPanic {
 
 impl std::error::Error for TaskPanic {}
 
+impl TaskPanic {
+    /// The panic carried by a payload that unwound past every
+    /// [`catch_task_panic`] — what a failed `join` of a thread returns.
+    /// Without the hook's capture the location is unknown.
+    pub fn from_payload(payload: &(dyn std::any::Any + Send)) -> TaskPanic {
+        TaskPanic {
+            message: payload_message(payload),
+        }
+    }
+}
+
 thread_local! {
     /// Nesting depth of active `catch_task_panic` calls on this thread.
     static SUPPRESS_DEPTH: Cell<usize> = const { Cell::new(0) };
@@ -115,6 +126,23 @@ mod tests {
             "outer ok"
         });
         assert_eq!(outer.unwrap(), "outer ok");
+    }
+
+    #[test]
+    fn joined_thread_panics_keep_their_message() {
+        let joined = std::thread::spawn(|| {
+            // Caught inside the thread to keep stderr clean, then
+            // re-raised as a bare payload the way an uncaught panic
+            // reaches `join`.
+            let p = catch_task_panic(|| -> i32 { panic!("lost {}", 3) }).unwrap_err();
+            std::panic::resume_unwind(Box::new(p.message))
+        })
+        .join()
+        .unwrap_err();
+        let p = TaskPanic::from_payload(joined.as_ref());
+        assert!(p.message.contains("lost 3"), "{}", p.message);
+        let p = TaskPanic::from_payload(&"static message");
+        assert_eq!(p.message, "static message");
     }
 
     #[test]

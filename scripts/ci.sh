@@ -440,26 +440,30 @@ rm -rf "$CONC_DIR"
 echo "serve-concurrency smoke: ok (4 parallel clients, poisoned sibling isolated, clean shutdown)"
 
 # --- scale-tier smoke ------------------------------------------------------
-# A small streamed run (4x corpus) under a zero RSS budget: every chunk and
-# spec segment must round-trip through the spill layer, the run must exit
-# cleanly, and the reports must be byte-identical to the materialized path,
-# whose JSON row must agree with the streamed one on every count and score.
-# The 10x test runs below on every pass; the 100x test stays behind
-# SEAL_SCALE=1 (set it in the env to run the whole suite here as well).
+# A small streamed run (4x corpus) under a zero RSS budget, once inline
+# (--jobs 1) and once with batch inference overlapping chunk compilation
+# (--jobs 2): every chunk and spec segment must round-trip through the spill
+# layer, each run must exit cleanly, and its reports must be byte-identical
+# to the materialized path, whose JSON row must agree with the streamed one
+# on every count and score. The 10x test runs below on every pass; the 100x
+# test stays behind SEAL_SCALE=1 (set it in the env to run the whole suite
+# here as well).
 SCALE_DIR=$(mktemp -d)
-"$SEAL" scale-run --scale 4 --mode streamed --max-rss-mb 0 \
-    --reports-out "$SCALE_DIR/streamed.reports" >"$SCALE_DIR/streamed.json"
 "$SEAL" scale-run --scale 4 --mode materialized \
     --reports-out "$SCALE_DIR/materialized.reports" >"$SCALE_DIR/materialized.json"
-if ! cmp -s "$SCALE_DIR/streamed.reports" "$SCALE_DIR/materialized.reports"; then
-    echo "scale smoke: streamed and materialized reports differ" >&2
-    exit 1
-fi
-python3 - "$SCALE_DIR/streamed.json" "$SCALE_DIR/materialized.json" <<'EOF'
+for jobs in 1 2; do
+    "$SEAL" scale-run --scale 4 --mode streamed --max-rss-mb 0 --jobs "$jobs" \
+        --reports-out "$SCALE_DIR/streamed.reports" >"$SCALE_DIR/streamed.json"
+    if ! cmp -s "$SCALE_DIR/streamed.reports" "$SCALE_DIR/materialized.reports"; then
+        echo "scale smoke: streamed (--jobs $jobs) and materialized reports differ" >&2
+        exit 1
+    fi
+    python3 - "$SCALE_DIR/streamed.json" "$SCALE_DIR/materialized.json" "$jobs" <<'EOF'
 import json, sys
 
 row = json.load(open(sys.argv[1]))
 mat = json.load(open(sys.argv[2]))
+jobs = sys.argv[3]
 spill = row.get("spill", {})
 errors = []
 for key in ("drivers", "patches", "specs", "reports", "fingerprint", "precision", "recall"):
@@ -475,11 +479,12 @@ if row.get("recall", 0) < 0.95:
     errors.append(f"scale smoke recall {row.get('recall')} < 0.95")
 if errors:
     for e in errors:
-        print(f"scale smoke: {e}", file=sys.stderr)
+        print(f"scale smoke (--jobs {jobs}): {e}", file=sys.stderr)
     sys.exit(1)
-print(f"scale smoke: ok (streamed 4x, {int(spill['writes'])} spill writes, "
+print(f"scale smoke: ok (streamed 4x, --jobs {jobs}, {int(spill['writes'])} spill writes, "
       f"{int(spill['reads'])} reads, reports and counts identical to materialized)")
 EOF
+done
 rm -rf "$SCALE_DIR"
 SEAL_SCALE=1 cargo test --release --offline --test scale \
     ten_x_streamed_keeps_bands_under_rss_ceiling

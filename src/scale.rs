@@ -9,17 +9,25 @@
 //!
 //! * **Patches** are inferred in small batches as they stream by and
 //!   immediately dropped — only the (small) specification sets survive,
-//!   spilled to disk under budget pressure.
+//!   spilled to disk under budget pressure. A patch that fails or panics
+//!   fails the run with its typed error, the first in patch order.
 //! * **Drivers** accumulate into fixed-size chunks. Each chunk compiles
 //!   into its own module — padded with blank lines so every function
 //!   keeps its exact line/column position from the single-TU layout —
 //!   and is spilled via [`seal_core::spill`] (binary codecs) or kept,
 //!   budget permitting. At most one chunk's AST exists at a time.
-//! * **Detection** reloads chunks *sequentially*, runs the sharded
-//!   detector per chunk, and merges reports into the exact order the
-//!   whole-module run produces. Corrupt spill files degrade to
-//!   recomputing the chunk from the corpus seed — a typed
-//!   [`SealError::Store`] per damaged file, never a panic, and
+//! * **Overlap.** With two or more workers, a full patch batch is
+//!   inferred on a helper thread while the calling thread goes on
+//!   compiling and spilling chunks. One batch is in flight at most, and
+//!   batches are joined in stream order, so spec segments, spill files,
+//!   budget checks and the returned error equal the inline fold's
+//!   (`jobs = 1`).
+//! * **Detection** reduces the spec list once to the members detection
+//!   checks ([`seal_core::detect::distinct_specs`]), reloads chunks
+//!   *sequentially*, runs the sharded detector per chunk, and merges
+//!   reports into the exact order the whole-module run produces. Corrupt
+//!   spill files degrade to recomputing the chunk from the corpus seed —
+//!   a typed [`SealError::Store`] per damaged file, never a panic, and
 //!   byte-identical surviving reports.
 //!
 //! The materialized path, [`run_materialized`], is also the whole-corpus
@@ -31,10 +39,11 @@
 //! `scripts/ci.sh` scale smoke assert it end to end.
 
 use seal_core::spill::{SpillBudget, SpillDir, SpillHandle, SpillStats};
-use seal_core::{detect::DetectConfig, BugReport, DetectStats, Seal, SealError};
+use seal_core::{detect::DetectConfig, BugReport, DetectStats, Seal, SealError, Stage};
 use seal_corpus::ledger::{score, Score, SeededBug};
 use seal_corpus::stream::{CorpusStream, StreamItem};
 use seal_corpus::{generate, Corpus, CorpusConfig};
+use seal_runtime::TaskPanic;
 use seal_spec::Specification;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -187,6 +196,27 @@ struct SpecSeg {
     slot: SpecSlot,
 }
 
+/// One patch batch being inferred on a helper thread.
+struct InFlight<'scope> {
+    /// Global patch index range.
+    patches: Range<usize>,
+    handle: std::thread::ScopedJoinHandle<'scope, Result<Vec<Specification>, SealError>>,
+}
+
+impl InFlight<'_> {
+    /// Waits for the batch. A helper thread that unwound past the
+    /// per-patch isolation fails like a panicking patch does.
+    fn join(self) -> Result<(Range<usize>, Vec<Specification>), SealError> {
+        let specs = self.handle.join().unwrap_or_else(|p| {
+            Err(SealError::panic(
+                Stage::Infer,
+                TaskPanic::from_payload(p.as_ref()),
+            ))
+        })?;
+        Ok((self.patches, specs))
+    }
+}
+
 /// A streamed scale run, split into two phases so tests can interpose on
 /// the spill directory between inference and detection.
 pub struct ScaleRun {
@@ -214,6 +244,16 @@ impl ScaleRun {
     /// compiling and (under budget) spilling driver chunks.
     pub fn prepare(opts: ScaleOptions) -> Result<ScaleRun, SealError> {
         let t0 = Instant::now();
+        let stream = CorpusStream::new(&opts.config);
+        let mut run = ScaleRun::new(opts, stream.prelude())?;
+        run.fold(stream)?;
+        run.gen_infer = t0.elapsed();
+        Ok(run)
+    }
+
+    /// A run that has streamed nothing yet: worker count, budget and spill
+    /// directory settled, every chunk and segment list empty.
+    fn new(opts: ScaleOptions, prelude: &str) -> Result<ScaleRun, SealError> {
         let jobs = seal_runtime::effective_jobs(opts.jobs.max(1));
         let budget = SpillBudget::from_mb(opts.max_rss_mb);
         let (spill, cleanup_dir) = if budget.is_bounded() {
@@ -231,18 +271,14 @@ impl ScaleRun {
         } else {
             (None, None)
         };
-
-        let mut stream = CorpusStream::new(&opts.config);
-        let prelude = stream.prelude().to_string();
-        let prelude_newlines = prelude.matches('\n').count();
-        let mut run = ScaleRun {
+        Ok(ScaleRun {
             jobs,
             seal: Seal {
                 detect: scale_detect_config(),
                 ..Seal::default()
             },
-            prelude,
-            prelude_newlines,
+            prelude: prelude.to_string(),
+            prelude_newlines: prelude.matches('\n').count(),
             chunks: Vec::new(),
             segs: Vec::new(),
             ground_truth: Vec::new(),
@@ -255,19 +291,53 @@ impl ScaleRun {
             recomputes: 0,
             store_errors: Vec::new(),
             opts,
-        };
+        })
+    }
 
-        // The streaming fold: chunk text + a patch batch are the only
-        // corpus state held between items.
-        let mut newlines = prelude_newlines;
+    /// The streaming fold: chunk text and one patch batch are the only
+    /// corpus state held between items.
+    ///
+    /// With two or more workers, each patch batch is inferred on a helper
+    /// thread while this thread goes on streaming, compiling and spilling
+    /// chunks. At most one batch is in flight, and batches are joined in
+    /// stream order before the next one starts, so the spec segments,
+    /// spill files and budget checks are those of the inline fold
+    /// (`jobs = 1`), and so is the error: the first in stream order, which
+    /// makes an in-flight batch's error win over a later one raised here.
+    fn fold(&mut self, items: impl Iterator<Item = StreamItem>) -> Result<(), SealError> {
+        // The helper threads borrow the settings while `self` changes.
+        let seal = self.seal.clone();
+        std::thread::scope(|scope| {
+            let mut in_flight = None;
+            let folded = self.fold_items(items, &seal, scope, &mut in_flight);
+            match in_flight {
+                Some(batch) => {
+                    let (patches, specs) = batch.join()?;
+                    folded?;
+                    self.store_batch(patches, specs)
+                }
+                None => folded,
+            }
+        })
+    }
+
+    /// [`ScaleRun::fold`] up to the last batch, which may be left in
+    /// flight.
+    fn fold_items<'scope, 'env>(
+        &mut self,
+        items: impl Iterator<Item = StreamItem>,
+        seal: &'env Seal,
+        scope: &'scope std::thread::Scope<'scope, 'env>,
+        in_flight: &mut Option<InFlight<'scope>>,
+    ) -> Result<(), SealError> {
+        let mut newlines = self.prelude_newlines;
         let mut chunk_text = String::new();
-        let mut chunk_start_newlines = prelude_newlines;
+        let mut chunk_start_newlines = newlines;
         let mut chunk_first_driver = 0usize;
         let mut chunk_count = 0usize;
         let mut batch: Vec<seal_core::Patch> = Vec::new();
         let mut batch_first_patch = 0usize;
-
-        for item in &mut stream {
+        for item in items {
             match item {
                 StreamItem::Driver(d) => {
                     if chunk_count == 0 {
@@ -278,10 +348,10 @@ impl ScaleRun {
                     chunk_text.push_str(&d.source);
                     chunk_text.push('\n');
                     chunk_count += 1;
-                    run.ground_truth.extend(d.bug);
-                    run.drivers += 1;
-                    if chunk_count == run.opts.chunk_drivers.max(1) {
-                        run.seal_chunk(
+                    self.ground_truth.extend(d.bug);
+                    self.drivers += 1;
+                    if chunk_count == self.opts.chunk_drivers.max(1) {
+                        self.seal_chunk(
                             chunk_start_newlines,
                             chunk_first_driver..chunk_first_driver + chunk_count,
                             &mut chunk_text,
@@ -294,25 +364,57 @@ impl ScaleRun {
                         batch_first_patch = p.index;
                     }
                     batch.push(p.patch);
-                    run.patches += 1;
-                    if batch.len() == run.opts.patch_batch.max(1) {
-                        run.flush_batch(batch_first_patch, &mut batch)?;
+                    self.patches += 1;
+                    if batch.len() == self.opts.patch_batch.max(1) {
+                        let patches = batch_first_patch..batch_first_patch + batch.len();
+                        self.flush_batch(
+                            patches,
+                            std::mem::take(&mut batch),
+                            seal,
+                            scope,
+                            in_flight,
+                        )?;
                     }
                 }
             }
         }
         if chunk_count > 0 {
-            run.seal_chunk(
+            self.seal_chunk(
                 chunk_start_newlines,
                 chunk_first_driver..chunk_first_driver + chunk_count,
                 &mut chunk_text,
             )?;
         }
         if !batch.is_empty() {
-            run.flush_batch(batch_first_patch, &mut batch)?;
+            let patches = batch_first_patch..batch_first_patch + batch.len();
+            self.flush_batch(patches, batch, seal, scope, in_flight)?;
         }
-        run.gen_infer = t0.elapsed();
-        Ok(run)
+        Ok(())
+    }
+
+    /// Infers a batch: inline with one worker; otherwise on a helper
+    /// thread, once the batch in flight before it is joined and stored.
+    fn flush_batch<'scope, 'env>(
+        &mut self,
+        patches: Range<usize>,
+        batch: Vec<seal_core::Patch>,
+        seal: &'env Seal,
+        scope: &'scope std::thread::Scope<'scope, 'env>,
+        in_flight: &mut Option<InFlight<'scope>>,
+    ) -> Result<(), SealError> {
+        let jobs = self.jobs;
+        if jobs < 2 {
+            return self.store_batch(patches, infer_batch_ordered(seal, jobs, &batch)?);
+        }
+        if let Some(prev) = in_flight.take() {
+            let (prev_patches, specs) = prev.join()?;
+            self.store_batch(prev_patches, specs)?;
+        }
+        *in_flight = Some(InFlight {
+            patches,
+            handle: scope.spawn(move || infer_batch_ordered(seal, jobs, &batch)),
+        });
+        Ok(())
     }
 
     /// The spill directory in use, if any.
@@ -344,25 +446,19 @@ impl ScaleRun {
         Ok(())
     }
 
-    /// Infers the accumulated patch batch and stores the spec segment.
-    fn flush_batch(
+    /// Stores one inferred batch's spec segment in memory or on disk.
+    fn store_batch(
         &mut self,
-        first_patch: usize,
-        batch: &mut Vec<seal_core::Patch>,
+        patches: Range<usize>,
+        specs: Vec<Specification>,
     ) -> Result<(), SealError> {
-        let specs = infer_batch_ordered(&self.seal, self.jobs, batch)?;
-        let range = first_patch..first_patch + batch.len();
-        batch.clear();
         let slot = match (&mut self.spill, self.budget.should_spill()) {
             (Some(spill), true) => {
-                SpecSlot::Disk(spill.spill_specs(&format!("specs-{first_patch}"), &specs)?)
+                SpecSlot::Disk(spill.spill_specs(&format!("specs-{}", patches.start), &specs)?)
             }
             _ => SpecSlot::Mem(specs),
         };
-        self.segs.push(SpecSeg {
-            patches: range,
-            slot,
-        });
+        self.segs.push(SpecSeg { patches, slot });
         self.enforce_budget()?;
         Ok(())
     }
@@ -427,6 +523,23 @@ impl ScaleRun {
             }
         }
 
+        // Detection checks only the earliest member of each group of specs
+        // agreeing on interface and constraints; reduce the list to those
+        // once here rather than once per chunk. Their reports and counters
+        // are the full list's, and the reduction keeps spec order, so the
+        // merge key below orders them the same.
+        let n_specs = specs.len();
+        let specs: Vec<Specification> = {
+            let mut keep = seal_core::detect::distinct_specs(&specs)
+                .into_iter()
+                .peekable();
+            specs
+                .into_iter()
+                .enumerate()
+                .filter_map(|(i, s)| keep.next_if_eq(&i).map(|_| s))
+                .collect()
+        };
+
         // Sequential chunk reload + detection. Merging must restore the
         // whole-module report order, which is (spec index, region order),
         // where per-spec region order depends on the spec kind: interface
@@ -436,10 +549,8 @@ impl ScaleRun {
         // by construction. The sort key below encodes both: the function
         // name dominates for interface specs; `(chunk, position)` breaks
         // the (constant-key) tie for API specs.
-        let mut spec_index: HashMap<&Specification, usize> = HashMap::new();
-        for (i, s) in specs.iter().enumerate() {
-            spec_index.entry(s).or_insert(i);
-        }
+        let spec_index: HashMap<&Specification, usize> =
+            specs.iter().enumerate().map(|(i, s)| (s, i)).collect();
         let mut merged: Vec<(usize, Option<String>, usize, usize, BugReport)> = Vec::new();
         let mut stats = DetectStats::default();
         let chunks = std::mem::take(&mut self.chunks);
@@ -489,7 +600,7 @@ impl ScaleRun {
             stats,
             drivers: self.drivers,
             patches: self.patches,
-            specs: specs.len(),
+            specs: n_specs,
             chunks: n_chunks,
             spill: self.spill.as_ref().map(|s| s.stats()).unwrap_or_default(),
             recomputes: self.recomputes,
@@ -614,16 +725,19 @@ fn compile_chunk(
 }
 
 /// Infers a patch batch in parallel, keeping patch order (so the merged
-/// spec list is byte-identical to a sequential run).
+/// spec list is byte-identical to a sequential run). Fault-isolated like
+/// [`seal_core::infer_batch`]: a panicking patch becomes
+/// [`SealError::Panic`] at [`Stage::Infer`] instead of unwinding, and the
+/// first failed patch in patch order is the batch's error.
 fn infer_batch_ordered(
     seal: &Seal,
     jobs: usize,
     batch: &[seal_core::Patch],
 ) -> Result<Vec<Specification>, SealError> {
-    let per_patch = seal_runtime::par_map_jobs(jobs, batch, |p| seal.infer(p));
+    let per_patch = seal_runtime::par_map_isolated_jobs(jobs, batch, |p| seal.infer(p));
     let mut specs = Vec::new();
-    for s in per_patch {
-        specs.extend(s?);
+    for slot in per_patch {
+        specs.extend(slot.map_err(|p| SealError::panic(Stage::Infer, p))??);
     }
     Ok(specs)
 }
@@ -699,15 +813,155 @@ mod tests {
         }
     }
 
+    /// Streamed runs over every thread layout, batch size and chunk size,
+    /// spilled or not, equal the materialized run, and each chunk and spill
+    /// count equals the inline (`jobs = 1`) fold's.
     #[test]
     fn streamed_matches_materialized_reports() {
-        let a = run(tiny(true)).unwrap();
-        let b = run(tiny(false)).unwrap();
-        assert!(a.chunks > 1, "chunking must actually engage");
-        assert_eq!(render_reports(&a.reports), render_reports(&b.reports));
-        assert_eq!(a.stats.regions, b.stats.regions);
-        assert_eq!(a.specs, b.specs);
-        assert!(a.reports.len() > 5, "tiny corpus still finds bugs");
+        let reference = run(tiny(false)).unwrap();
+        assert!(reference.reports.len() > 5, "tiny corpus still finds bugs");
+        let batches = [1, 3, 8];
+        // The batch sizes end batches both inside a template's patches and
+        // at a template's end.
+        let template_of = patch_templates(&tiny(true).config);
+        let (mut inside, mut between) = (false, false);
+        for b in batches {
+            for end in (b..template_of.len()).step_by(b) {
+                if template_of[end - 1] == template_of[end] {
+                    inside = true;
+                } else {
+                    between = true;
+                }
+            }
+        }
+        assert!(
+            inside && between,
+            "batch ends inside {inside}, between {between}"
+        );
+        for chunk_drivers in [1, 7, 16] {
+            for patch_batch in batches {
+                for spill in [false, true] {
+                    let outcome = |jobs| {
+                        let mut opts = tiny(true);
+                        opts.jobs = jobs;
+                        opts.chunk_drivers = chunk_drivers;
+                        opts.patch_batch = patch_batch;
+                        opts.max_rss_mb = spill.then_some(0);
+                        // A directory of its own: the default one is named
+                        // by process and seed, which tests running
+                        // alongside share.
+                        let dir = std::env::temp_dir().join(format!(
+                            "seal-scale-layout-{}-{jobs}-{chunk_drivers}-{patch_batch}",
+                            std::process::id()
+                        ));
+                        opts.spill_dir = Some(dir.clone());
+                        let outcome = run(opts).unwrap();
+                        std::fs::remove_dir_all(&dir).ok();
+                        outcome
+                    };
+                    let sequential = outcome(1);
+                    let overlapped = outcome(2);
+                    let at = format!(
+                        "chunk_drivers {chunk_drivers}, patch_batch {patch_batch}, spill {spill}"
+                    );
+                    for o in [&sequential, &overlapped] {
+                        assert_eq!(
+                            render_reports(&o.reports),
+                            render_reports(&reference.reports),
+                            "{at}"
+                        );
+                        assert_eq!(o.stats.regions, reference.stats.regions, "{at}");
+                        assert_eq!(o.specs, reference.specs, "{at}");
+                        assert!(o.store_errors.is_empty(), "{at}");
+                    }
+                    let counts = |o: &ScaleOutcome| (o.chunks, o.spill.writes, o.spill.reads);
+                    assert_eq!(counts(&overlapped), counts(&sequential), "{at}");
+                    assert!(sequential.chunks > 1, "chunking must actually engage: {at}");
+                    assert_eq!(sequential.spill.writes > 0, spill, "{at}");
+                }
+            }
+        }
+    }
+
+    /// The template of every streamed patch, in patch order (refactor
+    /// patches, after the last template, count as one more).
+    fn patch_templates(config: &CorpusConfig) -> Vec<usize> {
+        let mut template = 0;
+        let mut after_patch = false;
+        let mut out = Vec::new();
+        for item in CorpusStream::new(config) {
+            match item {
+                StreamItem::Driver(_) => {
+                    template += after_patch as usize;
+                    after_patch = false;
+                }
+                StreamItem::Patch(p) => {
+                    out.push(template + p.refactor as usize);
+                    after_patch = true;
+                }
+            }
+        }
+        out
+    }
+
+    /// A batch whose first patch's pre-version does not compile fails the
+    /// fold with the inline fold's error, though with two workers this
+    /// thread has compiled the next template's chunks meanwhile, and even
+    /// when one of those then fails to spill.
+    #[test]
+    fn failed_batch_returns_the_sequential_error() {
+        let fold = |jobs: usize, lose_spill_dir: bool| {
+            let mut opts = tiny(true);
+            opts.jobs = jobs;
+            opts.chunk_drivers = 1;
+            // Two patches per template: one batch per template.
+            opts.patch_batch = 2;
+            let dir = std::env::temp_dir().join(format!(
+                "seal-scale-fold-{}-{jobs}-{lose_spill_dir}",
+                std::process::id()
+            ));
+            if lose_spill_dir {
+                opts.max_rss_mb = Some(0);
+                opts.spill_dir = Some(dir.clone());
+            }
+            let stream = CorpusStream::new(&opts.config);
+            let mut run = ScaleRun::new(opts, stream.prelude()).unwrap();
+            let mut broken = false;
+            let mut handed_out = false;
+            let items = stream.map(|item| match item {
+                StreamItem::Patch(mut p) if !broken => {
+                    broken = true;
+                    p.patch.pre = "int f(void) { return nope; }".into();
+                    StreamItem::Patch(p)
+                }
+                StreamItem::Driver(d) if broken && !handed_out => {
+                    // The broken batch is out; the next chunk cannot spill.
+                    handed_out = true;
+                    if lose_spill_dir {
+                        std::fs::remove_dir_all(&dir).unwrap();
+                    }
+                    StreamItem::Driver(d)
+                }
+                other => other,
+            });
+            let err = run.fold(items).unwrap_err();
+            std::fs::remove_dir_all(&dir).ok();
+            (err, run.chunks.len(), run.segs.len(), run.jobs)
+        };
+        for lose_spill_dir in [false, true] {
+            let (seq_err, seq_chunks, seq_segs, _) = fold(1, lose_spill_dir);
+            assert_eq!(seq_err.stage(), Stage::Frontend, "{seq_err}");
+            assert_eq!(seq_segs, 0);
+            let (err, chunks, segs, jobs) = fold(2, lose_spill_dir);
+            assert_eq!(err, seq_err, "lose_spill_dir {lose_spill_dir}");
+            assert_eq!(segs, 0);
+            if jobs >= 2 && lose_spill_dir {
+                // The spill failure stopped this thread at the first chunk.
+                assert_eq!(chunks, seq_chunks);
+            } else if jobs >= 2 {
+                assert!(chunks > seq_chunks, "{chunks} chunks, inline {seq_chunks}");
+            }
+        }
     }
 
     #[test]
