@@ -124,32 +124,35 @@ pub struct CompiledPatch {
 
 /// Function-level change detection by comparing normalized pretty-printed
 /// bodies — the structural analogue of a textual diff hunks-to-functions
-/// mapping.
+/// mapping. The two units come from two compilations with their own name
+/// tables, so functions are matched and compared by resolved text.
 fn changed_functions(
     pre: &seal_kir::TranslationUnit,
     post: &seal_kir::TranslationUnit,
 ) -> BTreeSet<String> {
     let mut changed = BTreeSet::new();
-    let render = |f: &seal_kir::ast::Function| {
+    let render = |tu: &seal_kir::TranslationUnit, f: &seal_kir::ast::Function| {
         let mut s = String::new();
-        pretty::print_function(&mut s, f);
+        pretty::print_function(&mut s, &tu.names, f);
         s
     };
     for f in &pre.functions {
-        match post.function(&f.name) {
+        let name = pre.name(f.name);
+        match post.function(name) {
             None => {
-                changed.insert(f.name.clone());
+                changed.insert(name.to_string());
             }
             Some(g) => {
-                if render(f) != render(g) {
-                    changed.insert(f.name.clone());
+                if render(pre, f) != render(post, g) {
+                    changed.insert(name.to_string());
                 }
             }
         }
     }
     for g in &post.functions {
-        if pre.function(&g.name).is_none() {
-            changed.insert(g.name.clone());
+        let name = post.name(g.name);
+        if pre.function(name).is_none() {
+            changed.insert(name.to_string());
         }
     }
     changed

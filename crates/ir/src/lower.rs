@@ -15,15 +15,19 @@
 //! unconditional, so in `if (m == NULL || m->cookie < 0)` the dereference
 //! of `m` is reachable with `m == NULL`, and NULL-guard idioms are reported
 //! as NPDs (ROADMAP.md, "Short-circuit `&&`/`||`", gives the probe).
+//!
+//! Names arrive as the unit's interned [`Name`] ids: scopes, labels and the
+//! top-level name sets are keyed by id, and a name is turned into text only
+//! where the IR stores a `String` (locals, globals, callees, fields).
 
 use crate::body::{BasicBlock, FuncBody, LocalDecl};
 use crate::ids::{BlockId, FuncId, LocalId};
 use crate::module::{ApiDecl, Binding, GlobalVar, InterfaceDef, InterfaceId, Module};
 use crate::tac::{Callee, Inst, Operand, Place, PlaceBase, Projection, Rvalue, Terminator};
 use seal_kir::ast::*;
+use seal_kir::names::{Name, NameMap, Scopes};
 use seal_kir::span::Span;
 use seal_kir::types::Type;
-use std::collections::{HashMap, HashSet};
 
 /// A structural defect in a lowered module.
 ///
@@ -238,13 +242,13 @@ pub fn lower(tu: &TranslationUnit) -> Module {
         structs: tu.structs.clone(),
         ..Default::default()
     };
-    let names = Names::of(tu);
+    let top = TopLevel::of(tu);
 
     // APIs: every declaration without a body.
     for d in &tu.decls {
-        if !names.functions.contains(d.name.as_str()) {
+        if !top.functions.contains(d.name) {
             module.apis.push(ApiDecl {
-                name: d.name.clone(),
+                name: tu.name(d.name).to_string(),
                 ret: d.ret.clone(),
                 params: d.params.iter().map(|p| p.ty.clone()).collect(),
                 variadic: d.variadic,
@@ -274,19 +278,23 @@ pub fn lower(tu: &TranslationUnit) -> Module {
             _ => None,
         };
         module.globals.push(GlobalVar {
-            name: g.name.clone(),
+            name: tu.name(g.name).to_string(),
             ty: g.ty.clone(),
             const_init,
             span: g.span,
         });
         if let (Type::Struct(sname), Some(Initializer::Designated(pairs))) = (&g.ty, &g.init) {
-            collect_bindings(tu, &names, sname, pairs, &mut module.bindings);
+            collect_bindings(tu, &top, sname, pairs, &mut module.bindings);
         }
     }
 
-    // Function bodies.
+    // Function bodies. One scope stack serves every function: it is empty
+    // again after each, and sizing it once spares a per-function
+    // allocation indexed by the unit's name count.
+    let mut scopes = Scopes::new();
     for (i, f) in tu.functions.iter().enumerate() {
-        let body = FunctionLowerer::new(tu, &names, FuncId(i as u32), f).run();
+        let (body, reused) = FunctionLowerer::new(tu, &top, FuncId(i as u32), f, scopes).run();
+        scopes = reused;
         module.functions.push(body);
     }
     seal_obs::metrics::counter_add("ir.lower.functions", module.functions.len() as u64);
@@ -321,39 +329,47 @@ pub fn lower(tu: &TranslationUnit) -> Module {
     module
 }
 
-/// The unit's top-level names, hashed once so that resolving an
+/// The unit's top-level names, indexed once by id so that resolving an
 /// identifier never scans the unit's function or global lists.
-struct Names<'a> {
+struct TopLevel {
     /// Functions with a body.
-    functions: HashSet<&'a str>,
+    functions: NameMap<()>,
     /// Global variables.
-    globals: HashSet<&'a str>,
+    globals: NameMap<()>,
 }
 
-impl<'a> Names<'a> {
-    fn of(tu: &'a TranslationUnit) -> Self {
-        Names {
-            functions: tu.functions.iter().map(|f| f.name.as_str()).collect(),
-            globals: tu.globals.iter().map(|g| g.name.as_str()).collect(),
+impl TopLevel {
+    fn of(tu: &TranslationUnit) -> Self {
+        let mut top = TopLevel {
+            functions: NameMap::new(),
+            globals: NameMap::new(),
+        };
+        for f in &tu.functions {
+            top.functions.insert(f.name, ());
         }
+        for g in &tu.globals {
+            top.globals.insert(g.name, ());
+        }
+        top
     }
 }
 
 fn collect_bindings(
     tu: &TranslationUnit,
-    names: &Names,
+    top: &TopLevel,
     struct_name: &str,
-    pairs: &[(String, Initializer)],
+    pairs: &[(Name, Initializer)],
     out: &mut Vec<Binding>,
 ) {
     for (field, init) in pairs {
+        let field = tu.name(*field);
         match init {
             Initializer::Expr(e) => {
-                if let ExprKind::Ident(fname) = &e.kind {
-                    if names.functions.contains(fname.as_str()) {
+                if let ExprKind::Ident(fname) = e.kind {
+                    if top.functions.contains(fname) {
                         out.push(Binding {
                             interface: InterfaceId::new(struct_name, field),
-                            func: fname.clone(),
+                            func: tu.name(fname).to_string(),
                         });
                     }
                 }
@@ -362,7 +378,7 @@ fn collect_bindings(
                 // Nested ops table: resolve the field's struct type.
                 if let Some(fdef) = tu.structs.get(struct_name).and_then(|d| d.field(field)) {
                     if let Type::Struct(inner) = &fdef.ty {
-                        collect_bindings(tu, names, inner, nested, out);
+                        collect_bindings(tu, top, inner, nested, out);
                     }
                 }
             }
@@ -404,38 +420,47 @@ struct LoopCtx {
 
 struct FunctionLowerer<'a> {
     tu: &'a TranslationUnit,
-    names: &'a Names<'a>,
+    top: &'a TopLevel,
     ast_body: &'a Block,
     body: FuncBody,
     current: BlockId,
-    /// Scoped name → local map.
-    scopes: Vec<HashMap<String, LocalId>>,
+    /// Scoped name → local map; the function's parameters sit in its
+    /// outermost scope.
+    scopes: Scopes<LocalId>,
     loops: Vec<LoopCtx>,
-    /// `goto` targets, created on first mention (forward or backward).
-    labels: HashMap<String, BlockId>,
+    /// `goto` targets, created on first mention (forward or backward). A
+    /// function has a handful at most, so a list beats any map.
+    labels: Vec<(Name, BlockId)>,
     terminated: bool,
     temp_counter: u32,
 }
 
 impl<'a> FunctionLowerer<'a> {
-    fn new(tu: &'a TranslationUnit, names: &'a Names<'a>, id: FuncId, f: &'a Function) -> Self {
+    /// A lowerer for `f`, taking over an empty scope stack.
+    fn new(
+        tu: &'a TranslationUnit,
+        top: &'a TopLevel,
+        id: FuncId,
+        f: &'a Function,
+        mut scopes: Scopes<LocalId>,
+    ) -> Self {
         let mut locals = Vec::new();
-        let mut scope = HashMap::new();
+        scopes.push();
         for p in &f.params {
             let lid = LocalId(locals.len() as u32);
             locals.push(LocalDecl {
-                name: p.name.clone(),
+                name: tu.name(p.name).to_string(),
                 ty: p.ty.clone(),
                 is_temp: false,
                 is_param: true,
                 span: p.span,
             });
-            if !p.name.is_empty() {
-                scope.insert(p.name.clone(), lid);
+            if p.name != Name::EMPTY {
+                scopes.declare(p.name, lid);
             }
         }
         let body = FuncBody {
-            name: f.name.clone(),
+            name: tu.name(f.name).to_string(),
             id,
             ret_ty: f.ret.clone(),
             param_count: locals.len(),
@@ -445,19 +470,21 @@ impl<'a> FunctionLowerer<'a> {
         };
         FunctionLowerer {
             tu,
-            names,
+            top,
             ast_body: &f.body,
             body,
             current: BlockId(0),
-            scopes: vec![scope],
+            scopes,
             loops: vec![],
-            labels: HashMap::new(),
+            labels: Vec::new(),
             terminated: false,
             temp_counter: 0,
         }
     }
 
-    fn run(mut self) -> FuncBody {
+    /// Lowers the function; returns its body and the scope stack, empty
+    /// again, for the next function.
+    fn run(mut self) -> (FuncBody, Scopes<LocalId>) {
         self.lower_block(self.ast_body);
         if !self.terminated {
             self.set_terminator(Terminator::Return(None), Span::DUMMY);
@@ -469,7 +496,8 @@ impl<'a> FunctionLowerer<'a> {
                 b.terminator = Terminator::Return(None);
             }
         }
-        self.body
+        self.scopes.pop();
+        (self.body, self.scopes)
     }
 
     // ------------------------------------------------------------- plumbing
@@ -522,44 +550,46 @@ impl<'a> FunctionLowerer<'a> {
         lid
     }
 
-    fn declare_named(&mut self, name: &str, ty: Type, span: Span) -> LocalId {
+    fn declare_named(&mut self, name: Name, ty: Type, span: Span) -> LocalId {
         let lid = LocalId(self.body.locals.len() as u32);
         self.body.locals.push(LocalDecl {
-            name: name.to_string(),
+            name: self.tu.name(name).to_string(),
             ty,
             is_temp: false,
             is_param: false,
             span,
         });
-        self.scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(name.to_string(), lid);
+        self.scopes.declare(name, lid);
         lid
     }
 
     /// The block a label names, created on demand.
-    fn label_block(&mut self, label: &str) -> BlockId {
-        if let Some(&b) = self.labels.get(label) {
+    fn label_block(&mut self, label: Name) -> BlockId {
+        if let Some(&(_, b)) = self.labels.iter().find(|(l, _)| *l == label) {
             return b;
         }
         let b = self.new_block();
-        self.labels.insert(label.to_string(), b);
+        self.labels.push((label, b));
         b
     }
 
-    fn lookup(&self, name: &str) -> Option<LocalId> {
-        self.scopes.iter().rev().find_map(|s| s.get(name)).copied()
+    fn lookup(&self, name: Name) -> Option<LocalId> {
+        self.scopes.lookup(name).copied()
     }
 
-    fn is_global(&self, name: &str) -> bool {
-        self.names.globals.contains(name)
+    fn is_global(&self, name: Name) -> bool {
+        self.top.globals.contains(name)
+    }
+
+    /// A name's text, for the IR's `String` fields.
+    fn text(&self, name: Name) -> String {
+        self.tu.name(name).to_string()
     }
 
     // ----------------------------------------------------------- statements
 
     fn lower_block(&mut self, b: &Block) {
-        self.scopes.push(HashMap::new());
+        self.scopes.push();
         for s in &b.stmts {
             self.lower_stmt(s);
         }
@@ -571,7 +601,7 @@ impl<'a> FunctionLowerer<'a> {
         match &s.kind {
             StmtKind::Decl { name, ty, init } => {
                 let init_op = init.as_ref().map(|e| self.lower_expr(e));
-                let lid = self.declare_named(name, ty.clone(), span);
+                let lid = self.declare_named(*name, ty.clone(), span);
                 if let Some(op) = init_op {
                     self.emit(
                         Inst::Assign {
@@ -672,7 +702,7 @@ impl<'a> FunctionLowerer<'a> {
                 step,
                 body,
             } => {
-                self.scopes.push(HashMap::new());
+                self.scopes.push();
                 if let Some(i) = init {
                     self.lower_stmt(i);
                 }
@@ -751,13 +781,13 @@ impl<'a> FunctionLowerer<'a> {
                 self.switch_to(exit);
             }
             StmtKind::Goto(label) => {
-                let target = self.label_block(label);
+                let target = self.label_block(*label);
                 self.goto(target, span);
             }
             StmtKind::Label(label) => {
                 // Fall through into the labeled block, then continue
                 // emitting into it.
-                let target = self.label_block(label);
+                let target = self.label_block(*label);
                 self.goto(target, span);
                 self.switch_to(target);
             }
@@ -783,7 +813,7 @@ impl<'a> FunctionLowerer<'a> {
 
     fn lower_assignment(&mut self, lhs: &Expr, rhs: &Expr, span: Span) {
         // Bare-local destination: let calls/rvalues write it directly.
-        if let ExprKind::Ident(name) = &lhs.kind {
+        if let ExprKind::Ident(name) = lhs.kind {
             if let Some(lid) = self.lookup(name) {
                 self.lower_expr_into(rhs, lid, span);
                 return;
@@ -844,19 +874,20 @@ impl<'a> FunctionLowerer<'a> {
         let span = e.span;
         match &e.kind {
             ExprKind::IntLit(v) | ExprKind::CharLit(v) => Operand::Const(*v),
-            ExprKind::StrLit(s) => Operand::Str(s.clone()),
+            ExprKind::StrLit(s) => Operand::Str(self.text(*s)),
             ExprKind::Null => Operand::Null,
             ExprKind::Sizeof(ty) => Operand::Const(self.tu.structs.size_of(ty) as i64),
             ExprKind::Ident(name) => {
+                let name = *name;
                 if let Some(lid) = self.lookup(name) {
                     Operand::Local(lid)
                 } else if self.is_global(name) {
-                    Operand::Global(name.clone())
+                    Operand::Global(self.text(name))
                 } else {
                     // A defined function or a declared API; an unknown
                     // identifier survived type checking only as an
                     // implicit API use, so it is a function ref too.
-                    Operand::FuncRef(name.clone())
+                    Operand::FuncRef(self.text(name))
                 }
             }
             ExprKind::Unary(UnOp::Deref, inner) => {
@@ -983,7 +1014,9 @@ impl<'a> FunctionLowerer<'a> {
         let arg_ops: Vec<Operand> = args.iter().map(|a| self.lower_expr(a)).collect();
 
         let resolved: Callee = match &callee.kind {
-            ExprKind::Ident(name) if self.lookup(name).is_none() => Callee::Direct(name.clone()),
+            &ExprKind::Ident(name) if self.lookup(name).is_none() => {
+                Callee::Direct(self.text(name))
+            }
             // Indirect through a struct field: o->prep(...) — load the
             // pointer, remember the interface identity.
             ExprKind::Member { .. } => {
@@ -1035,18 +1068,19 @@ impl<'a> FunctionLowerer<'a> {
     /// Lowers an lvalue expression to a place.
     fn lower_place(&mut self, e: &Expr) -> Place {
         match &e.kind {
-            ExprKind::Ident(name) => {
+            &ExprKind::Ident(name) => {
                 if let Some(lid) = self.lookup(name) {
                     Place::local(lid)
                 } else {
-                    Place::global(name.clone())
+                    Place::global(self.text(name))
                 }
             }
             ExprKind::Member { base, field, arrow } => {
+                let field = self.tu.name(*field);
                 let (struct_name, offset) = self.field_info(base, field, *arrow);
                 let proj = Projection::Field {
                     struct_name,
-                    field: field.clone(),
+                    field: field.to_string(),
                     offset,
                 };
                 if *arrow {
@@ -1093,10 +1127,10 @@ impl<'a> FunctionLowerer<'a> {
     /// with the given projections applied.
     fn operand_place(&mut self, base_expr: &Expr, projections: Vec<Projection>) -> Place {
         // Globals can serve as place bases directly.
-        if let ExprKind::Ident(name) = &base_expr.kind {
+        if let ExprKind::Ident(name) = base_expr.kind {
             if self.lookup(name).is_none() && self.is_global(name) {
                 return Place {
-                    base: PlaceBase::Global(name.clone()),
+                    base: PlaceBase::Global(self.text(name)),
                     projections,
                 };
             }
@@ -1241,8 +1275,8 @@ mod tests {
         .unwrap();
         // The checker rejects such a clash in source, so make it in the
         // checked unit: the two functions take the globals' names.
-        tu.functions[0].name = "tag".into();
-        tu.functions[1].name = "boxed".into();
+        tu.functions[0].name = tu.names.intern("tag");
+        tu.functions[1].name = tu.names.intern("boxed");
         let m = lower(&tu);
         assert_eq!(returned(&m, "reads"), Operand::Global("tag".into()));
         let body = m.function("reads_field").unwrap();

@@ -1,5 +1,11 @@
 //! Abstract syntax tree for the KIR C subset.
+//!
+//! Every identifier in the tree — variables, functions, fields, labels —
+//! and every string literal is a [`Name`] of the unit's
+//! [`TranslationUnit::names`] table; struct tags inside [`Type`]s and the
+//! [`StructRegistry`] stay text, because the IR keeps them.
 
+use crate::names::{Name, NameMap, NameTable};
 use crate::span::Span;
 use crate::types::{StructRegistry, Type};
 
@@ -106,11 +112,11 @@ pub enum ExprKind {
     /// Character literal (value).
     CharLit(i64),
     /// String literal.
-    StrLit(String),
+    StrLit(Name),
     /// `NULL`.
     Null,
     /// Variable, function, or enum-constant reference.
-    Ident(String),
+    Ident(Name),
     /// Unary operation.
     Unary(UnOp, Box<Expr>),
     /// Binary operation.
@@ -128,7 +134,7 @@ pub enum ExprKind {
         /// Struct-valued (or struct-pointer-valued) base.
         base: Box<Expr>,
         /// Field name.
-        field: String,
+        field: Name,
         /// Whether spelled with `->`.
         arrow: bool,
     },
@@ -208,7 +214,7 @@ pub enum StmtKind {
     /// Local declaration, optionally initialized.
     Decl {
         /// Variable name.
-        name: String,
+        name: Name,
         /// Declared type.
         ty: Type,
         /// Optional initializer.
@@ -270,10 +276,10 @@ pub enum StmtKind {
     /// `continue;`
     Continue,
     /// `goto label;` — the kernel's error-cleanup idiom.
-    Goto(String),
+    Goto(Name),
     /// `label:` marking a jump target (attached to the following
     /// statement position).
-    Label(String),
+    Label(Name),
     /// `return;` or `return expr;`
     Return(Option<Expr>),
     /// Nested block.
@@ -302,8 +308,8 @@ impl Block {
 /// A function parameter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Param {
-    /// Parameter name; empty for unnamed prototype parameters.
-    pub name: String,
+    /// Parameter name; [`Name::EMPTY`] for unnamed prototype parameters.
+    pub name: Name,
     /// Parameter type.
     pub ty: Type,
     /// Location.
@@ -314,7 +320,7 @@ pub struct Param {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Function name.
-    pub name: String,
+    pub name: Name,
     /// Return type.
     pub ret: Type,
     /// Parameters in order.
@@ -332,7 +338,7 @@ pub struct Function {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuncDecl {
     /// Function name.
-    pub name: String,
+    pub name: Name,
     /// Return type.
     pub ret: Type,
     /// Parameter types.
@@ -351,7 +357,7 @@ pub enum Initializer {
     /// Designated struct initializer: `.field = init` pairs. This is the
     /// syntax that binds implementations to interface fields
     /// (`.buf_prepare = buffer_prepare`).
-    Designated(Vec<(String, Initializer)>),
+    Designated(Vec<(Name, Initializer)>),
     /// Positional list (arrays / struct-in-order).
     List(Vec<Initializer>),
 }
@@ -360,7 +366,7 @@ pub enum Initializer {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalDef {
     /// Variable name.
-    pub name: String,
+    pub name: Name,
     /// Declared type.
     pub ty: Type,
     /// Optional initializer.
@@ -377,9 +383,9 @@ pub struct GlobalDef {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnumDef {
     /// Optional tag.
-    pub name: Option<String>,
+    pub name: Option<Name>,
     /// `(variant, value)` pairs.
-    pub variants: Vec<(String, i64)>,
+    pub variants: Vec<(Name, i64)>,
     /// Location.
     pub span: Span,
 }
@@ -389,12 +395,15 @@ pub struct EnumDef {
 pub struct TranslationUnit {
     /// Label used in diagnostics.
     pub file: String,
+    /// The compilation's name table: every [`Name`] in this unit indexes
+    /// into it.
+    pub names: NameTable,
     /// Struct layouts.
     pub structs: StructRegistry,
     /// Enum definitions.
     pub enums: Vec<EnumDef>,
     /// Named integer constants (enum variants).
-    pub consts: std::collections::HashMap<String, i64>,
+    pub consts: NameMap<i64>,
     /// Global variables.
     pub globals: Vec<GlobalDef>,
     /// API declarations (extern prototypes).
@@ -404,18 +413,26 @@ pub struct TranslationUnit {
 }
 
 impl TranslationUnit {
+    /// The text of one of this unit's names.
+    pub fn name(&self, name: Name) -> &str {
+        self.names.text(name)
+    }
+
     /// Finds a function definition by name.
     pub fn function(&self, name: &str) -> Option<&Function> {
+        let name = self.names.get(name)?;
         self.functions.iter().find(|f| f.name == name)
     }
 
     /// Finds an API declaration by name.
     pub fn decl(&self, name: &str) -> Option<&FuncDecl> {
+        let name = self.names.get(name)?;
         self.decls.iter().find(|d| d.name == name)
     }
 
     /// Finds a global by name.
     pub fn global(&self, name: &str) -> Option<&GlobalDef> {
+        let name = self.names.get(name)?;
         self.globals.iter().find(|g| g.name == name)
     }
 }
@@ -427,7 +444,8 @@ mod tests {
     #[test]
     fn lvalue_classification() {
         let span = Span::DUMMY;
-        let id = Expr::new(ExprKind::Ident("x".into()), span);
+        let x = NameTable::new().intern("x");
+        let id = Expr::new(ExprKind::Ident(x), span);
         assert!(id.kind.is_lvalue());
         let deref = ExprKind::Unary(UnOp::Deref, Box::new(id.clone()));
         assert!(deref.is_lvalue());
@@ -450,8 +468,9 @@ mod tests {
     #[test]
     fn tu_lookup_helpers() {
         let mut tu = TranslationUnit::default();
+        let probe = tu.names.intern("probe");
         tu.functions.push(Function {
-            name: "probe".into(),
+            name: probe,
             ret: Type::Int,
             params: vec![],
             body: Block::empty(Span::DUMMY),

@@ -13,13 +13,15 @@
 //! or a new binary would happily read a stale cache.
 
 use crate::ast::{Function, TranslationUnit};
+use crate::names::NameTable;
 use crate::pretty;
 use seal_store::{ContentHash, Hasher128};
 
-/// Hashes one function definition (canonical rendering; span-free).
-pub fn function_hash(f: &Function) -> ContentHash {
+/// Hashes one function definition (canonical rendering; span-free);
+/// `names` is its unit's table.
+pub fn function_hash(names: &NameTable, f: &Function) -> ContentHash {
     let mut out = String::new();
-    pretty::print_function(&mut out, f);
+    pretty::print_function(&mut out, names, f);
     let mut h = Hasher128::new();
     h.update_str("kir.fn.v1");
     h.update_str(&out);
@@ -34,6 +36,7 @@ pub fn function_hash(f: &Function) -> ContentHash {
 /// framing tag, so moving a definition between categories can never
 /// collide with reordering inside one.
 pub fn unit_hash(tu: &TranslationUnit) -> ContentHash {
+    let names = &tu.names;
     let mut h = Hasher128::new();
     h.update_str("kir.unit.v1");
 
@@ -63,14 +66,17 @@ pub fn unit_hash(tu: &TranslationUnit) -> ContentHash {
             .iter()
             .map(|e| {
                 let mut s = String::new();
-                pretty::print_enum(&mut s, e);
+                pretty::print_enum(&mut s, names, e);
                 s
             })
             .collect(),
     );
     absorb(
         "consts",
-        tu.consts.iter().map(|(k, v)| format!("{k}={v}")).collect(),
+        tu.consts
+            .iter()
+            .map(|(k, v)| format!("{}={v}", names.text(k)))
+            .collect(),
     );
     absorb(
         "decls",
@@ -78,7 +84,7 @@ pub fn unit_hash(tu: &TranslationUnit) -> ContentHash {
             .iter()
             .map(|d| {
                 let mut s = String::new();
-                pretty::print_decl(&mut s, d);
+                pretty::print_decl(&mut s, names, d);
                 s
             })
             .collect(),
@@ -89,7 +95,7 @@ pub fn unit_hash(tu: &TranslationUnit) -> ContentHash {
             .iter()
             .map(|g| {
                 let mut s = String::new();
-                pretty::print_global(&mut s, g);
+                pretty::print_global(&mut s, names, g);
                 s
             })
             .collect(),
@@ -100,7 +106,7 @@ pub fn unit_hash(tu: &TranslationUnit) -> ContentHash {
             .iter()
             .map(|f| {
                 let mut s = String::new();
-                pretty::print_function(&mut s, f);
+                pretty::print_function(&mut s, names, f);
                 s
             })
             .collect(),
@@ -122,8 +128,8 @@ mod tests {
         let b = compile(&format!("{HELPER}{MAIN_FN}"), "fs/renamed.c").unwrap();
         assert_eq!(unit_hash(&a), unit_hash(&b));
         assert_eq!(
-            function_hash(a.function("entry").unwrap()),
-            function_hash(b.function("entry").unwrap())
+            function_hash(&a.names, a.function("entry").unwrap()),
+            function_hash(&b.names, b.function("entry").unwrap())
         );
     }
 
@@ -134,8 +140,8 @@ mod tests {
         assert_eq!(unit_hash(&a), unit_hash(&b));
         // The individual function digest is position-independent too.
         assert_eq!(
-            function_hash(a.function("helper").unwrap()),
-            function_hash(b.function("helper").unwrap())
+            function_hash(&a.names, a.function("helper").unwrap()),
+            function_hash(&b.names, b.function("helper").unwrap())
         );
     }
 
@@ -144,8 +150,8 @@ mod tests {
         let a = compile(MAIN_FN, "t.c").unwrap();
         let b = compile(&format!("\n\n\n{MAIN_FN}"), "t.c").unwrap();
         assert_eq!(
-            function_hash(a.function("entry").unwrap()),
-            function_hash(b.function("entry").unwrap())
+            function_hash(&a.names, a.function("entry").unwrap()),
+            function_hash(&b.names, b.function("entry").unwrap())
         );
     }
 
@@ -160,8 +166,8 @@ mod tests {
         ] {
             let tu = crate::parse_only(edited, "t.c").unwrap();
             assert_ne!(
-                function_hash(base.function("entry").unwrap()),
-                function_hash(tu.function("entry").unwrap()),
+                function_hash(&base.names, base.function("entry").unwrap()),
+                function_hash(&tu.names, tu.function("entry").unwrap()),
                 "edit not reflected in hash: {edited}"
             );
         }
@@ -174,8 +180,8 @@ mod tests {
         assert_ne!(unit_hash(&a), unit_hash(&b));
         // ...while the function digest alone is unchanged.
         assert_eq!(
-            function_hash(a.function("f").unwrap()),
-            function_hash(b.function("f").unwrap())
+            function_hash(&a.names, a.function("f").unwrap()),
+            function_hash(&b.names, b.function("f").unwrap())
         );
     }
 

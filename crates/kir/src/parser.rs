@@ -3,31 +3,45 @@
 //! The grammar is LL(2) except for expression parsing, which uses Pratt
 //! precedence climbing. There are no typedefs, so the classic cast/paren
 //! ambiguity resolves by one-token lookahead on type-starting keywords.
+//!
+//! Tokens are `Copy` (names are ids into the compilation's
+//! [`NameTable`]), so consuming one copies a few words and allocates
+//! nothing; the AST takes the lexer's [`crate::names::Name`]s as they are.
+//! Text is looked up only for diagnostics and for struct tags, which
+//! [`Type`] and the struct registry keep as text.
 
 use crate::ast::*;
 use crate::diag::{KirError, Stage};
+use crate::names::{Name, NameTable};
 use crate::span::Span;
 use crate::token::{Keyword, Punct, Token, TokenKind};
 use crate::types::{FuncSig, Type};
 
-/// Parses a token stream (as produced by [`crate::lexer::lex`]) into an
-/// untyped [`TranslationUnit`].
-pub fn parse(tokens: Vec<Token>, file: &str) -> Result<TranslationUnit, KirError> {
+/// Parses a token stream (as produced by [`crate::lexer::lex`] into
+/// `names`) into an untyped [`TranslationUnit`]. The unit's own name table
+/// is left empty; the caller installs the one the tokens index.
+pub fn parse(
+    tokens: Vec<Token>,
+    names: &NameTable,
+    file: &str,
+) -> Result<TranslationUnit, KirError> {
     let mut p = Parser {
         tokens,
         pos: 0,
-        file: file.to_string(),
+        names,
+        file,
     };
     p.translation_unit()
 }
 
-struct Parser {
+struct Parser<'a> {
     tokens: Vec<Token>,
     pos: usize,
-    file: String,
+    names: &'a NameTable,
+    file: &'a str,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
     }
@@ -41,9 +55,7 @@ impl Parser {
     }
 
     fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)]
-            .kind
-            .clone();
+        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].kind;
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
@@ -51,7 +63,7 @@ impl Parser {
     }
 
     fn err(&self, msg: impl Into<String>) -> KirError {
-        KirError::single(Stage::Parse, msg, self.span(), &self.file)
+        KirError::single(Stage::Parse, msg, self.span(), self.file)
     }
 
     fn eat_punct(&mut self, p: Punct) -> bool {
@@ -67,7 +79,11 @@ impl Parser {
         if self.eat_punct(p) {
             Ok(())
         } else {
-            Err(self.err(format!("expected `{}`, found {}", p.as_str(), self.peek())))
+            Err(self.err(format!(
+                "expected `{}`, found {}",
+                p.as_str(),
+                self.peek().display(self.names)
+            )))
         }
     }
 
@@ -80,15 +96,15 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<(String, Span), KirError> {
+    fn expect_ident(&mut self) -> Result<(Name, Span), KirError> {
         let span = self.span();
         match self.bump() {
-            TokenKind::Ident(s) => Ok((s, span)),
+            TokenKind::Ident(n) => Ok((n, span)),
             other => Err(KirError::single(
                 Stage::Parse,
-                format!("expected identifier, found {other}"),
+                format!("expected identifier, found {}", other.display(self.names)),
                 span,
-                &self.file,
+                self.file,
             )),
         }
     }
@@ -140,7 +156,7 @@ impl Parser {
             }
             TokenKind::Keyword(Keyword::Struct) | TokenKind::Keyword(Keyword::Union) => {
                 let (name, _) = self.expect_ident()?;
-                Type::Struct(name)
+                Type::Struct(self.names.text(name).to_string())
             }
             TokenKind::Keyword(Keyword::Enum) => {
                 // `enum tag` in a type position is just an int.
@@ -149,7 +165,12 @@ impl Parser {
                 }
                 Type::Int
             }
-            other => return Err(self.err(format!("expected type, found {other}"))),
+            other => {
+                return Err(self.err(format!(
+                    "expected type, found {}",
+                    other.display(self.names)
+                )))
+            }
         };
         loop {
             while self.eat_kw(Keyword::Const) {}
@@ -165,7 +186,7 @@ impl Parser {
     /// Parses a declarator after the base type: either a plain name with an
     /// optional array suffix, or a function-pointer declarator
     /// `(*name)(params)`.
-    fn parse_declarator(&mut self, base: Type) -> Result<(String, Type, Span), KirError> {
+    fn parse_declarator(&mut self, base: Type) -> Result<(Name, Type, Span), KirError> {
         if self.peek() == &TokenKind::Punct(Punct::LParen)
             && self.peek_at(1) == &TokenKind::Punct(Punct::Star)
         {
@@ -192,7 +213,12 @@ impl Parser {
                     // Unsized array decays to pointer.
                     return Ok((name, Type::Ptr(Box::new(ty)), span));
                 }
-                other => return Err(self.err(format!("expected array size, found {other}"))),
+                other => {
+                    return Err(self.err(format!(
+                        "expected array size, found {}",
+                        other.display(self.names)
+                    )))
+                }
             };
             self.expect_punct(Punct::RBracket)?;
             ty = Type::Array(Box::new(ty), n);
@@ -230,7 +256,7 @@ impl Parser {
                     let (n, t, _) = self.parse_declarator(base)?;
                     (n, t)
                 }
-                _ => (String::new(), base),
+                _ => (Name::EMPTY, base),
             };
             // Arrays in parameter position decay to pointers.
             let ty = match ty {
@@ -250,7 +276,7 @@ impl Parser {
 
     fn translation_unit(&mut self) -> Result<TranslationUnit, KirError> {
         let mut tu = TranslationUnit {
-            file: self.file.clone(),
+            file: self.file.to_string(),
             ..Default::default()
         };
         loop {
@@ -281,7 +307,7 @@ impl Parser {
             let base = self.parse_type()?;
             loop {
                 let (fname, fty, _) = self.parse_declarator(base.clone())?;
-                fields.push((fname, fty));
+                fields.push((self.names.text(fname).to_string(), fty));
                 if !self.eat_punct(Punct::Comma) {
                     break;
                 }
@@ -289,7 +315,7 @@ impl Parser {
             self.expect_punct(Punct::Semi)?;
         }
         self.expect_punct(Punct::Semi)?;
-        tu.structs.define(&name, fields, is_union);
+        tu.structs.define(self.names.text(name), fields, is_union);
         Ok(())
     }
 
@@ -311,10 +337,15 @@ impl Parser {
                 let neg = self.eat_punct(Punct::Minus);
                 match self.bump() {
                     TokenKind::Int(v) => next = if neg { -v } else { v },
-                    other => return Err(self.err(format!("expected enum value, found {other}"))),
+                    other => {
+                        return Err(self.err(format!(
+                            "expected enum value, found {}",
+                            other.display(self.names)
+                        )))
+                    }
                 }
             }
-            tu.consts.insert(vname.clone(), next);
+            tu.consts.insert(vname, next);
             variants.push((vname, next));
             next += 1;
             if !self.eat_punct(Punct::Comma) {
@@ -573,7 +604,12 @@ impl Parser {
                 match self.bump() {
                     TokenKind::Int(v) => labels.push(if neg { -v } else { v }),
                     TokenKind::CharLit(v) => labels.push(v),
-                    other => return Err(self.err(format!("expected case label, found {other}"))),
+                    other => {
+                        return Err(self.err(format!(
+                            "expected case label, found {}",
+                            other.display(self.names)
+                        )))
+                    }
                 }
                 self.expect_punct(Punct::Colon)?;
             } else if self.eat_kw(Keyword::Default) {
@@ -586,7 +622,7 @@ impl Parser {
         if labels.is_empty() && !is_default {
             return Err(self.err(format!(
                 "expected `case` or `default`, found {}",
-                self.peek()
+                self.peek().display(self.names)
             )));
         }
         let mut stmts = Vec::new();
@@ -786,7 +822,7 @@ impl Parser {
                 // `Sizeof(type)` once the operand type is known.
                 return Ok(Expr::new(
                     ExprKind::Call {
-                        callee: Box::new(Expr::new(ExprKind::Ident("__sizeof".into()), span)),
+                        callee: Box::new(Expr::new(ExprKind::Ident(Name::SIZEOF), span)),
                         args: vec![e],
                     },
                     span,
@@ -936,9 +972,9 @@ impl Parser {
             other => {
                 return Err(KirError::single(
                     Stage::Parse,
-                    format!("expected expression, found {other}"),
+                    format!("expected expression, found {}", other.display(self.names)),
                     span,
-                    &self.file,
+                    self.file,
                 ))
             }
         };
@@ -952,7 +988,11 @@ mod tests {
     use crate::lexer::lex;
 
     fn parse_src(src: &str) -> TranslationUnit {
-        parse(lex(src, "t.c").unwrap(), "t.c").unwrap()
+        let mut names = NameTable::new();
+        let tokens = lex(src, "t.c", &mut names).unwrap();
+        let mut tu = parse(tokens, &names, "t.c").unwrap();
+        tu.names = names;
+        tu
     }
 
     #[test]
@@ -1051,9 +1091,10 @@ mod tests {
     #[test]
     fn parses_enum_definition() {
         let tu = parse_src("enum mode { MODE_A, MODE_B = 5, MODE_C };");
-        assert_eq!(tu.consts["MODE_A"], 0);
-        assert_eq!(tu.consts["MODE_B"], 5);
-        assert_eq!(tu.consts["MODE_C"], 6);
+        let value = |n: &str| tu.consts.get(tu.names.get(n).unwrap()).copied();
+        assert_eq!(value("MODE_A"), Some(0));
+        assert_eq!(value("MODE_B"), Some(5));
+        assert_eq!(value("MODE_C"), Some(6));
     }
 
     #[test]
@@ -1074,8 +1115,9 @@ mod tests {
 
     #[test]
     fn rejects_bad_assignment_target() {
-        let toks = lex("void f(void) { 1 = 2; }", "t.c").unwrap();
-        assert!(parse(toks, "t.c").is_err());
+        let mut names = NameTable::new();
+        let toks = lex("void f(void) { 1 = 2; }", "t.c", &mut names).unwrap();
+        assert!(parse(toks, &names, "t.c").is_err());
     }
 
     #[test]
@@ -1112,7 +1154,7 @@ mod tests {
             .body
             .stmts
             .iter()
-            .any(|s| matches!(&s.kind, StmtKind::Label(l) if l == "fail")));
+            .any(|s| matches!(s.kind, StmtKind::Label(l) if tu.name(l) == "fail")));
     }
 
     #[test]

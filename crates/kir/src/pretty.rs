@@ -3,27 +3,33 @@
 //! Used by the corpus generator to materialize pre-/post-patch source pairs
 //! and by bug reports to quote code. Output re-parses to an equivalent AST
 //! (round-trip property tested below).
+//!
+//! Names print as their text in the unit's [`NameTable`], so a rendering
+//! (and every hash over it) does not depend on the ids a compilation
+//! happened to assign.
 
 use crate::ast::*;
+use crate::names::NameTable;
 use crate::types::{FuncSig, Type};
 use std::fmt::Write;
 
 /// Renders a full translation unit.
 pub fn print_unit(tu: &TranslationUnit) -> String {
+    let names = &tu.names;
     let mut out = String::new();
     for e in &tu.enums {
-        print_enum(&mut out, e);
+        print_enum(&mut out, names, e);
     }
     // Struct definitions are stored only in the registry; callers that need
     // them rendered use `print_struct` with the original registry order.
     for d in &tu.decls {
-        print_decl(&mut out, d);
+        print_decl(&mut out, names, d);
     }
     for g in &tu.globals {
-        print_global(&mut out, g);
+        print_global(&mut out, names, g);
     }
     for f in &tu.functions {
-        print_function(&mut out, f);
+        print_function(&mut out, names, f);
     }
     out
 }
@@ -38,25 +44,25 @@ pub fn print_struct(out: &mut String, def: &crate::types::StructDef) {
     let _ = writeln!(out, "}};");
 }
 
-pub(crate) fn print_enum(out: &mut String, e: &EnumDef) {
+pub(crate) fn print_enum(out: &mut String, names: &NameTable, e: &EnumDef) {
     let _ = write!(out, "enum");
-    if let Some(n) = &e.name {
-        let _ = write!(out, " {n}");
+    if let Some(n) = e.name {
+        let _ = write!(out, " {}", names.text(n));
     }
     let _ = writeln!(out, " {{");
-    for (name, value) in &e.variants {
-        let _ = writeln!(out, "    {name} = {value},");
+    for &(name, value) in &e.variants {
+        let _ = writeln!(out, "    {} = {value},", names.text(name));
     }
     let _ = writeln!(out, "}};");
 }
 
-pub(crate) fn print_decl(out: &mut String, d: &FuncDecl) {
-    let _ = write!(out, "{} {}(", type_str(&d.ret), d.name);
-    print_params(out, &d.params, d.variadic);
+pub(crate) fn print_decl(out: &mut String, names: &NameTable, d: &FuncDecl) {
+    let _ = write!(out, "{} {}(", type_str(&d.ret), names.text(d.name));
+    print_params(out, names, &d.params, d.variadic);
     let _ = writeln!(out, ");");
 }
 
-fn print_params(out: &mut String, params: &[Param], variadic: bool) {
+fn print_params(out: &mut String, names: &NameTable, params: &[Param], variadic: bool) {
     if params.is_empty() && !variadic {
         let _ = write!(out, "void");
         return;
@@ -65,7 +71,7 @@ fn print_params(out: &mut String, params: &[Param], variadic: bool) {
         if i > 0 {
             let _ = write!(out, ", ");
         }
-        let _ = write!(out, "{}", declarator(&p.ty, &p.name));
+        let _ = write!(out, "{}", declarator(&p.ty, names.text(p.name)));
     }
     if variadic {
         if !params.is_empty() {
@@ -75,25 +81,25 @@ fn print_params(out: &mut String, params: &[Param], variadic: bool) {
     }
 }
 
-pub(crate) fn print_global(out: &mut String, g: &GlobalDef) {
+pub(crate) fn print_global(out: &mut String, names: &NameTable, g: &GlobalDef) {
     if g.is_static {
         let _ = write!(out, "static ");
     }
     if g.is_const {
         let _ = write!(out, "const ");
     }
-    let _ = write!(out, "{}", declarator(&g.ty, &g.name));
+    let _ = write!(out, "{}", declarator(&g.ty, names.text(g.name)));
     if let Some(init) = &g.init {
         let _ = write!(out, " = ");
-        print_initializer(out, init);
+        print_initializer(out, names, init);
     }
     let _ = writeln!(out, ";");
 }
 
-fn print_initializer(out: &mut String, init: &Initializer) {
+fn print_initializer(out: &mut String, names: &NameTable, init: &Initializer) {
     match init {
         Initializer::Expr(e) => {
-            let _ = write!(out, "{}", expr_str(e));
+            let _ = write!(out, "{}", expr_str(names, e));
         }
         Initializer::Designated(pairs) => {
             let _ = write!(out, "{{ ");
@@ -101,8 +107,8 @@ fn print_initializer(out: &mut String, init: &Initializer) {
                 if i > 0 {
                     let _ = write!(out, ", ");
                 }
-                let _ = write!(out, ".{field} = ");
-                print_initializer(out, sub);
+                let _ = write!(out, ".{} = ", names.text(*field));
+                print_initializer(out, names, sub);
             }
             let _ = write!(out, " }}");
         }
@@ -112,22 +118,22 @@ fn print_initializer(out: &mut String, init: &Initializer) {
                 if i > 0 {
                     let _ = write!(out, ", ");
                 }
-                print_initializer(out, sub);
+                print_initializer(out, names, sub);
             }
             let _ = write!(out, " }}");
         }
     }
 }
 
-/// Renders one function definition.
-pub fn print_function(out: &mut String, f: &Function) {
+/// Renders one function definition; `names` is its unit's table.
+pub fn print_function(out: &mut String, names: &NameTable, f: &Function) {
     if f.is_static {
         let _ = write!(out, "static ");
     }
-    let _ = write!(out, "{} {}(", type_str(&f.ret), f.name);
-    print_params(out, &f.params, false);
+    let _ = write!(out, "{} {}(", type_str(&f.ret), names.text(f.name));
+    print_params(out, names, &f.params, false);
     let _ = writeln!(out, ")");
-    print_block(out, &f.body, 0);
+    print_block(out, names, &f.body, 0);
 }
 
 fn indent(out: &mut String, level: usize) {
@@ -136,33 +142,33 @@ fn indent(out: &mut String, level: usize) {
     }
 }
 
-fn print_block(out: &mut String, b: &Block, level: usize) {
+fn print_block(out: &mut String, names: &NameTable, b: &Block, level: usize) {
     indent(out, level);
     out.push_str("{\n");
     for s in &b.stmts {
-        print_stmt(out, s, level + 1);
+        print_stmt(out, names, s, level + 1);
     }
     indent(out, level);
     out.push_str("}\n");
 }
 
-fn print_stmt(out: &mut String, s: &Stmt, level: usize) {
+fn print_stmt(out: &mut String, names: &NameTable, s: &Stmt, level: usize) {
     match &s.kind {
         StmtKind::Decl { name, ty, init } => {
             indent(out, level);
-            let _ = write!(out, "{}", declarator(ty, name));
+            let _ = write!(out, "{}", declarator(ty, names.text(*name)));
             if let Some(e) = init {
-                let _ = write!(out, " = {}", expr_str(e));
+                let _ = write!(out, " = {}", expr_str(names, e));
             }
             out.push_str(";\n");
         }
         StmtKind::Expr(e) => {
             indent(out, level);
-            let _ = writeln!(out, "{};", expr_str(e));
+            let _ = writeln!(out, "{};", expr_str(names, e));
         }
         StmtKind::Assign { lhs, rhs } => {
             indent(out, level);
-            let _ = writeln!(out, "{} = {};", expr_str(lhs), expr_str(rhs));
+            let _ = writeln!(out, "{} = {};", expr_str(names, lhs), expr_str(names, rhs));
         }
         StmtKind::If {
             cond,
@@ -170,25 +176,25 @@ fn print_stmt(out: &mut String, s: &Stmt, level: usize) {
             else_blk,
         } => {
             indent(out, level);
-            let _ = writeln!(out, "if ({})", expr_str(cond));
-            print_block(out, then_blk, level);
+            let _ = writeln!(out, "if ({})", expr_str(names, cond));
+            print_block(out, names, then_blk, level);
             if let Some(e) = else_blk {
                 indent(out, level);
                 out.push_str("else\n");
-                print_block(out, e, level);
+                print_block(out, names, e, level);
             }
         }
         StmtKind::While { cond, body } => {
             indent(out, level);
-            let _ = writeln!(out, "while ({})", expr_str(cond));
-            print_block(out, body, level);
+            let _ = writeln!(out, "while ({})", expr_str(names, cond));
+            print_block(out, names, body, level);
         }
         StmtKind::DoWhile { body, cond } => {
             indent(out, level);
             out.push_str("do\n");
-            print_block(out, body, level);
+            print_block(out, names, body, level);
             indent(out, level);
-            let _ = writeln!(out, "while ({});", expr_str(cond));
+            let _ = writeln!(out, "while ({});", expr_str(names, cond));
         }
         StmtKind::For {
             init,
@@ -199,22 +205,22 @@ fn print_stmt(out: &mut String, s: &Stmt, level: usize) {
             indent(out, level);
             out.push_str("for (");
             if let Some(i) = init {
-                let _ = write!(out, "{}", stmt_inline(i));
+                let _ = write!(out, "{}", stmt_inline(names, i));
             }
             out.push_str("; ");
             if let Some(c) = cond {
-                let _ = write!(out, "{}", expr_str(c));
+                let _ = write!(out, "{}", expr_str(names, c));
             }
             out.push_str("; ");
             if let Some(st) = step {
-                let _ = write!(out, "{}", stmt_inline(st));
+                let _ = write!(out, "{}", stmt_inline(names, st));
             }
             out.push_str(")\n");
-            print_block(out, body, level);
+            print_block(out, names, body, level);
         }
         StmtKind::Switch { scrutinee, cases } => {
             indent(out, level);
-            let _ = writeln!(out, "switch ({}) {{", expr_str(scrutinee));
+            let _ = writeln!(out, "switch ({}) {{", expr_str(names, scrutinee));
             for case in cases {
                 for l in &case.labels {
                     indent(out, level);
@@ -225,7 +231,7 @@ fn print_stmt(out: &mut String, s: &Stmt, level: usize) {
                     out.push_str("default:\n");
                 }
                 for st in &case.body.stmts {
-                    print_stmt(out, st, level + 1);
+                    print_stmt(out, names, st, level + 1);
                 }
             }
             indent(out, level);
@@ -241,36 +247,38 @@ fn print_stmt(out: &mut String, s: &Stmt, level: usize) {
         }
         StmtKind::Goto(label) => {
             indent(out, level);
-            let _ = writeln!(out, "goto {label};");
+            let _ = writeln!(out, "goto {};", names.text(*label));
         }
         StmtKind::Label(label) => {
-            let _ = writeln!(out, "{label}:");
+            let _ = writeln!(out, "{}:", names.text(*label));
         }
         StmtKind::Return(v) => {
             indent(out, level);
             match v {
                 Some(e) => {
-                    let _ = writeln!(out, "return {};", expr_str(e));
+                    let _ = writeln!(out, "return {};", expr_str(names, e));
                 }
                 None => out.push_str("return;\n"),
             }
         }
-        StmtKind::Block(b) => print_block(out, b, level),
+        StmtKind::Block(b) => print_block(out, names, b, level),
     }
 }
 
 /// Renders a statement without trailing `;` (for `for` clauses).
-fn stmt_inline(s: &Stmt) -> String {
+fn stmt_inline(names: &NameTable, s: &Stmt) -> String {
     match &s.kind {
         StmtKind::Decl { name, ty, init } => {
-            let mut out = declarator(ty, name);
+            let mut out = declarator(ty, names.text(*name));
             if let Some(e) = init {
-                let _ = write!(out, " = {}", expr_str(e));
+                let _ = write!(out, " = {}", expr_str(names, e));
             }
             out
         }
-        StmtKind::Assign { lhs, rhs } => format!("{} = {}", expr_str(lhs), expr_str(rhs)),
-        StmtKind::Expr(e) => expr_str(e),
+        StmtKind::Assign { lhs, rhs } => {
+            format!("{} = {}", expr_str(names, lhs), expr_str(names, rhs))
+        }
+        StmtKind::Expr(e) => expr_str(names, e),
         _ => String::new(),
     }
 }
@@ -322,14 +330,15 @@ pub fn type_str(ty: &Type) -> String {
     }
 }
 
-/// Renders an expression with full parenthesization of compound operands.
-pub fn expr_str(e: &Expr) -> String {
+/// Renders an expression with full parenthesization of compound operands;
+/// `names` is its unit's table.
+pub fn expr_str(names: &NameTable, e: &Expr) -> String {
     match &e.kind {
         ExprKind::IntLit(v) => v.to_string(),
         ExprKind::CharLit(v) => format!("{v}"),
-        ExprKind::StrLit(s) => format!("{s:?}"),
+        ExprKind::StrLit(s) => format!("{:?}", names.text(*s)),
         ExprKind::Null => "NULL".into(),
-        ExprKind::Ident(n) => n.clone(),
+        ExprKind::Ident(n) => names.text(*n).to_string(),
         ExprKind::Unary(op, inner) => {
             let o = match op {
                 UnOp::Neg => "-",
@@ -338,41 +347,51 @@ pub fn expr_str(e: &Expr) -> String {
                 UnOp::Deref => "*",
                 UnOp::Addr => "&",
             };
-            format!("{o}{}", atom(inner))
+            format!("{o}{}", atom(names, inner))
         }
         ExprKind::Binary(op, l, r) => {
-            format!("{} {} {}", atom(l), op.as_str(), atom(r))
+            format!("{} {} {}", atom(names, l), op.as_str(), atom(names, r))
         }
         ExprKind::Call { callee, args } => {
-            let mut out = format!("{}(", atom_callee(callee));
+            let mut out = format!("{}(", atom_callee(names, callee));
             for (i, a) in args.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&expr_str(a));
+                out.push_str(&expr_str(names, a));
             }
             out.push(')');
             out
         }
-        ExprKind::Member { base, field, arrow } => {
-            format!("{}{}{field}", atom(base), if *arrow { "->" } else { "." })
+        ExprKind::Member { base, field, arrow } => format!(
+            "{}{}{}",
+            atom(names, base),
+            if *arrow { "->" } else { "." },
+            names.text(*field)
+        ),
+        ExprKind::Index { base, index } => {
+            format!("{}[{}]", atom(names, base), expr_str(names, index))
         }
-        ExprKind::Index { base, index } => format!("{}[{}]", atom(base), expr_str(index)),
-        ExprKind::Cast { ty, expr } => format!("({}){}", type_str(ty), atom(expr)),
+        ExprKind::Cast { ty, expr } => format!("({}){}", type_str(ty), atom(names, expr)),
         ExprKind::Sizeof(ty) => format!("sizeof({})", type_str(ty)),
         ExprKind::Ternary {
             cond,
             then_e,
             else_e,
-        } => format!("{} ? {} : {}", atom(cond), atom(then_e), atom(else_e)),
+        } => format!(
+            "{} ? {} : {}",
+            atom(names, cond),
+            atom(names, then_e),
+            atom(names, else_e)
+        ),
         ExprKind::AssignExpr { lhs, rhs } => {
-            format!("({} = {})", expr_str(lhs), expr_str(rhs))
+            format!("({} = {})", expr_str(names, lhs), expr_str(names, rhs))
         }
     }
 }
 
 /// Parenthesizes compound subexpressions.
-fn atom(e: &Expr) -> String {
+fn atom(names: &NameTable, e: &Expr) -> String {
     match &e.kind {
         ExprKind::IntLit(v) if *v < 0 => format!("({v})"),
         ExprKind::IntLit(_)
@@ -383,15 +402,15 @@ fn atom(e: &Expr) -> String {
         | ExprKind::Call { .. }
         | ExprKind::Member { .. }
         | ExprKind::Index { .. }
-        | ExprKind::Sizeof(_) => expr_str(e),
-        _ => format!("({})", expr_str(e)),
+        | ExprKind::Sizeof(_) => expr_str(names, e),
+        _ => format!("({})", expr_str(names, e)),
     }
 }
 
-fn atom_callee(e: &Expr) -> String {
+fn atom_callee(names: &NameTable, e: &Expr) -> String {
     match &e.kind {
-        ExprKind::Ident(_) | ExprKind::Member { .. } => expr_str(e),
-        _ => format!("({})", expr_str(e)),
+        ExprKind::Ident(_) | ExprKind::Member { .. } => expr_str(names, e),
+        _ => format!("({})", expr_str(names, e)),
     }
 }
 

@@ -1,5 +1,6 @@
 //! Token definitions for the KIR lexer.
 
+use crate::names::{Name, NameTable};
 use crate::span::Span;
 use std::fmt;
 
@@ -205,33 +206,46 @@ impl Punct {
     }
 }
 
-/// A lexed token.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A lexed token. Names and string literals are ids into the
+/// compilation's [`NameTable`], so tokens are `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
     /// Reserved word.
     Keyword(Keyword),
     /// Identifier (variable, function, type, or field name).
-    Ident(String),
+    Ident(Name),
     /// Integer literal (decimal or hex).
     Int(i64),
     /// Character literal, stored as its value.
     CharLit(i64),
-    /// String literal, stored without quotes.
-    Str(String),
+    /// String literal, stored without quotes and with escapes decoded.
+    Str(Name),
     /// Operator or punctuation.
     Punct(Punct),
     /// End of input.
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl TokenKind {
+    /// The token as diagnostics name it, resolving names through `names`.
+    pub fn display<'a>(&'a self, names: &'a NameTable) -> impl fmt::Display + 'a {
+        Shown { kind: self, names }
+    }
+}
+
+struct Shown<'a> {
+    kind: &'a TokenKind,
+    names: &'a NameTable,
+}
+
+impl fmt::Display for Shown<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        match *self.kind {
             TokenKind::Keyword(k) => write!(f, "`{}`", k.as_str()),
-            TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
+            TokenKind::Ident(n) => write!(f, "identifier `{}`", self.names.text(n)),
             TokenKind::Int(v) => write!(f, "integer `{v}`"),
             TokenKind::CharLit(v) => write!(f, "char literal `{v}`"),
-            TokenKind::Str(s) => write!(f, "string {s:?}"),
+            TokenKind::Str(n) => write!(f, "string {:?}", self.names.text(n)),
             TokenKind::Punct(p) => write!(f, "`{}`", p.as_str()),
             TokenKind::Eof => write!(f, "end of input"),
         }
@@ -239,7 +253,7 @@ impl fmt::Display for TokenKind {
 }
 
 /// Token with its source location.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
     /// The token payload.
     pub kind: TokenKind,
@@ -253,25 +267,28 @@ mod tests {
 
     #[test]
     fn keyword_roundtrip() {
+        use Keyword::*;
         for kw in [
-            Keyword::Int,
-            Keyword::Struct,
-            Keyword::Return,
-            Keyword::Switch,
-            Keyword::Null,
+            Int, Long, Unsigned, Char, Void, Bool, Struct, Union, Enum, Const, Static, Extern, If,
+            Else, While, For, Do, Switch, Case, Default, Break, Continue, Return, Goto, Sizeof,
+            Null, True, False,
         ] {
             assert_eq!(Keyword::lookup(kw.as_str()), Some(kw));
         }
-        assert_eq!(Keyword::lookup("nope"), None);
+        for word in ["nope", "", "integer", "in", "null", "Int", "s", "_int"] {
+            assert_eq!(Keyword::lookup(word), None, "{word}");
+        }
     }
 
     #[test]
     fn token_display() {
-        assert_eq!(TokenKind::Int(42).to_string(), "integer `42`");
-        assert_eq!(TokenKind::Punct(Punct::Arrow).to_string(), "`->`");
-        assert_eq!(
-            TokenKind::Ident("dev".to_string()).to_string(),
-            "identifier `dev`"
-        );
+        let mut names = NameTable::new();
+        let shown = |k: TokenKind, names: &NameTable| k.display(names).to_string();
+        assert_eq!(shown(TokenKind::Int(42), &names), "integer `42`");
+        assert_eq!(shown(TokenKind::Punct(Punct::Arrow), &names), "`->`");
+        let dev = names.intern("dev");
+        assert_eq!(shown(TokenKind::Ident(dev), &names), "identifier `dev`");
+        let s = names.intern("a\"b");
+        assert_eq!(shown(TokenKind::Str(s), &names), r#"string "a\"b""#);
     }
 }

@@ -8,12 +8,17 @@
 //! Calls to functions with no visible declaration are accepted and an
 //! implicit `int`-returning prototype is recorded — mirroring how the
 //! paper's LLVM pipeline sees external kernel APIs as declarations only.
+//!
+//! Every name is resolved by id: globals, functions and constants sit in
+//! [`NameMap`]s, locals in one [`Scopes`] reused across the unit's
+//! functions, and a function's labels in a short list. Names turn into
+//! text only inside diagnostics.
 
 use crate::ast::*;
 use crate::diag::{Diagnostic, KirError, Stage};
+use crate::names::{Name, NameMap, Scopes};
 use crate::span::Span;
 use crate::types::{FuncSig, Type};
-use std::collections::{HashMap, HashSet};
 
 /// Runs the checker over a parsed translation unit, mutating it in place.
 pub fn check(tu: &mut TranslationUnit) -> Result<(), KirError> {
@@ -25,20 +30,18 @@ pub fn check(tu: &mut TranslationUnit) -> Result<(), KirError> {
     tu.functions = functions;
     // Register implicit declarations discovered during checking, unless
     // a declaration or definition of that name already exists.
-    let implicit: Vec<FuncDecl> = {
-        let mut known: HashSet<&str> = tu
-            .decls
-            .iter()
-            .map(|d| d.name.as_str())
-            .chain(tu.functions.iter().map(|f| f.name.as_str()))
-            .collect();
-        cx.implicit_decls
-            .iter()
-            .filter(|(name, _)| known.insert(name))
-            .map(|(_, decl)| decl.clone())
-            .collect()
-    };
-    tu.decls.extend(implicit);
+    let mut known = NameMap::new();
+    for name in tu.decls.iter().map(|d| d.name) {
+        known.insert(name, ());
+    }
+    for name in tu.functions.iter().map(|f| f.name) {
+        known.insert(name, ());
+    }
+    for decl in cx.implicit_decls {
+        if known.insert(decl.name, ()).is_none() {
+            tu.decls.push(decl);
+        }
+    }
     if cx.diagnostics.is_empty() {
         Ok(())
     } else {
@@ -50,26 +53,26 @@ pub fn check(tu: &mut TranslationUnit) -> Result<(), KirError> {
 
 struct Checker {
     file: String,
-    labels: HashSet<String>,
-    globals: HashMap<String, Type>,
-    funcs: HashMap<String, FuncSig>,
-    consts: HashMap<String, i64>,
-    scopes: Vec<HashMap<String, Type>>,
+    /// The current function's labels.
+    labels: Vec<Name>,
+    globals: NameMap<Type>,
+    funcs: NameMap<FuncSig>,
+    scopes: Scopes<Type>,
     diagnostics: Vec<Diagnostic>,
-    implicit_decls: Vec<(String, FuncDecl)>,
+    implicit_decls: Vec<FuncDecl>,
     current_ret: Type,
 }
 
 impl Checker {
     fn new(tu: &TranslationUnit) -> Self {
-        let mut globals = HashMap::new();
+        let mut globals = NameMap::new();
         for g in &tu.globals {
-            globals.insert(g.name.clone(), g.ty.clone());
+            globals.insert(g.name, g.ty.clone());
         }
-        let mut funcs = HashMap::new();
+        let mut funcs = NameMap::new();
         for d in &tu.decls {
             funcs.insert(
-                d.name.clone(),
+                d.name,
                 FuncSig {
                     ret: d.ret.clone(),
                     params: d.params.iter().map(|p| p.ty.clone()).collect(),
@@ -79,7 +82,7 @@ impl Checker {
         }
         for f in &tu.functions {
             funcs.insert(
-                f.name.clone(),
+                f.name,
                 FuncSig {
                     ret: f.ret.clone(),
                     params: f.params.iter().map(|p| p.ty.clone()).collect(),
@@ -89,11 +92,10 @@ impl Checker {
         }
         Checker {
             file: tu.file.clone(),
-            labels: HashSet::new(),
+            labels: Vec::new(),
             globals,
             funcs,
-            consts: tu.consts.clone(),
-            scopes: vec![],
+            scopes: Scopes::new(),
             diagnostics: vec![],
             implicit_decls: vec![],
             current_ret: Type::Void,
@@ -109,29 +111,18 @@ impl Checker {
         });
     }
 
-    fn lookup_var(&self, name: &str) -> Option<&Type> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(t) = scope.get(name) {
-                return Some(t);
-            }
-        }
-        self.globals.get(name)
-    }
-
-    fn declare_local(&mut self, name: &str, ty: Type) {
-        self.scopes
-            .last_mut()
-            .expect("always inside a scope while checking")
-            .insert(name.to_string(), ty);
+    fn lookup_var(&self, name: Name) -> Option<&Type> {
+        self.scopes.lookup(name).or_else(|| self.globals.get(name))
     }
 
     fn check_function(&mut self, tu: &TranslationUnit, f: &mut Function) {
         self.current_ret = f.ret.clone();
-        self.labels = collect_labels(&f.body);
-        self.scopes.push(HashMap::new());
+        self.labels.clear();
+        collect_labels(&f.body, &mut self.labels);
+        self.scopes.push();
         for p in &f.params {
-            if !p.name.is_empty() {
-                self.declare_local(&p.name, p.ty.clone());
+            if p.name != Name::EMPTY {
+                self.scopes.declare(p.name, p.ty.clone());
             }
         }
         let mut body = std::mem::replace(&mut f.body, Block::empty(Span::DUMMY));
@@ -141,7 +132,7 @@ impl Checker {
     }
 
     fn check_block(&mut self, tu: &TranslationUnit, block: &mut Block) {
-        self.scopes.push(HashMap::new());
+        self.scopes.push();
         for stmt in &mut block.stmts {
             self.check_stmt(tu, stmt);
         }
@@ -156,12 +147,16 @@ impl Checker {
                     self.check_expr(tu, init);
                     if !ty.assignable_from(&init.ty) {
                         self.error(
-                            format!("cannot initialize `{name}: {ty}` from `{}`", init.ty),
+                            format!(
+                                "cannot initialize `{}: {ty}` from `{}`",
+                                tu.name(*name),
+                                init.ty
+                            ),
                             span,
                         );
                     }
                 }
-                self.declare_local(name, ty.clone());
+                self.scopes.declare(*name, ty.clone());
             }
             StmtKind::Expr(e) => {
                 self.check_expr(tu, e);
@@ -204,7 +199,7 @@ impl Checker {
                 step,
                 body,
             } => {
-                self.scopes.push(HashMap::new());
+                self.scopes.push();
                 if let Some(i) = init {
                     self.check_stmt(tu, i);
                 }
@@ -235,7 +230,10 @@ impl Checker {
             StmtKind::Break | StmtKind::Continue => {}
             StmtKind::Goto(label) => {
                 if !self.labels.contains(label) {
-                    self.error(format!("goto to undefined label `{label}`"), span);
+                    self.error(
+                        format!("goto to undefined label `{}`", tu.name(*label)),
+                        span,
+                    );
                 }
             }
             StmtKind::Label(_) => {}
@@ -279,16 +277,17 @@ impl Checker {
             ExprKind::Null => Type::Ptr(Box::new(Type::Void)),
             ExprKind::Sizeof(_) => Type::ULong,
             ExprKind::Ident(name) => {
+                let name = *name;
                 if let Some(t) = self.lookup_var(name) {
                     t.clone()
-                } else if let Some(&v) = self.consts.get(name.as_str()) {
+                } else if let Some(&v) = tu.consts.get(name) {
                     // Fold enum constants.
                     e.kind = ExprKind::IntLit(v);
                     Type::Int
-                } else if let Some(sig) = self.funcs.get(name.as_str()) {
+                } else if let Some(sig) = self.funcs.get(name) {
                     Type::Ptr(Box::new(Type::Func(Box::new(sig.clone()))))
                 } else {
-                    self.error(format!("unknown identifier `{name}`"), span);
+                    self.error(format!("unknown identifier `{}`", tu.name(name)), span);
                     Type::Error
                 }
             }
@@ -337,10 +336,10 @@ impl Checker {
                 self.check_expr(tu, base);
                 let struct_name = match (&base.ty, *arrow) {
                     (Type::Ptr(inner), true) => match inner.as_ref() {
-                        Type::Struct(n) => Some(n.clone()),
+                        Type::Struct(n) => Some(n.as_str()),
                         _ => None,
                     },
-                    (Type::Struct(n), false) => Some(n.clone()),
+                    (Type::Struct(n), false) => Some(n.as_str()),
                     (Type::Error, _) => None,
                     (other, true) => {
                         self.error(
@@ -354,8 +353,9 @@ impl Checker {
                         None
                     }
                 };
+                let field = tu.name(*field);
                 match struct_name {
-                    Some(sname) => match tu.structs.get(&sname).and_then(|d| d.field(field)) {
+                    Some(sname) => match tu.structs.get(sname).and_then(|d| d.field(field)) {
                         Some(f) => f.ty.clone(),
                         None => {
                             self.error(format!("struct `{sname}` has no field `{field}`"), span);
@@ -411,8 +411,8 @@ impl Checker {
             }
             ExprKind::Call { callee, args } => {
                 // `sizeof expr` marker from the parser.
-                if let ExprKind::Ident(name) = &callee.kind {
-                    if name == "__sizeof" && args.len() == 1 {
+                if let ExprKind::Ident(Name::SIZEOF) = callee.kind {
+                    if args.len() == 1 {
                         let mut operand = args.pop().expect("checked len");
                         self.check_expr(tu, &mut operand);
                         e.kind = ExprKind::Sizeof(operand.ty.clone());
@@ -466,10 +466,10 @@ impl Checker {
         argc: usize,
         span: Span,
     ) -> Option<FuncSig> {
-        if let ExprKind::Ident(name) = &callee.kind {
+        if let ExprKind::Ident(name) = callee.kind {
             // Local/global function-pointer variables shadow functions.
             if self.lookup_var(name).is_none() {
-                if let Some(sig) = self.funcs.get(name.as_str()) {
+                if let Some(sig) = self.funcs.get(name) {
                     callee.ty = Type::Ptr(Box::new(Type::Func(Box::new(sig.clone()))));
                     return Some(sig.clone());
                 }
@@ -479,17 +479,14 @@ impl Checker {
                     params: vec![Type::Error; argc],
                     variadic: true,
                 };
-                self.funcs.insert(name.clone(), sig.clone());
-                self.implicit_decls.push((
-                    name.clone(),
-                    FuncDecl {
-                        name: name.clone(),
-                        ret: Type::Int,
-                        params: vec![],
-                        variadic: true,
-                        span,
-                    },
-                ));
+                self.funcs.insert(name, sig.clone());
+                self.implicit_decls.push(FuncDecl {
+                    name,
+                    ret: Type::Int,
+                    params: vec![],
+                    variadic: true,
+                    span,
+                });
                 callee.ty = Type::Ptr(Box::new(Type::Func(Box::new(sig.clone()))));
                 return Some(sig);
             }
@@ -519,14 +516,12 @@ impl Checker {
     }
 }
 
-/// All `label:` names in a function body.
-fn collect_labels(block: &Block) -> std::collections::HashSet<String> {
-    fn walk(block: &Block, out: &mut std::collections::HashSet<String>) {
+/// Appends every `label:` name in a function body to `out`.
+fn collect_labels(block: &Block, out: &mut Vec<Name>) {
+    fn walk(block: &Block, out: &mut Vec<Name>) {
         for s in &block.stmts {
             match &s.kind {
-                StmtKind::Label(l) => {
-                    out.insert(l.clone());
-                }
+                StmtKind::Label(l) => out.push(*l),
                 StmtKind::If {
                     then_blk, else_blk, ..
                 } => {
@@ -548,9 +543,7 @@ fn collect_labels(block: &Block) -> std::collections::HashSet<String> {
             }
         }
     }
-    let mut out = std::collections::HashSet::new();
-    walk(block, &mut out);
-    out
+    walk(block, out);
 }
 
 /// The wider of two integral types by conversion rank.

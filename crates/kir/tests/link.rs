@@ -101,7 +101,7 @@ fn duplicate_global_is_a_link_error() {
     assert_eq!((d.file.as_str(), d.span.line), ("b.c", 2));
     let c = "int theirs;";
     let tu = compile_many(&[("a.c", a), ("c.c", c)]).unwrap();
-    let names: Vec<&str> = tu.globals.iter().map(|g| g.name.as_str()).collect();
+    let names: Vec<&str> = tu.globals.iter().map(|g| tu.name(g.name)).collect();
     assert_eq!(names, ["shared_counter", "other", "theirs"]);
 }
 
@@ -114,7 +114,7 @@ fn a_repeated_extern_declaration_keeps_the_first() {
     let decls: Vec<(&str, usize, u32)> = tu
         .decls
         .iter()
-        .map(|d| (d.name.as_str(), d.params.len(), d.span.line))
+        .map(|d| (tu.name(d.name), d.params.len(), d.span.line))
         .collect();
     assert_eq!(decls, [("api", 1, 1), ("other_api", 1, 2), ("more", 0, 2)]);
 }
@@ -135,7 +135,7 @@ fn implicit_declarations_are_added_once_and_only_for_unknown_names() {
     let decls: Vec<(&str, u32)> = tu
         .decls
         .iter()
-        .map(|d| (d.name.as_str(), d.span.line))
+        .map(|d| (tu.name(d.name), d.span.line))
         .collect();
     // `api` is declared, `helper` defined and `cb` a parameter: none gets
     // an implicit prototype. `kzalloc` gets one, at its first call.
@@ -154,7 +154,7 @@ fn linked_names_decide_what_lowering_calls_an_api() {
     let a = "int api(int x);\nint shared(int x) { return api(x); }";
     let b = "int user(int x) { kmalloc(4); return shared(x) + api(x); }";
     let tu = compile_many(&[("b.c", b), ("a.c", a)]).unwrap();
-    let decls: Vec<&str> = tu.decls.iter().map(|d| d.name.as_str()).collect();
+    let decls: Vec<&str> = tu.decls.iter().map(|d| tu.name(d.name)).collect();
     assert_eq!(decls, ["api", "kmalloc"]);
     let module = seal_ir::lower(&tu);
     let apis: Vec<&str> = module.apis.iter().map(|a| a.name.as_str()).collect();

@@ -1,6 +1,9 @@
 //! Seeded property tests for the KIR frontend: generated programs compile,
 //! and pretty-printing is a fixpoint (print ∘ parse ∘ print = print).
 //! Driven by the in-tree PRNG so the suite runs fully offline.
+//!
+//! Every compilation has its own name table, so comparisons across two
+//! compilations go through rendered text, never through name ids.
 
 use seal_kir::pretty::print_unit;
 use seal_runtime::rng::Rng;
@@ -104,6 +107,34 @@ fn ascii_fuzz(rng: &mut Rng, max_len: usize) -> String {
     (0..n).map(|_| rng.gen_range(32u8..127) as char).collect()
 }
 
+/// Non-ASCII characters of one to four UTF-8 bytes.
+const WIDE: [char; 6] = ['é', 'ß', 'Ω', '€', '中', '😀'];
+
+/// Printable ASCII salted with multi-byte characters and newlines, so a
+/// cursor that slices the source mid-character would panic.
+fn utf8_fuzz(rng: &mut Rng, max_len: usize) -> String {
+    let n = rng.gen_range(0..max_len);
+    (0..n)
+        .map(|_| match rng.gen_range(0..8usize) {
+            0 => WIDE[rng.gen_range(0..WIDE.len())],
+            1 => '\n',
+            _ => rng.gen_range(32u8..127) as char,
+        })
+        .collect()
+}
+
+/// A string literal of ASCII and non-ASCII text, with escapes.
+fn wide_literal(rng: &mut Rng) -> String {
+    let n = rng.gen_range(1..8usize);
+    (0..n)
+        .map(|_| match rng.gen_range(0..6usize) {
+            0 | 1 => WIDE[rng.gen_range(0..WIDE.len())].to_string(),
+            2 => ["\\n", "\\t", "\\\"", "\\\\"][rng.gen_range(0..4usize)].to_string(),
+            _ => (rng.gen_range(b'a'..=b'z') as char).to_string(),
+        })
+        .collect()
+}
+
 /// Every generated program compiles (parser + type checker accept the
 /// grammar they claim to support).
 #[test]
@@ -154,22 +185,58 @@ fn lowering_never_panics() {
     }
 }
 
-/// The lexer never panics on arbitrary ASCII input (errors are Ok).
+/// The lexer never panics on arbitrary ASCII input (errors are Ok), nor
+/// on ASCII mixed with multi-byte UTF-8.
 #[test]
 fn lexer_total_on_ascii() {
     let mut rng = Rng::seed_from_u64(0x1C_0004);
     for _ in 0..CASES {
         let src = ascii_fuzz(&mut rng, 200);
-        let _ = seal_kir::lexer::lex(&src, "fuzz.c");
+        let _ = seal_kir::lexer::lex(&src, "fuzz.c", &mut seal_kir::NameTable::new());
+        let src = utf8_fuzz(&mut rng, 200);
+        let _ = seal_kir::lexer::lex(&src, "fuzz.c", &mut seal_kir::NameTable::new());
     }
 }
 
-/// The full frontend never panics on arbitrary ASCII input.
+/// The full frontend never panics on arbitrary ASCII input, nor on ASCII
+/// mixed with multi-byte UTF-8.
 #[test]
 fn frontend_total_on_ascii() {
     let mut rng = Rng::seed_from_u64(0x1C_0005);
     for _ in 0..CASES {
         let src = ascii_fuzz(&mut rng, 200);
         let _ = seal_kir::compile(&src, "fuzz.c");
+        let src = utf8_fuzz(&mut rng, 200);
+        let _ = seal_kir::compile(&src, "fuzz.c");
+    }
+}
+
+/// String literals with non-ASCII text survive lexing byte for byte, and
+/// pretty-printing them is a fixpoint.
+#[test]
+fn pretty_print_is_fixpoint_on_utf8_literals() {
+    let mut rng = Rng::seed_from_u64(0x1C_0006);
+    for _ in 0..CASES {
+        let (a, b) = (wide_literal(&mut rng), wide_literal(&mut rng));
+        let src = format!(
+            "int puts_api(char *s);\n\
+             char *g = \"{a}\";\n\
+             int f(void) {{ char *s = \"{b}\"; return puts_api(s); }}"
+        );
+        let tu1 = seal_kir::compile(&src, "wide.c").unwrap();
+        let printed1 = print_unit(&tu1);
+        for lit in [&a, &b] {
+            assert!(
+                printed1.contains(lit.as_str()),
+                "{lit} lost in:\n{printed1}"
+            );
+        }
+        let tu2 = seal_kir::compile(&printed1, "wide2.c")
+            .unwrap_or_else(|e| panic!("reprint does not compile:\n{printed1}\n{e}"));
+        assert_eq!(
+            printed1,
+            print_unit(&tu2),
+            "printing not a fixpoint for:\n{src}"
+        );
     }
 }
