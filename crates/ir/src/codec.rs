@@ -24,6 +24,7 @@ use seal_kir::span::Span;
 use seal_kir::types::{Field, FuncSig, StructDef, StructRegistry, Type};
 use seal_store::{CodecError, ContentHash, Dec, Enc, Hasher128};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 const BINOPS: [BinOp; 18] = [
     BinOp::Add,
@@ -110,10 +111,10 @@ fn dec_type(d: &mut Dec) -> Result<Type, CodecError> {
         4 => Type::ULong,
         5 => Type::Char,
         6 => Type::Bool,
-        7 => Type::Ptr(Box::new(dec_type(d)?)),
-        8 => Type::Array(Box::new(dec_type(d)?), d.u64()?),
-        9 => Type::Struct(d.str()?.to_string()),
-        10 => Type::Func(Box::new(dec_sig(d)?)),
+        7 => Type::Ptr(Arc::new(dec_type(d)?)),
+        8 => Type::Array(Arc::new(dec_type(d)?), d.u64()?),
+        9 => Type::Struct(d.str()?.into()),
+        10 => Type::Func(Arc::new(dec_sig(d)?)),
         11 => Type::Error,
         tag => return Err(CodecError::BadTag { what: "Type", tag }),
     })

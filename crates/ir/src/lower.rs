@@ -1165,20 +1165,20 @@ impl<'a> FunctionLowerer<'a> {
     fn field_info(&self, base: &Expr, field: &str, arrow: bool) -> (String, u64) {
         let sname = match (&base.ty, arrow) {
             (Type::Ptr(inner), true) => match inner.as_ref() {
-                Type::Struct(n) => n.clone(),
-                _ => String::new(),
+                Type::Struct(n) => n,
+                _ => "",
             },
-            (Type::Struct(n), false) => n.clone(),
-            _ => String::new(),
+            (Type::Struct(n), false) => n,
+            _ => "",
         };
         let offset = self
             .tu
             .structs
-            .get(&sname)
+            .get(sname)
             .and_then(|d| d.field(field))
             .map(|f| f.offset)
             .unwrap_or(0);
-        (sname, offset)
+        (sname.to_string(), offset)
     }
 }
 

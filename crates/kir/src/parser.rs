@@ -12,10 +12,11 @@
 
 use crate::ast::*;
 use crate::diag::{KirError, Stage};
-use crate::names::{Name, NameTable};
+use crate::names::{Name, NameMap, NameTable};
 use crate::span::Span;
 use crate::token::{Keyword, Punct, Token, TokenKind};
 use crate::types::{FuncSig, Type};
+use std::sync::Arc;
 
 /// Parses a token stream (as produced by [`crate::lexer::lex`] into
 /// `names`) into an untyped [`TranslationUnit`]. The unit's own name table
@@ -30,6 +31,7 @@ pub fn parse(
         pos: 0,
         names,
         file,
+        struct_tags: NameMap::new(),
     };
     p.translation_unit()
 }
@@ -39,6 +41,9 @@ struct Parser<'a> {
     pos: usize,
     names: &'a NameTable,
     file: &'a str,
+    /// The shared text of each struct tag named so far, so that every
+    /// mention of a tag shares one allocation.
+    struct_tags: NameMap<Arc<str>>,
 }
 
 impl Parser<'_> {
@@ -109,6 +114,15 @@ impl Parser<'_> {
         }
     }
 
+    fn struct_tag(&mut self, name: Name) -> Arc<str> {
+        if let Some(tag) = self.struct_tags.get(name) {
+            return tag.clone();
+        }
+        let tag: Arc<str> = self.names.text(name).into();
+        self.struct_tags.insert(name, tag.clone());
+        tag
+    }
+
     /// True if the current token can start a type.
     fn at_type_start(&self) -> bool {
         matches!(
@@ -156,7 +170,7 @@ impl Parser<'_> {
             }
             TokenKind::Keyword(Keyword::Struct) | TokenKind::Keyword(Keyword::Union) => {
                 let (name, _) = self.expect_ident()?;
-                Type::Struct(self.names.text(name).to_string())
+                Type::Struct(self.struct_tag(name))
             }
             TokenKind::Keyword(Keyword::Enum) => {
                 // `enum tag` in a type position is just an int.
@@ -175,7 +189,7 @@ impl Parser<'_> {
         loop {
             while self.eat_kw(Keyword::Const) {}
             if self.eat_punct(Punct::Star) {
-                ty = Type::Ptr(Box::new(ty));
+                ty = Type::Ptr(Arc::new(ty));
             } else {
                 break;
             }
@@ -202,7 +216,7 @@ impl Parser<'_> {
                 params: params.into_iter().map(|p| p.ty).collect(),
                 variadic,
             };
-            return Ok((name, Type::Ptr(Box::new(Type::Func(Box::new(sig)))), span));
+            return Ok((name, Type::Ptr(Arc::new(Type::Func(Arc::new(sig)))), span));
         }
         let (name, span) = self.expect_ident()?;
         let mut ty = base;
@@ -211,7 +225,7 @@ impl Parser<'_> {
                 TokenKind::Int(v) if v >= 0 => v as u64,
                 TokenKind::Punct(Punct::RBracket) => {
                     // Unsized array decays to pointer.
-                    return Ok((name, Type::Ptr(Box::new(ty)), span));
+                    return Ok((name, Type::Ptr(Arc::new(ty)), span));
                 }
                 other => {
                     return Err(self.err(format!(
@@ -221,7 +235,7 @@ impl Parser<'_> {
                 }
             };
             self.expect_punct(Punct::RBracket)?;
-            ty = Type::Array(Box::new(ty), n);
+            ty = Type::Array(Arc::new(ty), n);
         }
         Ok((name, ty, span))
     }

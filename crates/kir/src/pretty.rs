@@ -418,6 +418,7 @@ fn atom_callee(names: &NameTable, e: &Expr) -> String {
 mod tests {
     use super::*;
     use crate::compile;
+    use std::sync::Arc;
 
     fn roundtrip(src: &str) {
         let tu = compile(src, "t.c").unwrap();
@@ -501,14 +502,14 @@ mod tests {
     fn declarator_forms() {
         assert_eq!(declarator(&Type::Int, "x"), "int x");
         assert_eq!(
-            declarator(&Type::Ptr(Box::new(Type::Struct("dev".into()))), "d"),
+            declarator(&Type::Ptr(Arc::new(Type::Struct("dev".into()))), "d"),
             "struct dev *d"
         );
         assert_eq!(
-            declarator(&Type::Array(Box::new(Type::Char), 34), "block"),
+            declarator(&Type::Array(Arc::new(Type::Char), 34), "block"),
             "char block[34]"
         );
-        let fp = Type::Ptr(Box::new(Type::Func(Box::new(FuncSig {
+        let fp = Type::Ptr(Arc::new(Type::Func(Arc::new(FuncSig {
             ret: Type::Int,
             params: vec![Type::Int],
             variadic: false,

@@ -19,6 +19,7 @@ use crate::diag::{Diagnostic, KirError, Stage};
 use crate::names::{Name, NameMap, Scopes};
 use crate::span::Span;
 use crate::types::{FuncSig, Type};
+use std::sync::Arc;
 
 /// Runs the checker over a parsed translation unit, mutating it in place.
 pub fn check(tu: &mut TranslationUnit) -> Result<(), KirError> {
@@ -56,8 +57,13 @@ struct Checker {
     /// The current function's labels.
     labels: Vec<Name>,
     globals: NameMap<Type>,
-    funcs: NameMap<FuncSig>,
+    /// Each function's pointer type, the type of its name in an
+    /// expression. Types share their parts, so handing one out is cheap.
+    funcs: NameMap<Type>,
     scopes: Scopes<Type>,
+    /// The types of string literals and of `NULL`, built once.
+    char_ptr: Type,
+    void_ptr: Type,
     diagnostics: Vec<Diagnostic>,
     implicit_decls: Vec<FuncDecl>,
     current_ret: Type,
@@ -73,21 +79,21 @@ impl Checker {
         for d in &tu.decls {
             funcs.insert(
                 d.name,
-                FuncSig {
+                fn_ptr(FuncSig {
                     ret: d.ret.clone(),
                     params: d.params.iter().map(|p| p.ty.clone()).collect(),
                     variadic: d.variadic,
-                },
+                }),
             );
         }
         for f in &tu.functions {
             funcs.insert(
                 f.name,
-                FuncSig {
+                fn_ptr(FuncSig {
                     ret: f.ret.clone(),
                     params: f.params.iter().map(|p| p.ty.clone()).collect(),
                     variadic: false,
-                },
+                }),
             );
         }
         Checker {
@@ -96,6 +102,8 @@ impl Checker {
             globals,
             funcs,
             scopes: Scopes::new(),
+            char_ptr: Type::Ptr(Arc::new(Type::Char)),
+            void_ptr: Type::Ptr(Arc::new(Type::Void)),
             diagnostics: vec![],
             implicit_decls: vec![],
             current_ret: Type::Void,
@@ -273,8 +281,8 @@ impl Checker {
         let ty = match &mut e.kind {
             ExprKind::IntLit(_) => Type::Int,
             ExprKind::CharLit(_) => Type::Char,
-            ExprKind::StrLit(_) => Type::Ptr(Box::new(Type::Char)),
-            ExprKind::Null => Type::Ptr(Box::new(Type::Void)),
+            ExprKind::StrLit(_) => self.char_ptr.clone(),
+            ExprKind::Null => self.void_ptr.clone(),
             ExprKind::Sizeof(_) => Type::ULong,
             ExprKind::Ident(name) => {
                 let name = *name;
@@ -284,8 +292,8 @@ impl Checker {
                     // Fold enum constants.
                     e.kind = ExprKind::IntLit(v);
                     Type::Int
-                } else if let Some(sig) = self.funcs.get(name) {
-                    Type::Ptr(Box::new(Type::Func(Box::new(sig.clone()))))
+                } else if let Some(fn_ptr) = self.funcs.get(name) {
+                    fn_ptr.clone()
                 } else {
                     self.error(format!("unknown identifier `{}`", tu.name(name)), span);
                     Type::Error
@@ -316,7 +324,7 @@ impl Checker {
                             Type::Error
                         }
                     },
-                    UnOp::Addr => Type::Ptr(Box::new(operand.ty.clone())),
+                    UnOp::Addr => Type::Ptr(Arc::new(operand.ty.clone())),
                 }
             }
             ExprKind::Binary(op, lhs, rhs) => {
@@ -336,10 +344,10 @@ impl Checker {
                 self.check_expr(tu, base);
                 let struct_name = match (&base.ty, *arrow) {
                     (Type::Ptr(inner), true) => match inner.as_ref() {
-                        Type::Struct(n) => Some(n.as_str()),
+                        Type::Struct(n) => Some(&**n),
                         _ => None,
                     },
-                    (Type::Struct(n), false) => Some(n.as_str()),
+                    (Type::Struct(n), false) => Some(&**n),
                     (Type::Error, _) => None,
                     (other, true) => {
                         self.error(
@@ -465,21 +473,22 @@ impl Checker {
         callee: &mut Expr,
         argc: usize,
         span: Span,
-    ) -> Option<FuncSig> {
+    ) -> Option<Arc<FuncSig>> {
         if let ExprKind::Ident(name) = callee.kind {
             // Local/global function-pointer variables shadow functions.
             if self.lookup_var(name).is_none() {
-                if let Some(sig) = self.funcs.get(name) {
-                    callee.ty = Type::Ptr(Box::new(Type::Func(Box::new(sig.clone()))));
-                    return Some(sig.clone());
+                if let Some(fn_ptr) = self.funcs.get(name) {
+                    callee.ty = fn_ptr.clone();
+                    return signature(fn_ptr).cloned();
                 }
                 // Implicit declaration, C89 style: `int name(...)`.
-                let sig = FuncSig {
+                let sig = Arc::new(FuncSig {
                     ret: Type::Int,
                     params: vec![Type::Error; argc],
                     variadic: true,
-                };
-                self.funcs.insert(name, sig.clone());
+                });
+                let fn_ptr = Type::Ptr(Arc::new(Type::Func(sig.clone())));
+                self.funcs.insert(name, fn_ptr.clone());
                 self.implicit_decls.push(FuncDecl {
                     name,
                     ret: Type::Int,
@@ -487,14 +496,14 @@ impl Checker {
                     variadic: true,
                     span,
                 });
-                callee.ty = Type::Ptr(Box::new(Type::Func(Box::new(sig.clone()))));
+                callee.ty = fn_ptr;
                 return Some(sig);
             }
         }
         self.check_expr(tu, callee);
         match &callee.ty {
             Type::Ptr(inner) => match inner.as_ref() {
-                Type::Func(sig) => Some((**sig).clone()),
+                Type::Func(sig) => Some(sig.clone()),
                 _ => {
                     self.error(
                         format!("called value has non-function type `{}`", callee.ty),
@@ -503,7 +512,7 @@ impl Checker {
                     None
                 }
             },
-            Type::Func(sig) => Some((**sig).clone()),
+            Type::Func(sig) => Some(sig.clone()),
             Type::Error => None,
             other => {
                 self.error(
@@ -513,6 +522,22 @@ impl Checker {
                 None
             }
         }
+    }
+}
+
+/// The pointer-to-function type of `sig`.
+fn fn_ptr(sig: FuncSig) -> Type {
+    Type::Ptr(Arc::new(Type::Func(Arc::new(sig))))
+}
+
+/// The signature behind a pointer-to-function type.
+fn signature(ty: &Type) -> Option<&Arc<FuncSig>> {
+    match ty {
+        Type::Ptr(inner) => match inner.as_ref() {
+            Type::Func(sig) => Some(sig),
+            _ => None,
+        },
+        _ => None,
     }
 }
 

@@ -5,6 +5,7 @@
 //! computes those offsets with a conventional C layout (natural alignment).
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A KIR type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -24,13 +25,17 @@ pub enum Type {
     /// Boolean.
     Bool,
     /// Pointer to a pointee type.
-    Ptr(Box<Type>),
+    Ptr(Arc<Type>),
     /// Fixed-size array.
-    Array(Box<Type>, u64),
-    /// Named struct or union type (resolved against [`StructDef`]s).
-    Struct(String),
-    /// Function type; appears behind `Ptr` for function pointers.
-    Func(Box<FuncSig>),
+    Array(Arc<Type>, u64),
+    /// Named struct or union type (resolved against [`StructDef`]s). The
+    /// tag is shared, so cloning a type (which the checker does for every
+    /// typed expression) never copies it.
+    Struct(Arc<str>),
+    /// Function type; appears behind `Ptr` for function pointers. The
+    /// signature is shared: every call's callee is typed with the callee's
+    /// signature, and cloning it must not copy its parameter list.
+    Func(Arc<FuncSig>),
     /// Placeholder produced during error recovery.
     Error,
 }
@@ -230,7 +235,7 @@ impl StructRegistry {
     /// Size in bytes of any type, resolving struct tags through the registry.
     pub fn size_of(&self, ty: &Type) -> u64 {
         match ty {
-            Type::Struct(name) => self.defs.get(name).map(|d| d.size).unwrap_or(8),
+            Type::Struct(name) => self.defs.get(&**name).map(|d| d.size).unwrap_or(8),
             Type::Array(elem, n) => self.size_of(elem) * n,
             other => other.scalar_size().unwrap_or(8),
         }
@@ -294,8 +299,8 @@ mod tests {
     #[test]
     fn scalar_sizes() {
         assert_eq!(Type::Int.scalar_size(), Some(4));
-        assert_eq!(Type::Ptr(Box::new(Type::Void)).scalar_size(), Some(8));
-        assert_eq!(Type::Array(Box::new(Type::Int), 4).scalar_size(), Some(16));
+        assert_eq!(Type::Ptr(Arc::new(Type::Void)).scalar_size(), Some(8));
+        assert_eq!(Type::Array(Arc::new(Type::Int), 4).scalar_size(), Some(16));
         assert_eq!(Type::Struct("s".into()).scalar_size(), None);
     }
 
@@ -307,7 +312,7 @@ mod tests {
             vec![
                 ("c".into(), Type::Char),
                 ("x".into(), Type::Int),
-                ("p".into(), Type::Ptr(Box::new(Type::Void))),
+                ("p".into(), Type::Ptr(Arc::new(Type::Void))),
             ],
             false,
         );
@@ -349,13 +354,13 @@ mod tests {
 
     #[test]
     fn assignability_rules() {
-        let vp = Type::Ptr(Box::new(Type::Void));
-        let ip = Type::Ptr(Box::new(Type::Int));
+        let vp = Type::Ptr(Arc::new(Type::Void));
+        let ip = Type::Ptr(Arc::new(Type::Int));
         assert!(ip.assignable_from(&vp));
         assert!(vp.assignable_from(&ip));
         assert!(ip.assignable_from(&Type::Int)); // NULL-as-0 idiom
         assert!(Type::Long.assignable_from(&Type::Int));
-        assert!(!ip.assignable_from(&Type::Ptr(Box::new(Type::Long))));
+        assert!(!ip.assignable_from(&Type::Ptr(Arc::new(Type::Long))));
     }
 
     #[test]
@@ -373,9 +378,9 @@ mod tests {
 
     #[test]
     fn display_types() {
-        let fp = Type::Ptr(Box::new(Type::Func(Box::new(FuncSig {
+        let fp = Type::Ptr(Arc::new(Type::Func(Arc::new(FuncSig {
             ret: Type::Int,
-            params: vec![Type::Ptr(Box::new(Type::Struct("vb".into())))],
+            params: vec![Type::Ptr(Arc::new(Type::Struct("vb".into())))],
             variadic: false,
         }))));
         assert_eq!(fp.to_string(), "int(struct vb*)*");

@@ -12,9 +12,11 @@
 //!   spilled to disk under budget pressure. A patch that fails or panics
 //!   fails the run with its typed error, the first in patch order.
 //! * **Drivers** accumulate into fixed-size chunks. Each chunk compiles
-//!   into its own module — padded with blank lines so every function
-//!   keeps its exact line/column position from the single-TU layout —
-//!   and is spilled via [`seal_core::spill`] (binary codecs) or kept,
+//!   into its own module — the prelude, then the chunk's drivers lexed
+//!   from the line they start on in the single-TU layout
+//!   ([`seal_kir::compile_segments`]), so every function keeps its exact
+//!   line/column position — and is spilled via [`seal_core::spill`]
+//!   (binary codecs) or kept,
 //!   budget permitting. At most one chunk's AST exists at a time.
 //! * **Overlap.** With two or more workers, a full patch batch is
 //!   inferred on a helper thread while the calling thread goes on
@@ -43,6 +45,7 @@ use seal_core::{detect::DetectConfig, BugReport, DetectStats, Seal, SealError, S
 use seal_corpus::ledger::{score, Score, SeededBug};
 use seal_corpus::stream::{CorpusStream, StreamItem};
 use seal_corpus::{generate, Corpus, CorpusConfig};
+use seal_kir::Segment;
 use seal_runtime::TaskPanic;
 use seal_spec::Specification;
 use std::collections::HashMap;
@@ -176,7 +179,8 @@ enum ModuleSlot {
 /// One sealed driver chunk.
 struct Chunk {
     /// Newlines preceding this chunk's first driver in the single-TU
-    /// layout (prelude included) — the padding that keeps spans exact.
+    /// layout (prelude included): the driver text starts on the line
+    /// after them, which keeps spans exact.
     start_newlines: usize,
     /// Global driver index range.
     drivers: Range<usize>,
@@ -224,7 +228,6 @@ pub struct ScaleRun {
     jobs: usize,
     seal: Seal,
     prelude: String,
-    prelude_newlines: usize,
     chunks: Vec<Chunk>,
     segs: Vec<SpecSeg>,
     ground_truth: Vec<SeededBug>,
@@ -278,7 +281,6 @@ impl ScaleRun {
                 ..Seal::default()
             },
             prelude: prelude.to_string(),
-            prelude_newlines: prelude.matches('\n').count(),
             chunks: Vec::new(),
             segs: Vec::new(),
             ground_truth: Vec::new(),
@@ -330,7 +332,7 @@ impl ScaleRun {
         scope: &'scope std::thread::Scope<'scope, 'env>,
         in_flight: &mut Option<InFlight<'scope>>,
     ) -> Result<(), SealError> {
-        let mut newlines = self.prelude_newlines;
+        let mut newlines = self.prelude.matches('\n').count();
         let mut chunk_text = String::new();
         let mut chunk_start_newlines = newlines;
         let mut chunk_first_driver = 0usize;
@@ -429,7 +431,7 @@ impl ScaleRun {
         drivers: Range<usize>,
         text: &mut String,
     ) -> Result<(), SealError> {
-        let module = compile_chunk(&self.prelude, self.prelude_newlines, start_newlines, text);
+        let module = compile_chunk(&self.prelude, start_newlines, text);
         text.clear();
         let slot = match (&mut self.spill, self.budget.should_spill()) {
             (Some(spill), true) => {
@@ -569,7 +571,6 @@ impl ScaleRun {
                             regen_chunk_module(
                                 &self.opts.config,
                                 &self.prelude,
-                                self.prelude_newlines,
                                 chunk.start_newlines,
                                 chunk.drivers.clone(),
                             )
@@ -705,22 +706,21 @@ pub fn run_materialized(
     })
 }
 
-/// Builds a chunk's translation unit with blank-line padding so every
-/// function keeps its single-TU line/column, then compiles and lowers it.
-fn compile_chunk(
-    prelude: &str,
-    prelude_newlines: usize,
-    start_newlines: usize,
-    text: &str,
-) -> seal_ir::Module {
-    let pad = start_newlines - prelude_newlines;
-    let mut src = String::with_capacity(prelude.len() + pad + text.len());
-    src.push_str(prelude);
-    for _ in 0..pad {
-        src.push('\n');
-    }
-    src.push_str(text);
-    let tu = seal_kir::compile(&src, "kernel.c").expect("generated kernel chunk must compile");
+/// Compiles and lowers one chunk: the prelude, then the chunk's drivers
+/// lexed from the line they start on in the single-TU target
+/// (`start_newlines` newlines precede them there), so every function keeps
+/// its single-TU line/column without the lexer reading padding.
+fn compile_chunk(prelude: &str, start_newlines: usize, text: &str) -> seal_ir::Module {
+    let first_line = u32::try_from(start_newlines + 1).expect("target under 2^32 lines");
+    let segments = [
+        Segment {
+            text: prelude,
+            first_line: 1,
+        },
+        Segment { text, first_line },
+    ];
+    let tu = seal_kir::compile_segments(&segments, "kernel.c")
+        .expect("generated kernel chunk must compile");
     seal_ir::lower(&tu)
 }
 
@@ -748,7 +748,6 @@ fn infer_batch_ordered(
 fn regen_chunk_module(
     config: &CorpusConfig,
     prelude: &str,
-    prelude_newlines: usize,
     start_newlines: usize,
     drivers: Range<usize>,
 ) -> seal_ir::Module {
@@ -764,7 +763,7 @@ fn regen_chunk_module(
             }
         }
     }
-    compile_chunk(prelude, prelude_newlines, start_newlines, &text)
+    compile_chunk(prelude, start_newlines, &text)
 }
 
 /// Regenerates one spec segment by re-streaming and re-inferring its
