@@ -1258,6 +1258,12 @@ mod tests {
         assert!(copies(&m, "takes_api", &Operand::FuncRef("api".into())));
     }
 
+    #[test]
+    fn string_literals_lower_as_utf8_text() {
+        let m = lower_src("char *f(void) { return \"naïve €\"; }");
+        assert_eq!(returned(&m, "f"), Operand::Str("naïve €".into()));
+    }
+
     /// A global that shares a function's name resolves as the global, as
     /// an operand and as a place base.
     #[test]

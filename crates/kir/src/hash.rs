@@ -8,9 +8,12 @@
 //! it, while any edit the parser can see (an operator, a constant, a
 //! declarator) produces a different digest.
 //!
-//! Domain-separation strings (`kir.fn.v1`, `kir.unit.v1`) version the key
+//! Domain-separation strings (`kir.fn.v2`, `kir.unit.v2`) version the key
 //! derivation itself: changing what a hash covers must change every key,
-//! or a new binary would happily read a stale cache.
+//! or a new binary would happily read a stale cache. Version 2 renders
+//! string literals as the UTF-8 text they spell; version 1 rendered each
+//! byte of a non-ASCII literal as one Latin-1 character, so a v1 key for
+//! `"é"` equals the key of a source that really says `"Ã©"`.
 
 use crate::ast::{Function, TranslationUnit};
 use crate::names::NameTable;
@@ -23,7 +26,7 @@ pub fn function_hash(names: &NameTable, f: &Function) -> ContentHash {
     let mut out = String::new();
     pretty::print_function(&mut out, names, f);
     let mut h = Hasher128::new();
-    h.update_str("kir.fn.v1");
+    h.update_str("kir.fn.v2");
     h.update_str(&out);
     h.finish()
 }
@@ -38,7 +41,7 @@ pub fn function_hash(names: &NameTable, f: &Function) -> ContentHash {
 pub fn unit_hash(tu: &TranslationUnit) -> ContentHash {
     let names = &tu.names;
     let mut h = Hasher128::new();
-    h.update_str("kir.unit.v1");
+    h.update_str("kir.unit.v2");
 
     let mut absorb = |tag: &str, mut items: Vec<String>| {
         items.sort();
@@ -183,6 +186,14 @@ mod tests {
             function_hash(&a.names, a.function("f").unwrap()),
             function_hash(&b.names, b.function("f").unwrap())
         );
+    }
+
+    #[test]
+    fn utf8_literals_hash_apart_from_their_latin1_reading() {
+        let real = compile("char *s = \"é\";", "t.c").unwrap();
+        let mojibake = compile("char *s = \"Ã©\";", "t.c").unwrap();
+        assert!(pretty::print_unit(&real).contains("\"é\""));
+        assert_ne!(unit_hash(&real), unit_hash(&mojibake));
     }
 
     #[test]

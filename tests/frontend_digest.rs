@@ -20,8 +20,11 @@ use seal_store::ContentHash;
 
 /// Codec bytes of the lowered target and patch modules.
 const CODEC_DIGEST: &str = "2fdedcf7c22bfe1c27dc5483d7b33c83";
-/// Pre and post unit hashes of every patch, in patch order.
-const UNIT_HASH_DIGEST: &str = "a99cdb37aaf9d86fdb0fd6f21b08b3b8";
+/// Pre and post unit hashes of every patch, in patch order. Moved once,
+/// from `a99cdb37aaf9d86fdb0fd6f21b08b3b8`, when the `kir.fn`/`kir.unit`
+/// domain tags went from v1 to v2 (string literals hash as UTF-8 text);
+/// the corpus is ASCII, so nothing else about these hashes changed.
+const UNIT_HASH_DIGEST: &str = "dec3f8d932d5ac1f55e7074bd64a7334";
 /// Error text of every input in [`MALFORMED`] and [`MALFORMED_LINKS`].
 const DIAGNOSTICS_DIGEST: &str = "37b916f6ae416c17c30e0d150180c4aa";
 
