@@ -85,17 +85,6 @@ impl NameTable {
     pub fn text(&self, name: Name) -> &str {
         &self.texts[name.index()]
     }
-
-    /// Number of interned names, reserved ones included; every [`Name`] of
-    /// this table indexes below it.
-    pub fn len(&self) -> usize {
-        self.texts.len()
-    }
-
-    /// Always false: the reserved names are interned at creation.
-    pub fn is_empty(&self) -> bool {
-        self.texts.is_empty()
-    }
 }
 
 /// A map keyed by [`Name`], stored as a vector indexed by id: lookups are
@@ -142,16 +131,6 @@ impl<T> NameMap<T> {
             .iter()
             .enumerate()
             .filter_map(|(i, v)| v.as_ref().map(|v| (Name(i as u32), v)))
-    }
-
-    /// Number of bound names.
-    pub fn len(&self) -> usize {
-        self.slots.iter().filter(|v| v.is_some()).count()
-    }
-
-    /// True when no name is bound.
-    pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(Option::is_none)
     }
 }
 
@@ -248,7 +227,6 @@ mod tests {
         assert_eq!(t.get("nope"), None);
         assert_eq!(t.text(Name::EMPTY), "");
         assert_eq!(t.text(Name::SIZEOF), "__sizeof");
-        assert_eq!(t.len(), 4);
     }
 
     #[test]
@@ -261,7 +239,6 @@ mod tests {
         assert_eq!(m.get(b), Some(&3));
         assert!(!m.contains(a));
         assert_eq!(m.iter().collect::<Vec<_>>(), vec![(b, &3)]);
-        assert_eq!(m.len(), 1);
     }
 
     #[test]

@@ -12,15 +12,15 @@
 
 use crate::ast::*;
 use crate::diag::{KirError, Stage};
-use crate::names::{Name, NameMap, NameTable};
+use crate::names::{Name, NameTable};
 use crate::span::Span;
 use crate::token::{Keyword, Punct, Token, TokenKind};
 use crate::types::{FuncSig, Type};
 use std::sync::Arc;
 
 /// Parses a token stream (as produced by [`crate::lexer::lex`] into
-/// `names`) into an untyped [`TranslationUnit`]. The unit's own name table
-/// is left empty; the caller installs the one the tokens index.
+/// `names`) into an untyped [`TranslationUnit`]. The unit comes back with
+/// a fresh name table; the caller installs the one the tokens index.
 pub fn parse(
     tokens: Vec<Token>,
     names: &NameTable,
@@ -31,7 +31,6 @@ pub fn parse(
         pos: 0,
         names,
         file,
-        struct_tags: NameMap::new(),
     };
     p.translation_unit()
 }
@@ -41,9 +40,6 @@ struct Parser<'a> {
     pos: usize,
     names: &'a NameTable,
     file: &'a str,
-    /// The shared text of each struct tag named so far, so that every
-    /// mention of a tag shares one allocation.
-    struct_tags: NameMap<Arc<str>>,
 }
 
 impl Parser<'_> {
@@ -114,15 +110,6 @@ impl Parser<'_> {
         }
     }
 
-    fn struct_tag(&mut self, name: Name) -> Arc<str> {
-        if let Some(tag) = self.struct_tags.get(name) {
-            return tag.clone();
-        }
-        let tag: Arc<str> = self.names.text(name).into();
-        self.struct_tags.insert(name, tag.clone());
-        tag
-    }
-
     /// True if the current token can start a type.
     fn at_type_start(&self) -> bool {
         matches!(
@@ -170,7 +157,7 @@ impl Parser<'_> {
             }
             TokenKind::Keyword(Keyword::Struct) | TokenKind::Keyword(Keyword::Union) => {
                 let (name, _) = self.expect_ident()?;
-                Type::Struct(self.struct_tag(name))
+                Type::Struct(self.names.text(name).into())
             }
             TokenKind::Keyword(Keyword::Enum) => {
                 // `enum tag` in a type position is just an int.
