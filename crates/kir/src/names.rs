@@ -89,7 +89,7 @@ impl NameTable {
 
 /// A map keyed by [`Name`], stored as a vector indexed by id: lookups are
 /// one bounds check, with no hashing.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct NameMap<T> {
     slots: Vec<Option<T>>,
 }
