@@ -24,12 +24,13 @@ if grep -rn '^[[:space:]]*#\[ignore' tests crates/*/tests crates/*/src src 2>/de
     exit 1
 fi
 
-# The observability suites, the frontend digest and link suites run above as part
+# The observability suites, the frontend and PDG digests and link suites run above as part
 # of the workspace; run them again by name so a renamed/dropped test file
 # fails loudly here.
 cargo test -q --offline --test observability
 cargo test -q --offline --test spec_snapshots
 cargo test -q --offline --test frontend_digest
+cargo test -q --offline --test pdg_digest
 cargo test -q --offline -p seal-kir --test link
 cargo test -q --offline -p seal-solver --test edge_cases
 
