@@ -131,7 +131,7 @@ fn classify_place(
     func: seal_ir::ids::FuncId,
     place: &seal_ir::tac::Place,
 ) -> Option<SpecValue> {
-    let pts = pdg.pts.get(&func)?;
+    let pts = pdg.points_to(func)?;
     let cells = pts.cells_of_place(place);
     let first = cells.first()?;
     let fields: Vec<String> = place

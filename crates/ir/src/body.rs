@@ -51,6 +51,52 @@ impl Default for BasicBlock {
     }
 }
 
+/// Every block's predecessors in one flat table: `of(b)` lists the blocks
+/// that jump to `b`, ascending, once per edge. [`Predecessors::fill`]
+/// reuses the table's buffers, so a caller walking many bodies allocates
+/// only while the largest body grows them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Predecessors {
+    /// `offsets[b]..offsets[b + 1]` is block `b`'s slice of `flat`.
+    offsets: Vec<u32>,
+    flat: Vec<BlockId>,
+}
+
+impl Predecessors {
+    /// Recomputes the table for `body`.
+    pub fn fill(&mut self, body: &FuncBody) {
+        let n = body.blocks.len();
+        self.offsets.clear();
+        self.offsets.resize(n + 2, 0);
+        // Count into `offsets[s + 2]`, prefix-sum into `offsets[s + 1]`,
+        // then place with `offsets[s + 1]` as the cursor, which leaves it
+        // at the end of row `s`: a stable counting sort with no second
+        // buffer.
+        for b in &body.blocks {
+            b.terminator
+                .for_each_successor(|s| self.offsets[s.index() + 2] += 1);
+        }
+        for i in 2..n + 2 {
+            self.offsets[i] += self.offsets[i - 1];
+        }
+        self.flat.clear();
+        self.flat.resize(self.offsets[n + 1] as usize, BlockId(0));
+        for (bi, b) in body.blocks.iter().enumerate() {
+            b.terminator.for_each_successor(|s| {
+                let at = &mut self.offsets[s.index() + 1];
+                self.flat[*at as usize] = BlockId(bi as u32);
+                *at += 1;
+            });
+        }
+        self.offsets.pop();
+    }
+
+    /// The predecessors of block `b`.
+    pub fn of(&self, b: BlockId) -> &[BlockId] {
+        &self.flat[self.offsets[b.index()] as usize..self.offsets[b.index() + 1] as usize]
+    }
+}
+
 /// A lowered function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuncBody {
@@ -144,14 +190,10 @@ impl FuncBody {
         })
     }
 
-    /// Predecessor map: `preds[b]` lists blocks that jump to `b`.
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for (bi, b) in self.blocks.iter().enumerate() {
-            for s in b.terminator.successors() {
-                preds[s.index()].push(BlockId(bi as u32));
-            }
-        }
+    /// Predecessor map: `preds.of(b)` lists the blocks that jump to `b`.
+    pub fn predecessors(&self) -> Predecessors {
+        let mut preds = Predecessors::default();
+        preds.fill(self);
         preds
     }
 
@@ -241,6 +283,39 @@ mod tests {
     fn predecessors_of_linear_flow() {
         let f = tiny_body();
         let preds = f.predecessors();
-        assert!(preds[0].is_empty());
+        assert!(preds.of(BlockId(0)).is_empty());
+    }
+
+    #[test]
+    fn predecessors_list_every_edge_in_block_order() {
+        let mut f = tiny_body();
+        let cond = Operand::Local(LocalId(0));
+        let mut blocks = vec![BasicBlock::new(); 4];
+        blocks[0].terminator = Terminator::Branch {
+            cond: cond.clone(),
+            then_bb: BlockId(2),
+            else_bb: BlockId(2),
+        };
+        blocks[1].terminator = Terminator::Goto(BlockId(3));
+        blocks[2].terminator = Terminator::Switch {
+            disc: cond,
+            cases: vec![(1, BlockId(1)), (2, BlockId(3))],
+            default: BlockId(0),
+        };
+        blocks[3].terminator = Terminator::Return(None);
+        f.blocks = blocks;
+        let mut preds = f.predecessors();
+        let rows = |p: &Predecessors| {
+            (0..4)
+                .map(|b| p.of(BlockId(b)).to_vec())
+                .collect::<Vec<_>>()
+        };
+        let b = BlockId;
+        let expected = vec![vec![b(2)], vec![b(2)], vec![b(0), b(0)], vec![b(1), b(2)]];
+        assert_eq!(rows(&preds), expected);
+        // Refilling for a smaller body reuses the buffers and drops the
+        // old rows.
+        preds.fill(&tiny_body());
+        assert!(preds.of(BlockId(0)).is_empty());
     }
 }

@@ -25,7 +25,7 @@ pub mod lower;
 pub mod module;
 pub mod tac;
 
-pub use body::{BasicBlock, FuncBody, LocalDecl};
+pub use body::{BasicBlock, FuncBody, LocalDecl, Predecessors};
 pub use callgraph::CallGraph;
 pub use ids::{BlockId, FuncId, LocalId};
 pub use lower::{lower, lower_checked, validate_module, LowerError};

@@ -289,17 +289,30 @@ pub enum Terminator {
 impl Terminator {
     /// Successor blocks in order.
     pub fn successors(&self) -> Vec<crate::ids::BlockId> {
+        let mut v = Vec::new();
+        self.for_each_successor(|b| v.push(b));
+        v
+    }
+
+    /// Visits the successor blocks in [`Terminator::successors`] order
+    /// (a `switch` lists its cases, then its default; a repeated target is
+    /// visited once per edge). Allocates nothing.
+    pub fn for_each_successor(&self, mut f: impl FnMut(crate::ids::BlockId)) {
         match self {
-            Terminator::Goto(b) => vec![*b],
+            Terminator::Goto(b) => f(*b),
             Terminator::Branch {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Switch { cases, default, .. } => {
-                let mut v: Vec<_> = cases.iter().map(|(_, b)| *b).collect();
-                v.push(*default);
-                v
+            } => {
+                f(*then_bb);
+                f(*else_bb);
             }
-            Terminator::Return(_) | Terminator::Unreachable => vec![],
+            Terminator::Switch { cases, default, .. } => {
+                for (_, b) in cases {
+                    f(*b);
+                }
+                f(*default);
+            }
+            Terminator::Return(_) | Terminator::Unreachable => {}
         }
     }
 

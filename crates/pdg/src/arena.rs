@@ -17,14 +17,16 @@
 //! wins). Both rules are pinned by this module's tests.
 
 use crate::graph::NodeId;
-use std::collections::HashSet;
+use seal_runtime::FxHashSet;
 
 /// Append-only edge log with first-occurrence deduplication. One per PDG
 /// build; finalized into CSR form once construction completes.
 #[derive(Debug, Default)]
 pub struct EdgeArena {
     pairs: Vec<(NodeId, NodeId)>,
-    seen: HashSet<(NodeId, NodeId)>,
+    /// Edges seen so far. Node ids are not input text, so the seed-free
+    /// hasher is safe here, and only membership is queried.
+    seen: FxHashSet<(NodeId, NodeId)>,
 }
 
 impl EdgeArena {
@@ -75,7 +77,7 @@ impl Csr {
     /// Builds the table from `(row, value)` pairs with a counting sort:
     /// one pass to size the rows, one stable pass to place the values, so
     /// each row preserves the pairs' iteration order.
-    fn scatter(rows: usize, pairs: impl Iterator<Item = (u32, NodeId)> + Clone) -> Csr {
+    pub(crate) fn scatter(rows: usize, pairs: impl Iterator<Item = (u32, NodeId)> + Clone) -> Csr {
         let mut offsets = vec![0u32; rows + 1];
         for (r, _) in pairs.clone() {
             offsets[r as usize + 1] += 1;

@@ -10,7 +10,6 @@
 use seal_ir::body::FuncBody;
 use seal_ir::ids::BlockId;
 use seal_ir::tac::Terminator;
-use std::collections::HashMap;
 
 /// Which out-edge of a branch a control dependence arises from.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -28,97 +27,181 @@ pub enum BranchEdge {
 /// Control-dependence and ordering facts for one function.
 #[derive(Debug)]
 pub struct ControlFacts {
-    /// `deps[b]` lists `(branch block, edge)` pairs `b` is directly control
-    /// dependent on.
-    pub deps: Vec<Vec<(BlockId, BranchEdge)>>,
+    /// `dep_offsets[b]..dep_offsets[b + 1]` is block `b`'s slice of
+    /// `dep_list`.
+    dep_offsets: Vec<u32>,
+    dep_list: Vec<(BlockId, BranchEdge)>,
     /// Reverse post-order index of each block (entry first); unreachable
     /// blocks get indices after all reachable ones.
     pub order: Vec<u32>,
 }
 
+/// Absent index (no immediate post-dominator, unvisited block).
+const NONE: u32 = u32::MAX;
+
+/// Reusable working arrays of [`ControlFacts::compute_in`]: the augmented
+/// CFG as flat successor and reverse rows, and the traversal state. One
+/// scratch serves every function of a PDG build, so only the largest body
+/// grows it.
+#[derive(Debug, Default)]
+pub(crate) struct CfgScratch {
+    succ_off: Vec<u32>,
+    succ: Vec<u32>,
+    rev_off: Vec<u32>,
+    rev: Vec<u32>,
+    state: Vec<u8>,
+    post: Vec<u32>,
+    stack: Vec<(u32, u32)>,
+    number: Vec<u32>,
+    ipdom: Vec<u32>,
+    edges: Vec<(u32, BranchEdge)>,
+    marks: Vec<(u32, u32, BranchEdge)>,
+}
+
+impl CfgScratch {
+    fn succs(&self, b: usize) -> &[u32] {
+        &self.succ[self.succ_off[b] as usize..self.succ_off[b + 1] as usize]
+    }
+
+    fn revs(&self, b: usize) -> &[u32] {
+        &self.rev[self.rev_off[b] as usize..self.rev_off[b + 1] as usize]
+    }
+}
+
 impl ControlFacts {
     /// Computes control dependence and block order for a body.
     pub fn compute(body: &FuncBody) -> Self {
+        Self::compute_in(body, &mut CfgScratch::default())
+    }
+
+    /// [`ControlFacts::compute`] on caller-owned working arrays.
+    pub(crate) fn compute_in(body: &FuncBody, sc: &mut CfgScratch) -> Self {
         let n = body.blocks.len();
         let exit = n; // virtual exit node index
         let total = n + 1;
 
-        // Successors on the augmented graph (returns flow to exit).
-        let succs: Vec<Vec<usize>> = (0..total)
-            .map(|b| {
-                if b == exit {
-                    vec![]
-                } else {
-                    let t = &body.blocks[b].terminator;
-                    let mut s: Vec<usize> = t.successors().iter().map(|x| x.index()).collect();
-                    if s.is_empty() {
-                        s.push(exit);
-                    }
-                    s
-                }
-            })
-            .collect();
-        let mut preds: Vec<Vec<usize>> = vec![vec![]; total];
-        for (b, ss) in succs.iter().enumerate() {
-            for &s in ss {
-                preds[s].push(b);
+        // Successors on the augmented graph (returns flow to exit), and
+        // the reverse rows, sources ascending.
+        sc.succ_off.clear();
+        sc.succ.clear();
+        sc.succ_off.push(0);
+        for block in &body.blocks {
+            let before = sc.succ.len();
+            block.terminator.for_each_successor(|s| sc.succ.push(s.0));
+            if sc.succ.len() == before {
+                sc.succ.push(exit as u32);
+            }
+            sc.succ_off.push(sc.succ.len() as u32);
+        }
+        sc.succ_off.push(sc.succ.len() as u32); // the exit has none
+        sc.rev_off.clear();
+        sc.rev_off.resize(total + 2, 0);
+        for &s in &sc.succ {
+            sc.rev_off[s as usize + 2] += 1;
+        }
+        for i in 2..total + 2 {
+            sc.rev_off[i] += sc.rev_off[i - 1];
+        }
+        sc.rev.clear();
+        sc.rev.resize(sc.succ.len(), 0);
+        for b in 0..total {
+            for k in sc.succ_off[b]..sc.succ_off[b + 1] {
+                let at = &mut sc.rev_off[sc.succ[k as usize] as usize + 1];
+                sc.rev[*at as usize] = b as u32;
+                *at += 1;
             }
         }
+        sc.rev_off.pop();
 
         // Reverse post-order on the forward graph (for Ω) from entry.
-        let order = rpo_order(n, &succs);
+        let order = rpo_order(n, sc);
 
         // Post-dominators: iterative dataflow on the reverse graph rooted
         // at the virtual exit, in post-order of the forward graph.
-        let ipdom = post_dominators(total, exit, &succs, &preds);
+        post_dominators(total, exit, sc);
 
         // Control dependence per FOW: for edge (a -> s), walk s up the
         // post-dominator tree to (exclusive) ipdom(a), marking each block.
-        let mut deps: Vec<Vec<(BlockId, BranchEdge)>> = vec![vec![]; n];
+        // Marks arrive with `a` ascending, so each block's list comes out
+        // sorted by branch block.
+        sc.marks.clear();
         for a in 0..n {
-            let term = &body.blocks[a].terminator;
-            let edges: Vec<(usize, BranchEdge)> = match term {
+            sc.edges.clear();
+            match &body.blocks[a].terminator {
                 Terminator::Branch {
                     then_bb, else_bb, ..
-                } => vec![
-                    (then_bb.index(), BranchEdge::True),
-                    (else_bb.index(), BranchEdge::False),
-                ],
+                } => {
+                    sc.edges.push((then_bb.0, BranchEdge::True));
+                    sc.edges.push((else_bb.0, BranchEdge::False));
+                }
                 Terminator::Switch { cases, default, .. } => {
-                    let mut m: HashMap<usize, Vec<i64>> = HashMap::new();
+                    // One edge per distinct case target, in first-label
+                    // order, carrying every label that leads there.
                     for (v, b) in cases {
-                        m.entry(b.index()).or_default().push(*v);
+                        match sc.edges.iter_mut().find(|(t, _)| *t == b.0) {
+                            Some((_, BranchEdge::Case(vs))) => vs.push(*v),
+                            _ => sc.edges.push((b.0, BranchEdge::Case(vec![*v]))),
+                        }
                     }
                     let all_labels: Vec<i64> = cases.iter().map(|(v, _)| *v).collect();
-                    let mut out: Vec<(usize, BranchEdge)> = m
-                        .into_iter()
-                        .map(|(b, vs)| (b, BranchEdge::Case(vs)))
-                        .collect();
-                    out.push((default.index(), BranchEdge::Default(all_labels)));
-                    out
+                    sc.edges.push((default.0, BranchEdge::Default(all_labels)));
                 }
                 _ => continue,
-            };
-            for (s, edge) in edges {
-                let stop = ipdom[a];
-                let mut cur = Some(s);
-                while let Some(x) = cur {
-                    if Some(x) == stop || x == exit {
-                        break;
-                    }
-                    if x < n {
-                        deps[x].push((BlockId(a as u32), edge.clone()));
-                    }
-                    cur = ipdom[x];
+            }
+            let stop = sc.ipdom[a];
+            for (s, edge) in &sc.edges {
+                let mut x = *s;
+                while x != NONE && x != stop && x as usize != exit {
+                    sc.marks.push((x, a as u32, edge.clone()));
+                    x = sc.ipdom[x as usize];
                 }
             }
         }
-        for d in &mut deps {
-            d.sort_by_key(|(b, _)| *b);
-            d.dedup();
-        }
 
-        ControlFacts { deps, order }
+        // Scatter the marks into per-block rows with a stable counting
+        // sort (counts in `dep_offsets[x + 2]`, the cursor of row `x` in
+        // `dep_offsets[x + 1]`), then compact each row in place, dropping
+        // an entry equal to the one kept before it.
+        let mut dep_offsets = vec![0u32; n + 2];
+        for &(x, _, _) in &sc.marks {
+            dep_offsets[x as usize + 2] += 1;
+        }
+        for i in 2..n + 2 {
+            dep_offsets[i] += dep_offsets[i - 1];
+        }
+        let mut dep_list = vec![(BlockId(0), BranchEdge::True); sc.marks.len()];
+        for (x, a, edge) in sc.marks.drain(..) {
+            let at = &mut dep_offsets[x as usize + 1];
+            dep_list[*at as usize] = (BlockId(a), edge);
+            *at += 1;
+        }
+        dep_offsets.pop();
+        let mut kept = 0;
+        for b in 0..n {
+            let (lo, hi) = (dep_offsets[b] as usize, dep_offsets[b + 1] as usize);
+            dep_offsets[b] = kept as u32;
+            for r in lo..hi {
+                if kept > dep_offsets[b] as usize && dep_list[kept - 1] == dep_list[r] {
+                    continue;
+                }
+                dep_list.swap(kept, r);
+                kept += 1;
+            }
+        }
+        dep_offsets[n] = kept as u32;
+        dep_list.truncate(kept);
+
+        ControlFacts {
+            dep_offsets,
+            dep_list,
+            order,
+        }
+    }
+
+    /// The `(branch block, edge)` pairs block `b` is directly control
+    /// dependent on, ascending by branch block.
+    pub fn deps(&self, b: usize) -> &[(BlockId, BranchEdge)] {
+        &self.dep_list[self.dep_offsets[b] as usize..self.dep_offsets[b + 1] as usize]
     }
 
     /// Ω comparison helper: true when `a` is ordered strictly before `b`.
@@ -128,38 +211,43 @@ impl ControlFacts {
 }
 
 /// Reverse post-order indices for the forward CFG (virtual exit excluded).
-fn rpo_order(n: usize, succs: &[Vec<usize>]) -> Vec<u32> {
-    let mut state = vec![0u8; n]; // 0 unvisited, 1 on stack, 2 done
-    let mut post = Vec::with_capacity(n);
+fn rpo_order(n: usize, sc: &mut CfgScratch) -> Vec<u32> {
+    sc.state.clear();
+    sc.state.resize(n, 0); // 0 unvisited, 1 on stack, 2 done
+    sc.post.clear();
+    sc.stack.clear();
     // Iterative DFS from entry block 0.
     if n > 0 {
-        let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
-        state[0] = 1;
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            let ss: Vec<usize> = succs[b].iter().copied().filter(|&s| s < n).collect();
-            if *i < ss.len() {
-                let next = ss[*i];
-                *i += 1;
-                if state[next] == 0 {
-                    state[next] = 1;
-                    stack.push((next, 0));
+        sc.stack.push((0, 0));
+        sc.state[0] = 1;
+        while let Some(&(b, i)) = sc.stack.last() {
+            // The virtual exit only ever stands alone in a row.
+            let next = sc.succs(b as usize).get(i as usize).copied();
+            match next {
+                Some(next) if (next as usize) < n => {
+                    sc.stack.last_mut().expect("non-empty").1 += 1;
+                    if sc.state[next as usize] == 0 {
+                        sc.state[next as usize] = 1;
+                        sc.stack.push((next, 0));
+                    }
                 }
-            } else {
-                state[b] = 2;
-                post.push(b);
-                stack.pop();
+                _ => {
+                    sc.state[b as usize] = 2;
+                    sc.post.push(b);
+                    sc.stack.pop();
+                }
             }
         }
     }
-    let mut order = vec![u32::MAX; n];
-    let reachable = post.len() as u32;
-    for (i, b) in post.iter().rev().enumerate() {
-        order[*b] = i as u32;
+    let mut order = vec![NONE; n];
+    let reachable = sc.post.len() as u32;
+    for (i, b) in sc.post.iter().rev().enumerate() {
+        order[*b as usize] = i as u32;
     }
     // Unreachable blocks go after all reachable ones, in index order.
     let mut next = reachable;
     for o in order.iter_mut() {
-        if *o == u32::MAX {
+        if *o == NONE {
             *o = next;
             next += 1;
         }
@@ -167,85 +255,86 @@ fn rpo_order(n: usize, succs: &[Vec<usize>]) -> Vec<u32> {
     order
 }
 
-/// Immediate post-dominators (`None` for the virtual exit / unreachable-to-
-/// exit blocks). Iterative Cooper–Harvey–Kennedy on the reverse graph.
-fn post_dominators(
-    total: usize,
-    exit: usize,
-    succs: &[Vec<usize>],
-    _preds: &[Vec<usize>],
-) -> Vec<Option<usize>> {
+/// Immediate post-dominators into `sc.ipdom` ([`NONE`] for the virtual
+/// exit / unreachable-to-exit blocks). Iterative Cooper–Harvey–Kennedy on
+/// the reverse graph.
+fn post_dominators(total: usize, exit: usize, sc: &mut CfgScratch) {
     // Post-order of the *reverse* graph rooted at exit == reverse of a
     // forward traversal; compute order by DFS over reverse edges.
-    let mut rev: Vec<Vec<usize>> = vec![vec![]; total];
-    for (b, ss) in succs.iter().enumerate() {
-        for &s in ss {
-            rev[s].push(b);
-        }
-    }
-    let mut state = vec![0u8; total];
-    let mut post = Vec::with_capacity(total);
-    let mut stack: Vec<(usize, usize)> = vec![(exit, 0)];
-    state[exit] = 1;
-    while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-        if *i < rev[b].len() {
-            let next = rev[b][*i];
-            *i += 1;
-            if state[next] == 0 {
-                state[next] = 1;
-                stack.push((next, 0));
+    sc.state.clear();
+    sc.state.resize(total, 0);
+    sc.post.clear();
+    sc.stack.clear();
+    sc.stack.push((exit as u32, 0));
+    sc.state[exit] = 1;
+    while let Some(&(b, i)) = sc.stack.last() {
+        match sc.revs(b as usize).get(i as usize).copied() {
+            Some(next) => {
+                sc.stack.last_mut().expect("non-empty").1 += 1;
+                if sc.state[next as usize] == 0 {
+                    sc.state[next as usize] = 1;
+                    sc.stack.push((next, 0));
+                }
             }
-        } else {
-            state[b] = 2;
-            post.push(b);
-            stack.pop();
+            None => {
+                sc.state[b as usize] = 2;
+                sc.post.push(b);
+                sc.stack.pop();
+            }
         }
     }
-    let mut number = vec![usize::MAX; total];
-    for (i, b) in post.iter().enumerate() {
-        number[*b] = i; // higher = closer to exit
+    sc.number.clear();
+    sc.number.resize(total, NONE);
+    for (i, &b) in sc.post.iter().enumerate() {
+        sc.number[b as usize] = i as u32; // higher = closer to exit
     }
 
-    let mut ipdom: Vec<Option<usize>> = vec![None; total];
-    ipdom[exit] = Some(exit);
+    sc.ipdom.clear();
+    sc.ipdom.resize(total, NONE);
+    sc.ipdom[exit] = exit as u32;
     let mut changed = true;
     while changed {
         changed = false;
         // Process in reverse post-order of the reverse graph.
-        for &b in post.iter().rev() {
+        for k in (0..sc.post.len()).rev() {
+            let b = sc.post[k] as usize;
             if b == exit {
                 continue;
             }
             // "Predecessors" in the reverse graph are forward successors.
-            let mut new_idom: Option<usize> = None;
-            for &s in &succs[b] {
-                if ipdom[s].is_some() || s == exit {
-                    new_idom = Some(match new_idom {
-                        None => s,
-                        Some(cur) => intersect(cur, s, &ipdom, &number),
-                    });
+            let mut new_idom = NONE;
+            for j in sc.succ_off[b]..sc.succ_off[b + 1] {
+                let s = sc.succ[j as usize];
+                if sc.ipdom[s as usize] != NONE || s as usize == exit {
+                    new_idom = match new_idom {
+                        NONE => s,
+                        cur => intersect(cur, s, &sc.ipdom, &sc.number),
+                    };
                 }
             }
-            if let Some(ni) = new_idom {
-                if ipdom[b] != Some(ni) {
-                    ipdom[b] = Some(ni);
-                    changed = true;
-                }
+            if new_idom != NONE && sc.ipdom[b] != new_idom {
+                sc.ipdom[b] = new_idom;
+                changed = true;
             }
         }
     }
-    ipdom[exit] = None;
-    ipdom
+    sc.ipdom[exit] = NONE;
 }
 
-fn intersect(a: usize, b: usize, ipdom: &[Option<usize>], number: &[usize]) -> usize {
+fn intersect(a: u32, b: u32, ipdom: &[u32], number: &[u32]) -> u32 {
     let (mut x, mut y) = (a, b);
     while x != y {
-        while number[x] < number[y] {
-            x = ipdom[x].unwrap_or(y);
+        while number[x as usize] < number[y as usize] {
+            x = match ipdom[x as usize] {
+                NONE => y,
+                p => p,
+            };
         }
-        while number[y] < number[x] {
-            y = ipdom[y].unwrap_or(x);
+        while number[y as usize] < number[x as usize] {
+            y = match ipdom[y as usize] {
+                NONE => x,
+                p => p,
+            };
         }
     }
     x
@@ -288,8 +377,8 @@ mod tests {
             })
             .map(|(i, _)| i)
             .unwrap();
-        assert_eq!(cf.deps[then_block].len(), 1);
-        assert!(matches!(cf.deps[then_block][0].1, BranchEdge::True));
+        assert_eq!(cf.deps(then_block).len(), 1);
+        assert!(matches!(cf.deps(then_block)[0].1, BranchEdge::True));
     }
 
     #[test]
@@ -307,7 +396,7 @@ mod tests {
             .find(|(_, b)| matches!(b.terminator, seal_ir::Terminator::Return(Some(_))))
             .map(|(i, _)| i)
             .unwrap();
-        assert!(cf.deps[ret_block].is_empty());
+        assert!(cf.deps(ret_block).is_empty());
     }
 
     #[test]
@@ -334,7 +423,7 @@ mod tests {
             })
             .map(|(i, _)| i)
             .unwrap();
-        assert!(matches!(cf.deps[else_block][0].1, BranchEdge::False));
+        assert!(matches!(cf.deps(else_block)[0].1, BranchEdge::False));
     }
 
     #[test]
@@ -361,7 +450,7 @@ mod tests {
             })
             .map(|(i, _)| i)
             .unwrap();
-        assert!(!cf.deps[body_block].is_empty());
+        assert!(!cf.deps(body_block).is_empty());
     }
 
     #[test]
@@ -388,7 +477,8 @@ mod tests {
             })
             .map(|(i, _)| i)
             .unwrap();
-        assert!(cf.deps[case_block]
+        assert!(cf
+            .deps(case_block)
             .iter()
             .any(|(_, e)| matches!(e, BranchEdge::Case(vs) if vs == &vec![1])));
     }
@@ -409,7 +499,7 @@ mod tests {
     #[test]
     fn straight_line_has_no_deps() {
         let (_, cf) = facts("int f(int x) { int y = x + 1; return y; }", "f");
-        assert!(cf.deps.iter().all(|d| d.is_empty()));
+        assert!((0..cf.order.len()).all(|b| cf.deps(b).is_empty()));
     }
 
     #[test]
@@ -441,7 +531,7 @@ mod tests {
             .map(|(i, _)| i)
             .unwrap();
         assert!(
-            !cf.deps[body_block].is_empty(),
+            !cf.deps(body_block).is_empty(),
             "goto-loop body must be control dependent on the guard"
         );
     }
@@ -471,8 +561,8 @@ mod tests {
             })
             .map(|(i, _)| i)
             .unwrap();
-        assert_eq!(cf.deps[err_block].len(), 1);
-        assert!(matches!(cf.deps[err_block][0].1, BranchEdge::True));
+        assert_eq!(cf.deps(err_block).len(), 1);
+        assert!(matches!(cf.deps(err_block)[0].1, BranchEdge::True));
     }
 
     #[test]
@@ -501,8 +591,8 @@ mod tests {
             .unwrap();
         // Direct dependence on the inner branch only; the outer is reached
         // transitively through the inner branch block's own deps.
-        assert_eq!(cf.deps[inner].len(), 1);
-        let (inner_branch, _) = cf.deps[inner][0];
-        assert_eq!(cf.deps[inner_branch.index()].len(), 1);
+        assert_eq!(cf.deps(inner).len(), 1);
+        let (inner_branch, _) = cf.deps(inner)[0];
+        assert_eq!(cf.deps(inner_branch.index()).len(), 1);
     }
 }

@@ -18,13 +18,13 @@ use crate::arena::{Csr, EdgeArena};
 use crate::cell::{Cell, CellRoot};
 use crate::domtree::{BranchEdge, ControlFacts};
 use crate::points_to::PointsTo;
-use seal_ir::body::FuncBody;
+use seal_ir::body::{FuncBody, Predecessors};
 use seal_ir::callgraph::{CallGraph, CallTarget};
 use seal_ir::ids::{BlockId, FuncId, InstLoc, LocalId};
 use seal_ir::module::Module;
 use seal_ir::tac::{Callee, Inst, Operand, Place, PlaceBase, Projection, Rvalue, Terminator};
 use seal_runtime::FxHashMap;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// Index of a PDG node.
 pub type NodeId = u32;
@@ -116,30 +116,146 @@ pub struct Omega {
     pub idx: u32,
 }
 
-/// Sentinel in `ctrl_of` for nodes with no control dependences.
-const NO_CTRL: u32 = u32::MAX;
+/// Sentinel in `ctrl_of` for nodes with no control dependences, and in
+/// [`FuncNodes::ret`] for functions without a `Ret` node.
+const NONE: u32 = u32::MAX;
 
-/// Adjacency storage for a [`Pdg`].
+/// Edge storage for a [`Pdg`].
 ///
 /// Edges accumulate in a single [`EdgeArena`] log during construction
 /// (`Log`) and finalize once into two compressed-sparse-row tables (`Csr`)
-/// plus per-*block* control lists that nodes reference by id — a handful
-/// of large allocations, freed wholesale with the PDG, instead of one
-/// vector per node per direction (thousands of small allocations per
+/// — a handful of large allocations, freed wholesale with the PDG, instead
+/// of one vector per node per direction (thousands of small allocations per
 /// build, which collapse multi-worker scaling under allocator pressure).
-/// Each row keeps edge insertion order, first occurrence winning.
+/// Each row keeps edge insertion order, first occurrence winning. The
+/// call sites binding each `Param` node take the same path: logged as
+/// `(param, call)` pairs, then scattered into rows.
 enum Store {
     Log {
         edges: EdgeArena,
-        ctrl_of: Vec<u32>,
-        ctrl_lists: Vec<Vec<(NodeId, BranchEdge)>>,
+        param_sites: Vec<(NodeId, NodeId)>,
     },
     Csr {
         succ: Csr,
         pred: Csr,
-        ctrl_of: Vec<u32>,
-        ctrl_lists: Vec<Vec<(NodeId, BranchEdge)>>,
+        param_sites: Csr,
     },
+}
+
+impl Store {
+    fn add_edge(&mut self, from: NodeId, to: NodeId) {
+        if from == to {
+            return;
+        }
+        match self {
+            Store::Log { edges, .. } => {
+                edges.push(from, to);
+            }
+            Store::Csr { .. } => unreachable!("edge added after finalize"),
+        }
+    }
+}
+
+/// Where one scope function's nodes sit in the dense numbering: parameters
+/// from `first`, then every location of [`FuncBody::all_locs`] (each
+/// block's instructions, then its terminator), then the `Ret` node when the
+/// function returns a value.
+#[derive(Debug, Clone, Copy)]
+struct FuncNodes {
+    id: FuncId,
+    first: NodeId,
+    params: u32,
+    /// This function's `blocks + 1` entries in [`Pdg::block_starts`] begin
+    /// here. Entry `b` is block `b`'s first location relative to the first
+    /// location node; entry `blocks` is the location count.
+    starts: u32,
+    blocks: u32,
+    /// The `Ret` node, or [`NONE`].
+    ret: NodeId,
+}
+
+impl FuncNodes {
+    /// Node of the first location.
+    fn locs(&self) -> NodeId {
+        self.first + self.params
+    }
+
+    /// Block `b`'s first location node and its terminator node.
+    fn block(&self, block_starts: &[u32], b: usize) -> Option<(NodeId, NodeId)> {
+        if b >= self.blocks as usize {
+            return None;
+        }
+        let at = self.starts as usize + b;
+        Some((
+            self.locs() + block_starts[at],
+            self.locs() + block_starts[at + 1] - 1,
+        ))
+    }
+
+    fn param(&self, index: usize) -> Option<NodeId> {
+        (index < self.params as usize).then(|| self.first + index as u32)
+    }
+}
+
+/// The defining nodes each consumer node observes for each local it reads,
+/// in rows: `rows[n]` opens node `n`'s `(local, defs range)` entries, which
+/// end where the next row opens (or at the end, for the last row). The
+/// ranges index one flat definition list. Rows open in ascending node
+/// order; nodes past the last opened row read nothing.
+#[derive(Default)]
+struct OperandDefs {
+    rows: Vec<u32>,
+    entries: Vec<(LocalId, u32, u32)>,
+    defs: Vec<NodeId>,
+}
+
+impl OperandDefs {
+    /// Opens node `n`'s row; the rows of nodes skipped since the last one
+    /// opened stay empty.
+    fn open(&mut self, n: NodeId) {
+        while self.rows.len() <= n as usize {
+            self.rows.push(self.entries.len() as u32);
+        }
+    }
+
+    fn row(&self, n: NodeId) -> &[(LocalId, u32, u32)] {
+        let Some(&lo) = self.rows.get(n as usize) else {
+            return &[];
+        };
+        let hi = self
+            .rows
+            .get(n as usize + 1)
+            .map_or(self.entries.len(), |&hi| hi as usize);
+        &self.entries[lo as usize..hi]
+    }
+
+    /// Records the definitions of `l` seen by the node of the open row,
+    /// unless the row already has them (a local read twice by one node).
+    /// Returns whether it recorded them.
+    fn record(&mut self, l: LocalId, defs: impl Iterator<Item = NodeId>) -> bool {
+        let open = *self.rows.last().expect("a row is open") as usize;
+        if self.entries[open..].iter().any(|e| e.0 == l) {
+            return false;
+        }
+        let start = self.defs.len() as u32;
+        self.defs.extend(defs);
+        self.entries.push((l, start, self.defs.len() as u32));
+        true
+    }
+
+    /// The definitions of the entry recorded last.
+    fn last(&self) -> &[NodeId] {
+        let &(_, lo, hi) = self.entries.last().expect("an entry was recorded");
+        &self.defs[lo as usize..hi as usize]
+    }
+
+    /// The definitions recorded for `(n, l)`.
+    fn get(&self, n: NodeId, l: LocalId) -> &[NodeId] {
+        self.row(n)
+            .iter()
+            .find(|e| e.0 == l)
+            .map_or(&[], |&(_, lo, hi)| &self.defs[lo as usize..hi as usize])
+    }
 }
 
 /// The program dependence graph for a scope of functions.
@@ -150,26 +266,36 @@ pub struct Pdg<'m> {
     pub scope: BTreeSet<FuncId>,
     /// Node table.
     pub nodes: Vec<NodeKind>,
-    /// Node ids by kind, for every kind but [`NodeKind::GlobalDef`]. This
-    /// and the two maps below key on ids only and are point-queried, never
-    /// iterated, so they use the cheap [`FxHashMap`]: its hash order cannot
-    /// reach output, and no key comes from the analyzed source.
-    index: FxHashMap<NodeKind, NodeId>,
+    /// Node numbering of each scope function, in scope (ascending id)
+    /// order: [`Pdg::node`] answers `Inst`, `Param` and `Ret` kinds from
+    /// here, and the points-to and control facts sit at the same positions.
+    funcs: Vec<FuncNodes>,
+    /// Per-block location offsets of every scope function (see
+    /// [`FuncNodes::starts`]).
+    block_starts: Vec<u32>,
+    /// `ConstArg` node ids by call site, argument index and value. Keyed
+    /// on ids and literals only and point-queried, never iterated, so it
+    /// uses the cheap [`FxHashMap`]: its hash order cannot reach output,
+    /// and no key is text from the analyzed source.
+    const_args: FxHashMap<(InstLoc, usize, i64), NodeId>,
     /// `GlobalDef` node ids by global name. Names come from the analyzed
     /// source, so this map keeps the collision-resistant default hasher.
     global_defs: HashMap<String, NodeId>,
     store: Store,
     omega: Vec<Option<Omega>>,
+    /// Each node's control-dependence list id, or [`NONE`]. The nodes of
+    /// one block share its list, stored once: list `i` is
+    /// `ctrl_lists[ctrl_offsets[i]..ctrl_offsets[i + 1]]`.
+    ctrl_of: Vec<u32>,
+    ctrl_offsets: Vec<u32>,
+    ctrl_lists: Vec<(NodeId, BranchEdge)>,
     /// Defining nodes for each (consumer node, local) pair, for condition
     /// symbolization.
-    op_defs: FxHashMap<(NodeId, LocalId), Vec<NodeId>>,
-    /// Call-site nodes feeding each Param node (for context-sensitive
-    /// conditions: a helper called under a guard inherits the guard).
-    param_sites: FxHashMap<NodeId, Vec<NodeId>>,
-    /// Per-function points-to facts.
-    pub pts: HashMap<FuncId, PointsTo>,
-    /// Per-function control facts.
-    pub control: HashMap<FuncId, ControlFacts>,
+    op_defs: OperandDefs,
+    /// Per-function points-to facts, by scope position.
+    pts: Vec<PointsTo>,
+    /// Per-function control facts, by scope position.
+    control: Vec<ControlFacts>,
 }
 
 /// A typed failure of PDG construction, for callers that feed it scopes
@@ -199,6 +325,98 @@ impl std::fmt::Display for PdgError {
 
 impl std::error::Error for PdgError {}
 
+/// Working buffers of the per-function construction passes. One scratch
+/// serves every function of a build, so the passes allocate only while the
+/// largest function grows them.
+#[derive(Default)]
+struct Scratch {
+    cfg: crate::domtree::CfgScratch,
+    preds: Predecessors,
+    // Reaching definitions. Definition sites are numbered in node order
+    // (parameters, then defining instructions), so a set of sites is a
+    // bitset of `words` words and iterating it ascends by node.
+    site_node: Vec<NodeId>,
+    site_local: Vec<LocalId>,
+    /// `local_sites[local_off[l]..local_off[l + 1]]`: the sites defining
+    /// local `l`, ascending.
+    local_off: Vec<u32>,
+    local_sites: Vec<u32>,
+    /// Per block, `words` words each: generated sites (the last definition
+    /// of each local the block assigns), killed sites (every definition of
+    /// those locals), and the sites reaching block entry.
+    gen: Vec<u64>,
+    kill: Vec<u64>,
+    reach: Vec<u64>,
+    cur: Vec<u64>,
+    // Memory dependence. Every cell a store writes, a call may clobber or a
+    // load reads is computed once per function into `cells`; memory states
+    // hold `(cell index, writing node)` pairs, ordered and compared by the
+    // cell's value.
+    cells: Vec<Cell>,
+    /// One effect per load, store and call, in node order; `block_effects`
+    /// indexes them per block like `local_off`.
+    effects: Vec<Effect>,
+    block_effects: Vec<u32>,
+    mem_in: Vec<Vec<(u32, NodeId)>>,
+    mem_out: Vec<Vec<(u32, NodeId)>>,
+    out_ok: Vec<bool>,
+    mem_cur: Vec<(u32, NodeId)>,
+}
+
+/// A memory effect of one instruction: its node and its cells,
+/// `cells[lo..hi]` of [`Scratch::cells`].
+#[derive(Clone, Copy)]
+struct Effect {
+    node: NodeId,
+    kind: EffectKind,
+    lo: u32,
+    hi: u32,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum EffectKind {
+    Load,
+    Store,
+    /// A call may write through its pointer arguments: summary cells.
+    Call,
+}
+
+/// Sorts a memory state by (cell value, node) and drops duplicates.
+fn sort_mem(mem: &mut Vec<(u32, NodeId)>, cells: &[Cell]) {
+    mem.sort_unstable_by(|a, b| {
+        cells[a.0 as usize]
+            .cmp(&cells[b.0 as usize])
+            .then(a.1.cmp(&b.1))
+    });
+    mem.dedup_by(|a, b| a.1 == b.1 && cells[a.0 as usize] == cells[b.0 as usize]);
+}
+
+fn same_mem(a: &[(u32, NodeId)], b: &[(u32, NodeId)], cells: &[Cell]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.1 == y.1 && cells[x.0 as usize] == cells[y.0 as usize])
+}
+
+/// Applies one block's stores and call clobbers to a memory state.
+fn apply_writes(mem: &mut Vec<(u32, NodeId)>, effects: &[Effect], cells: &[Cell]) {
+    for e in effects {
+        match e.kind {
+            EffectKind::Load => {}
+            EffectKind::Store => {
+                // Strong update only when the store names a single
+                // must-aliasable cell.
+                if e.hi - e.lo == 1 {
+                    let c0 = &cells[e.lo as usize];
+                    mem.retain(|(c, _)| !cells[*c as usize].must_alias(c0));
+                }
+                mem.extend((e.lo..e.hi).map(|c| (c, e.node)));
+            }
+            EffectKind::Call => mem.extend((e.lo..e.hi).map(|c| (c, e.node))),
+        }
+    }
+}
+
 impl<'m> Pdg<'m> {
     /// [`Pdg::build`] with the scope validated first: every id must name a
     /// function of `module`, otherwise a typed [`PdgError`] comes back
@@ -222,37 +440,58 @@ impl<'m> Pdg<'m> {
 
     /// Builds the PDG for the given functions (and interprocedural edges
     /// among them).
+    ///
+    /// Every scope function's nodes are numbered first, consecutively and
+    /// in scope order; `GlobalDef` nodes follow as the memory passes meet
+    /// them, then `ConstArg` nodes.
     pub fn build(module: &'m Module, cg: &CallGraph, scope: &BTreeSet<FuncId>) -> Self {
         let _span = seal_obs::span!("pdg.build", funcs = scope.len());
+        let (mut func_nodes, mut block_rows) = (0, 0);
+        for &fid in scope {
+            let body = module.body(fid);
+            let locs: usize = body.blocks.iter().map(|b| b.insts.len() + 1).sum();
+            func_nodes += body.param_count + locs + 1;
+            block_rows += body.blocks.len() + 1;
+        }
         let mut pdg = Pdg {
             module,
             scope: scope.clone(),
-            nodes: Vec::new(),
-            index: FxHashMap::default(),
+            nodes: Vec::with_capacity(func_nodes),
+            funcs: Vec::with_capacity(scope.len()),
+            block_starts: Vec::with_capacity(block_rows),
+            const_args: FxHashMap::default(),
             global_defs: HashMap::new(),
             store: Store::Log {
                 edges: EdgeArena::new(),
-                ctrl_of: Vec::new(),
-                ctrl_lists: Vec::new(),
+                param_sites: Vec::new(),
             },
-            omega: Vec::new(),
-            op_defs: FxHashMap::default(),
-            param_sites: FxHashMap::default(),
-            pts: HashMap::new(),
-            control: HashMap::new(),
+            omega: Vec::with_capacity(func_nodes),
+            ctrl_of: Vec::with_capacity(func_nodes),
+            ctrl_offsets: vec![0],
+            ctrl_lists: Vec::new(),
+            op_defs: OperandDefs::default(),
+            pts: Vec::with_capacity(scope.len()),
+            control: Vec::with_capacity(scope.len()),
         };
+        let mut sc = Scratch::default();
         for &fid in scope {
             let body = module.body(fid);
-            pdg.pts.insert(fid, PointsTo::compute(body));
-            let control = ControlFacts::compute(body);
+            pdg.pts.push(PointsTo::compute(body));
+            let control = ControlFacts::compute_in(body, &mut sc.cfg);
             pdg.add_function_nodes(body, &control.order);
-            pdg.control.insert(fid, control);
+            pdg.control.push(control);
         }
-        for &fid in scope {
-            pdg.add_local_def_use(module.body(fid));
-            pdg.add_memory_edges(module.body(fid));
-            pdg.add_control_edges(module.body(fid));
+        // Moved out so the memory pass can read a function's facts while
+        // it adds nodes and edges.
+        let pts = std::mem::take(&mut pdg.pts);
+        for (pos, (&fid, pts)) in scope.iter().zip(&pts).enumerate() {
+            let body = module.body(fid);
+            sc.preds.fill(body);
+            pdg.add_local_def_use(pos, body, &mut sc);
+            pdg.add_memory_edges(pos, body, pts, &mut sc);
+            pdg.add_control_edges(pos, body);
         }
+        pdg.pts = pts;
         pdg.add_interprocedural_edges(cg);
         pdg.finalize_store();
         seal_obs::metrics::counter_add("pdg.builds", 1);
@@ -262,34 +501,64 @@ impl<'m> Pdg<'m> {
         pdg
     }
 
-    /// Scatters the edge log into CSR form; construction is over once this
-    /// runs (`add_edge` would panic).
+    /// Scatters the edge and call-site logs into CSR form; construction is
+    /// over once this runs (`add_edge` would panic).
     fn finalize_store(&mut self) {
-        if let Store::Log {
-            edges,
-            ctrl_of,
-            ctrl_lists,
-        } = &mut self.store
-        {
-            let (succ, pred) = std::mem::take(edges).finalize(self.nodes.len());
+        if let Store::Log { edges, param_sites } = &mut self.store {
+            let nodes = self.nodes.len();
+            let (succ, pred) = std::mem::take(edges).finalize(nodes);
+            let param_sites = Csr::scatter(nodes, param_sites.iter().copied());
             self.store = Store::Csr {
                 succ,
                 pred,
-                ctrl_of: std::mem::take(ctrl_of),
-                ctrl_lists: std::mem::take(ctrl_lists),
+                param_sites,
             };
         }
     }
 
     // ------------------------------------------------------------ accessors
 
+    /// Scope position of a function, when it is in scope.
+    fn position(&self, f: FuncId) -> Option<usize> {
+        self.funcs.binary_search_by_key(&f, |fs| fs.id).ok()
+    }
+
+    fn func_nodes(&self, f: FuncId) -> Option<&FuncNodes> {
+        self.position(f).map(|pos| &self.funcs[pos])
+    }
+
     /// Node id for a kind, if present.
     pub fn node(&self, kind: &NodeKind) -> Option<NodeId> {
         match kind {
-            NodeKind::GlobalDef { name } => self.global_defs.get(name),
-            _ => self.index.get(kind),
+            NodeKind::Inst(loc) => {
+                let f = self.func_nodes(loc.func)?;
+                let (lo, term) = f.block(&self.block_starts, loc.block.index())?;
+                if loc.is_terminator() {
+                    Some(term)
+                } else {
+                    (loc.idx < (term - lo) as usize).then(|| lo + loc.idx as u32)
+                }
+            }
+            NodeKind::Param { func, index } => self.func_nodes(*func)?.param(*index),
+            NodeKind::Ret { func } => match self.func_nodes(*func)?.ret {
+                NONE => None,
+                ret => Some(ret),
+            },
+            NodeKind::GlobalDef { name } => self.global_defs.get(name).copied(),
+            NodeKind::ConstArg { loc, index, value } => {
+                self.const_args.get(&(*loc, *index, *value)).copied()
+            }
         }
-        .copied()
+    }
+
+    /// Points-to facts of a scope function.
+    pub fn points_to(&self, f: FuncId) -> Option<&PointsTo> {
+        self.position(f).map(|pos| &self.pts[pos])
+    }
+
+    /// Control facts of a scope function.
+    pub fn control_facts(&self, f: FuncId) -> Option<&ControlFacts> {
+        self.position(f).map(|pos| &self.control[pos])
     }
 
     /// The kind of a node.
@@ -317,29 +586,20 @@ impl<'m> Pdg<'m> {
 
     /// Direct control dependences of a node.
     pub fn ctrl_deps(&self, n: NodeId) -> &[(NodeId, BranchEdge)] {
-        match &self.store {
-            Store::Log {
-                ctrl_of,
-                ctrl_lists,
-                ..
+        match self.ctrl_of[n as usize] {
+            NONE => &[],
+            id => {
+                let id = id as usize;
+                &self.ctrl_lists[self.ctrl_offsets[id] as usize..self.ctrl_offsets[id + 1] as usize]
             }
-            | Store::Csr {
-                ctrl_of,
-                ctrl_lists,
-                ..
-            } => match ctrl_of[n as usize] {
-                NO_CTRL => &[],
-                id => &ctrl_lists[id as usize],
-            },
         }
     }
 
     /// Identity of a node's control-dependence list: the nodes of one
     /// block share one list and so one id. `None` without dependences.
     pub(crate) fn ctrl_list_id(&self, n: NodeId) -> Option<u32> {
-        let (Store::Log { ctrl_of, .. } | Store::Csr { ctrl_of, .. }) = &self.store;
-        match ctrl_of[n as usize] {
-            NO_CTRL => None,
+        match self.ctrl_of[n as usize] {
+            NONE => None,
             id => Some(id),
         }
     }
@@ -348,30 +608,15 @@ impl<'m> Pdg<'m> {
     /// dependences count per *node*: each block's list is stored once, but
     /// stands for one edge set per referencing node.
     pub fn edge_count(&self) -> usize {
-        let ctrl_per_node = |ctrl_of: &[u32], ctrl_lists: &[Vec<(NodeId, BranchEdge)>]| {
-            ctrl_of
-                .iter()
-                .map(|&id| match id {
-                    NO_CTRL => 0,
-                    id => ctrl_lists[id as usize].len(),
-                })
-                .sum::<usize>()
+        let data = match &self.store {
+            Store::Log { edges, .. } => edges.len(),
+            Store::Csr { succ, .. } => succ.entries(),
         };
-        match &self.store {
-            Store::Log {
-                edges,
-                ctrl_of,
-                ctrl_lists,
-            } => edges.len() + ctrl_per_node(ctrl_of, ctrl_lists),
-            Store::Csr {
-                succ,
-                ctrl_of,
-                ctrl_lists,
-                ..
-            } => succ.entries() + ctrl_per_node(ctrl_of, ctrl_lists),
-        }
+        let ctrl: usize = (0..self.nodes.len() as NodeId)
+            .map(|n| self.ctrl_deps(n).len())
+            .sum();
+        data + ctrl
     }
-
     /// Order stamp (absent for pseudo-nodes like globals).
     pub fn omega(&self, n: NodeId) -> Option<Omega> {
         self.omega[n as usize]
@@ -424,18 +669,15 @@ impl<'m> Pdg<'m> {
 
     /// Call sites that bind arguments into a Param node.
     pub fn param_call_sites(&self, param: NodeId) -> &[NodeId] {
-        self.param_sites
-            .get(&param)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        match &self.store {
+            Store::Csr { param_sites, .. } => param_sites.row(param),
+            Store::Log { .. } => unreachable!("call sites read before finalize"),
+        }
     }
 
     /// The defining nodes of `local` as observed by consumer node `n`.
     pub fn defs_of_operand(&self, n: NodeId, local: LocalId) -> &[NodeId] {
-        self.op_defs
-            .get(&(n, local))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        self.op_defs.get(n, local)
     }
 
     /// Classifies how `use_node` consumes the value defined by `def_node`.
@@ -617,113 +859,171 @@ impl<'m> Pdg<'m> {
 
     // --------------------------------------------------------- construction
 
-    fn intern(&mut self, kind: NodeKind) -> NodeId {
-        if let Some(id) = self.node(&kind) {
-            return id;
-        }
+    /// Appends a node.
+    fn push_node(&mut self, kind: NodeKind, omega: Option<Omega>) -> NodeId {
         let id = self.nodes.len() as NodeId;
-        match &kind {
-            NodeKind::GlobalDef { name } => self.global_defs.insert(name.clone(), id),
-            _ => self.index.insert(kind.clone(), id),
-        };
         self.nodes.push(kind);
-        self.omega.push(None);
-        match &mut self.store {
-            Store::Log { ctrl_of, .. } => ctrl_of.push(NO_CTRL),
-            Store::Csr { .. } => unreachable!("node interned after finalize"),
-        }
+        self.omega.push(omega);
+        self.ctrl_of.push(NONE);
         id
     }
 
     fn add_edge(&mut self, from: NodeId, to: NodeId) {
-        if from == to {
-            return;
-        }
-        match &mut self.store {
-            Store::Log { edges, .. } => {
-                edges.push(from, to);
-            }
-            Store::Csr { .. } => unreachable!("edge added after finalize"),
-        }
+        self.store.add_edge(from, to);
     }
 
-    /// Interns a function's nodes; `block_order` is its blocks' reverse
+    /// The `GlobalDef` node of a global, added on first use.
+    fn global_def(&mut self, name: &str) -> NodeId {
+        if let Some(&id) = self.global_defs.get(name) {
+            return id;
+        }
+        let kind = NodeKind::GlobalDef {
+            name: name.to_owned(),
+        };
+        let id = self.push_node(kind, None);
+        self.global_defs.insert(name.to_owned(), id);
+        id
+    }
+
+    /// Numbers a function's nodes; `block_order` is its blocks' reverse
     /// post-order index (the `Ω` block stamp).
     fn add_function_nodes(&mut self, body: &FuncBody, block_order: &[u32]) {
-        for i in 0..body.param_count {
-            self.intern(NodeKind::Param {
-                func: body.id,
-                index: i,
-            });
+        let func = body.id;
+        let first = self.nodes.len() as NodeId;
+        for index in 0..body.param_count {
+            self.push_node(NodeKind::Param { func, index }, None);
         }
+        let starts = self.block_starts.len() as u32;
+        let mut at = 0;
         let mut has_ret_value = false;
-        for loc in body.all_locs() {
-            let n = self.intern(NodeKind::Inst(loc));
-            let idx = if loc.is_terminator() {
-                u32::MAX
-            } else {
-                loc.idx as u32
+        for (b, block) in body.blocks.iter().enumerate() {
+            self.block_starts.push(at);
+            let block_id = BlockId(b as u32);
+            let stamp = |idx| {
+                Some(Omega {
+                    func,
+                    block: block_order[b],
+                    idx,
+                })
             };
-            self.omega[n as usize] = Some(Omega {
-                func: body.id,
-                block: block_order[loc.block.index()],
-                idx,
-            });
-            if loc.is_terminator() {
-                if let Terminator::Return(Some(_)) = body.block(loc.block).terminator {
-                    has_ret_value = true;
+            for idx in 0..block.insts.len() {
+                let loc = InstLoc {
+                    func,
+                    block: block_id,
+                    idx,
+                };
+                self.push_node(NodeKind::Inst(loc), stamp(idx as u32));
+            }
+            // Terminators sort last in their block.
+            let loc = InstLoc::terminator(func, block_id);
+            self.push_node(NodeKind::Inst(loc), stamp(u32::MAX));
+            at += block.insts.len() as u32 + 1;
+            has_ret_value |= matches!(block.terminator, Terminator::Return(Some(_)));
+        }
+        self.block_starts.push(at);
+        let ret = match has_ret_value {
+            true => self.push_node(NodeKind::Ret { func }, None),
+            false => NONE,
+        };
+        self.funcs.push(FuncNodes {
+            id: func,
+            first,
+            params: body.param_count as u32,
+            starts,
+            blocks: body.blocks.len() as u32,
+            ret,
+        });
+    }
+
+    /// Reaching-definitions def-use for locals, plus `op_defs` rows.
+    ///
+    /// Definition sites — the parameters, then every defining instruction
+    /// — are numbered in node order, so each block's reaching set is a
+    /// bitset, and the definitions of a local come out ascending by node.
+    /// A block kills every site of each local it assigns and generates the
+    /// last of them, so its transfer function is pure in its entry set.
+    fn add_local_def_use(&mut self, pos: usize, body: &FuncBody, sc: &mut Scratch) {
+        let f = self.funcs[pos];
+        let nblocks = body.blocks.len();
+        sc.site_node.clear();
+        sc.site_local.clear();
+        for i in 0..body.param_count {
+            sc.site_node.push(f.first + i as u32);
+            sc.site_local.push(LocalId(i as u32));
+        }
+        let mut n = f.locs();
+        for block in &body.blocks {
+            for inst in &block.insts {
+                if let Some(d) = inst.def() {
+                    sc.site_node.push(n);
+                    sc.site_local.push(d);
+                }
+                n += 1;
+            }
+            n += 1;
+        }
+        // Group the sites by local: a stable counting sort, as in
+        // `Predecessors::fill`.
+        let nlocals = sc.site_local.iter().map(|l| l.index() + 1).max();
+        let nlocals = nlocals.unwrap_or(0);
+        sc.local_off.clear();
+        sc.local_off.resize(nlocals + 2, 0);
+        for l in &sc.site_local {
+            sc.local_off[l.index() + 2] += 1;
+        }
+        for i in 2..nlocals + 2 {
+            sc.local_off[i] += sc.local_off[i - 1];
+        }
+        sc.local_sites.clear();
+        sc.local_sites.resize(sc.site_local.len(), 0);
+        for (s, l) in sc.site_local.iter().enumerate() {
+            let at = &mut sc.local_off[l.index() + 1];
+            sc.local_sites[*at as usize] = s as u32;
+            *at += 1;
+        }
+        sc.local_off.pop();
+
+        let words = sc.site_node.len().div_ceil(64);
+        for set in [&mut sc.gen, &mut sc.kill, &mut sc.reach] {
+            set.clear();
+            set.resize(nblocks * words, 0);
+        }
+        let mut site = body.param_count;
+        for (b, block) in body.blocks.iter().enumerate() {
+            let row = b * words;
+            for inst in &block.insts {
+                if let Some(d) = inst.def() {
+                    for &s in sites(&sc.local_off, &sc.local_sites, d) {
+                        unset(&mut sc.gen[row..], s as usize);
+                        set(&mut sc.kill[row..], s as usize);
+                    }
+                    set(&mut sc.gen[row..], site);
+                    site += 1;
                 }
             }
         }
-        if has_ret_value {
-            self.intern(NodeKind::Ret { func: body.id });
-        }
-    }
-
-    /// Reaching-definitions def-use for locals, plus `op_defs` bookkeeping.
-    ///
-    /// A definition set is a sorted, duplicate-free list of `(local,
-    /// defining node)` pairs: the same facts as a map from each local to
-    /// its defining nodes, read back per local in ascending node order.
-    fn add_local_def_use(&mut self, body: &FuncBody) {
-        let nblocks = body.blocks.len();
-        // Each block's generated definitions: the last definition of every
-        // local it assigns. The transfer function kills those locals and
-        // adds these pairs, so it is pure in the in-set.
-        let gens: Vec<Defs> = (0..nblocks).map(|b| self.block_gen(body, b)).collect();
-        let mut in_sets: Vec<Defs> = vec![Defs::new(); nblocks];
         // Entry: parameters defined by Param nodes.
-        in_sets[0] = (0..body.param_count)
-            .filter_map(|i| {
-                let n = self.node(&NodeKind::Param {
-                    func: body.id,
-                    index: i,
-                })?;
-                Some((LocalId(i as u32), n))
-            })
-            .collect();
-
-        let preds = body.predecessors();
-        // Each block's out-set, kept until its in-set changes.
-        let mut out_sets: Vec<Option<Defs>> = vec![None; nblocks];
+        if nblocks > 0 {
+            for i in 0..body.param_count {
+                set(&mut sc.reach, i);
+            }
+        }
         // Iterate to fixpoint (monotone union + strong per-local kill).
+        // The entry block keeps its parameter set.
         loop {
             let mut changed = false;
-            for b in 0..nblocks {
-                let mut cur = in_sets[b].clone();
-                if b != 0 {
-                    for p in &preds[b] {
-                        let p = p.index();
-                        let out =
-                            out_sets[p].get_or_insert_with(|| block_out(&in_sets[p], &gens[p]));
-                        cur.extend_from_slice(out);
+            for b in 1..nblocks {
+                sc.cur.clear();
+                sc.cur
+                    .extend_from_slice(&sc.reach[b * words..(b + 1) * words]);
+                for p in sc.preds.of(BlockId(b as u32)) {
+                    let p = p.index() * words;
+                    for w in 0..words {
+                        sc.cur[w] |= sc.gen[p + w] | (sc.reach[p + w] & !sc.kill[p + w]);
                     }
-                    cur.sort_unstable();
-                    cur.dedup();
                 }
-                if cur != in_sets[b] {
-                    in_sets[b] = cur;
-                    out_sets[b] = None;
+                if sc.cur[..] != sc.reach[b * words..(b + 1) * words] {
+                    sc.reach[b * words..(b + 1) * words].copy_from_slice(&sc.cur);
                     changed = true;
                 }
             }
@@ -733,16 +1033,13 @@ impl<'m> Pdg<'m> {
         }
 
         // Walk blocks, recording uses and updating defs.
-        for (b, in_set) in in_sets.iter().enumerate() {
-            let mut defs = in_set.clone();
-            let block = &body.blocks[b];
-            for (i, inst) in block.insts.iter().enumerate() {
-                let loc = InstLoc {
-                    func: body.id,
-                    block: BlockId(b as u32),
-                    idx: i,
-                };
-                let n = self.node(&NodeKind::Inst(loc)).expect("node interned");
+        let mut n = f.locs();
+        let mut site = body.param_count;
+        for (b, block) in body.blocks.iter().enumerate() {
+            sc.cur.clear();
+            sc.cur
+                .extend_from_slice(&sc.reach[b * words..(b + 1) * words]);
+            for inst in &block.insts {
                 // Calls to defined in-scope functions don't flow their
                 // arguments through the call node: the precise flow goes
                 // through the callee's Param/Ret binding. API calls do (the
@@ -753,133 +1050,120 @@ impl<'m> Pdg<'m> {
                         if self
                             .module
                             .func_id(name)
-                            .map(|id| self.scope.contains(&id))
-                            .unwrap_or(false)
+                            .is_some_and(|id| self.position(id).is_some())
                 );
+                self.op_defs.open(n);
+                let (op_defs, store) = (&mut self.op_defs, &mut self.store);
                 inst.for_each_use(|op| {
                     if let Some(l) = op.as_local() {
-                        let def_nodes: Vec<NodeId> = defs_of(&defs, l).collect();
-                        if !precise_callee {
-                            for &d in &def_nodes {
-                                self.add_edge(d, n);
+                        if op_defs.record(l, reaching(sc, l)) && !precise_callee {
+                            for &d in op_defs.last() {
+                                store.add_edge(d, n);
                             }
                         }
-                        self.op_defs.insert((n, l), def_nodes);
                     }
                 });
                 if let Some(d) = inst.def() {
-                    let at = defs.partition_point(|&(l, _)| l < d);
-                    let end = defs.partition_point(|&(l, _)| l <= d);
-                    defs.splice(at..end, [(d, n)]);
+                    for &s in sites(&sc.local_off, &sc.local_sites, d) {
+                        unset(&mut sc.cur, s as usize);
+                    }
+                    set(&mut sc.cur, site);
+                    site += 1;
                 }
+                n += 1;
             }
             // Terminator uses.
-            let tloc = InstLoc::terminator(body.id, BlockId(b as u32));
-            let tn = self.node(&NodeKind::Inst(tloc)).expect("node interned");
-            if let Some(op) = block.terminator.operand() {
-                if let Some(l) = op.as_local() {
-                    let def_nodes: Vec<NodeId> = defs_of(&defs, l).collect();
-                    for &d in &def_nodes {
-                        self.add_edge(d, tn);
+            self.op_defs.open(n);
+            if let Some(l) = block.terminator.operand().and_then(Operand::as_local) {
+                if self.op_defs.record(l, reaching(sc, l)) {
+                    for &d in self.op_defs.last() {
+                        self.store.add_edge(d, n);
                     }
-                    self.op_defs.insert((tn, l), def_nodes);
                 }
             }
             // Return value aggregation.
             if let Terminator::Return(Some(_)) = block.terminator {
-                if let Some(ret) = self.node(&NodeKind::Ret { func: body.id }) {
-                    self.add_edge(tn, ret);
+                if f.ret != NONE {
+                    self.add_edge(n, f.ret);
                 }
             }
+            n += 1;
         }
-    }
-
-    /// The definitions block `b` generates: the last defining node of each
-    /// local it assigns, sorted by local.
-    fn block_gen(&self, body: &FuncBody, b: usize) -> Defs {
-        let mut last: BTreeMap<LocalId, NodeId> = BTreeMap::new();
-        for (i, inst) in body.blocks[b].insts.iter().enumerate() {
-            if let Some(d) = inst.def() {
-                let loc = InstLoc {
-                    func: body.id,
-                    block: BlockId(b as u32),
-                    idx: i,
-                };
-                if let Some(n) = self.node(&NodeKind::Inst(loc)) {
-                    last.insert(d, n);
-                }
-            }
-        }
-        last.into_iter().collect()
     }
 
     /// Store→load memory dependence via reaching stores over cells.
-    fn add_memory_edges(&mut self, body: &FuncBody) {
-        type Mem = Vec<(Cell, NodeId)>;
-        // Cloned so edge insertion below can borrow `self` mutably.
-        let pts = self.pts[&body.id].clone();
-        let pts = &pts;
+    fn add_memory_edges(&mut self, pos: usize, body: &FuncBody, pts: &PointsTo, sc: &mut Scratch) {
+        let f = self.funcs[pos];
         let nblocks = body.blocks.len();
-
-        // Collect per-block gen/kill up front by simulating each block.
-        let preds = body.predecessors();
-        let mut in_sets: Vec<Mem> = vec![Vec::new(); nblocks];
-        let simulate = |mem_in: &Mem, b: usize, pdg: &Pdg<'m>| -> Mem {
-            let mut mem = mem_in.clone();
-            for (i, inst) in body.blocks[b].insts.iter().enumerate() {
-                let loc = InstLoc {
-                    func: body.id,
-                    block: BlockId(b as u32),
-                    idx: i,
-                };
-                let Some(n) = pdg.node(&NodeKind::Inst(loc)) else {
-                    continue;
-                };
-                match inst {
+        sc.cells.clear();
+        sc.effects.clear();
+        sc.block_effects.clear();
+        let mut n = f.locs();
+        for block in &body.blocks {
+            sc.block_effects.push(sc.effects.len() as u32);
+            for inst in &block.insts {
+                let node = n;
+                n += 1;
+                let lo = sc.cells.len() as u32;
+                let kind = match inst {
+                    Inst::Load { place, .. } => {
+                        sc.cells.extend(pts.cells_of_place(place));
+                        EffectKind::Load
+                    }
                     Inst::Store { place, .. } => {
-                        let cells = pts.cells_of_place(place);
-                        // Strong update only when the store names a single
-                        // must-aliasable cell.
-                        if cells.len() == 1 {
-                            let c0 = cells[0].clone();
-                            mem.retain(|(c, _)| !c.must_alias(&c0));
-                        }
-                        for c in cells {
-                            mem.push((c, n));
-                        }
+                        sc.cells.extend(pts.cells_of_place(place));
+                        EffectKind::Store
                     }
                     Inst::Call { args, .. } => {
-                        // A call may write through pointer arguments.
                         for a in args {
-                            for target in pts.of_operand(a) {
-                                let mut summary = target.clone();
+                            for mut summary in pts.of_operand(a) {
                                 summary.summary = true;
-                                mem.push((summary, n));
+                                sc.cells.push(summary);
                             }
                         }
+                        EffectKind::Call
                     }
-                    _ => {}
-                }
+                    _ => continue,
+                };
+                let hi = sc.cells.len() as u32;
+                sc.effects.push(Effect { node, kind, lo, hi });
             }
-            dedup_mem(&mut mem);
-            mem
-        };
+            n += 1;
+        }
+        sc.block_effects.push(sc.effects.len() as u32);
 
-        // Each block's out-state, kept until its in-state changes.
-        let mut out_sets: Vec<Option<Mem>> = vec![None; nblocks];
+        if sc.mem_in.len() < nblocks {
+            sc.mem_in.resize_with(nblocks, Vec::new);
+            sc.mem_out.resize_with(nblocks, Vec::new);
+        }
+        for b in 0..nblocks {
+            sc.mem_in[b].clear();
+        }
+        sc.out_ok.clear();
+        sc.out_ok.resize(nblocks, false);
+        // Each block's out-state is kept until its in-state changes.
         loop {
             let mut changed = false;
             for b in 0..nblocks {
-                let mut cur: Mem = Vec::new();
-                for p in &preds[b] {
+                sc.mem_cur.clear();
+                for p in sc.preds.of(BlockId(b as u32)) {
                     let p = p.index();
-                    let out = out_sets[p].get_or_insert_with(|| simulate(&in_sets[p], p, self));
-                    cur.extend(out.iter().cloned());
+                    if !sc.out_ok[p] {
+                        let out = &mut sc.mem_out[p];
+                        out.clear();
+                        out.extend_from_slice(&sc.mem_in[p]);
+                        let effects = &sc.effects
+                            [sc.block_effects[p] as usize..sc.block_effects[p + 1] as usize];
+                        apply_writes(out, effects, &sc.cells);
+                        sort_mem(out, &sc.cells);
+                        sc.out_ok[p] = true;
+                    }
+                    sc.mem_cur.extend_from_slice(&sc.mem_out[p]);
                 }
-                dedup_mem(&mut cur);
-                if cur != in_sets[b] {
-                    in_sets[b] = cur;
-                    out_sets[b] = None;
+                sort_mem(&mut sc.mem_cur, &sc.cells);
+                if !same_mem(&sc.mem_cur, &sc.mem_in[b], &sc.cells) {
+                    std::mem::swap(&mut sc.mem_in[b], &mut sc.mem_cur);
+                    sc.out_ok[b] = false;
                     changed = true;
                 }
             }
@@ -889,267 +1173,214 @@ impl<'m> Pdg<'m> {
         }
 
         // Second pass: wire loads to reaching stores.
-        for (b, in_set) in in_sets.iter().enumerate() {
-            let mut mem = in_set.clone();
-            for (i, inst) in body.blocks[b].insts.iter().enumerate() {
-                let loc = InstLoc {
-                    func: body.id,
-                    block: BlockId(b as u32),
-                    idx: i,
-                };
-                let Some(n) = self.node(&NodeKind::Inst(loc)) else {
-                    continue;
-                };
-                match inst {
-                    Inst::Load { place, .. } => {
-                        let cells = pts.cells_of_place(place);
+        for (b, block) in body.blocks.iter().enumerate() {
+            let (first, _) = f
+                .block(&self.block_starts, b)
+                .expect("block of the function");
+            sc.mem_cur.clear();
+            sc.mem_cur.extend_from_slice(&sc.mem_in[b]);
+            for k in sc.block_effects[b]..sc.block_effects[b + 1] {
+                let e = sc.effects[k as usize];
+                match e.kind {
+                    EffectKind::Load => {
+                        let cells = &sc.cells[e.lo as usize..e.hi as usize];
                         // A *strong* reaching store (must-alias) replaces the
                         // ambient value; clobber summaries from calls are MAY
                         // writes, so the ambient param/global definition stays
                         // a possible source alongside them.
                         let mut strong = false;
-                        let hits: Vec<NodeId> = mem
-                            .iter()
-                            .filter(|(c, _)| cells.iter().any(|lc| lc.may_alias(c)))
-                            .map(|(c, n)| {
-                                if cells.iter().any(|lc| lc.must_alias(c)) {
-                                    strong = true;
-                                }
-                                *n
-                            })
-                            .collect();
-                        for h in hits {
-                            self.add_edge(h, n);
+                        for &(c, m) in &sc.mem_cur {
+                            let c = &sc.cells[c as usize];
+                            if cells.iter().any(|lc| lc.may_alias(c)) {
+                                strong |= cells.iter().any(|lc| lc.must_alias(c));
+                                self.store.add_edge(m, e.node);
+                            }
                         }
                         if !strong {
-                            for c in &cells {
+                            for c in cells {
                                 match &c.root {
-                                    CellRoot::ParamObj(f, i) => {
-                                        if let Some(p) = self.node(&NodeKind::Param {
-                                            func: *f,
-                                            index: *i,
-                                        }) {
-                                            self.add_edge(p, n);
+                                    CellRoot::ParamObj(func, i) => {
+                                        let param =
+                                            self.func_nodes(*func).and_then(|fs| fs.param(*i));
+                                        if let Some(p) = param {
+                                            self.add_edge(p, e.node);
                                         }
                                     }
                                     CellRoot::Global(g) => {
-                                        let gn =
-                                            self.intern(NodeKind::GlobalDef { name: g.clone() });
-                                        self.add_edge(gn, n);
+                                        let gn = self.global_def(g);
+                                        self.add_edge(gn, e.node);
                                     }
                                     _ => {}
                                 }
                             }
                         }
                     }
-                    Inst::Store { place, .. } => {
-                        let cells = pts.cells_of_place(place);
-                        if cells.len() == 1 {
-                            let c0 = cells[0].clone();
-                            mem.retain(|(c, _)| !c.must_alias(&c0));
-                        }
-                        for c in cells {
-                            mem.push((c, n));
-                        }
+                    EffectKind::Store => {
+                        apply_writes(&mut sc.mem_cur, &[e], &sc.cells);
                         // Stores into globals also feed the GlobalDef node
                         // so other functions observe them.
-                        if let PlaceBase::Global(g) = &place.base {
-                            let gn = self.intern(NodeKind::GlobalDef { name: g.clone() });
-                            self.add_edge(n, gn);
-                        }
-                    }
-                    Inst::Call { args, .. } => {
-                        for a in args {
-                            for target in pts.of_operand(a) {
-                                let mut summary = target;
-                                summary.summary = true;
-                                mem.push((summary, n));
+                        if let Inst::Store { place, .. } = &block.insts[(e.node - first) as usize] {
+                            if let PlaceBase::Global(g) = &place.base {
+                                let gn = self.global_def(g);
+                                self.add_edge(e.node, gn);
                             }
                         }
                     }
-                    _ => {}
+                    EffectKind::Call => apply_writes(&mut sc.mem_cur, &[e], &sc.cells),
                 }
             }
         }
 
         // Reads of globals through plain operands.
-        for loc in body.all_locs() {
-            let Some(n) = self.node(&NodeKind::Inst(loc)) else {
-                continue;
-            };
-            let mut read_global = |op: &Operand| {
-                if let Operand::Global(g) = op {
-                    let gn = self.intern(NodeKind::GlobalDef { name: g.clone() });
-                    self.add_edge(gn, n);
-                }
-            };
-            if loc.is_terminator() {
-                if let Some(op) = body.block(loc.block).terminator.operand() {
-                    read_global(op);
-                }
-            } else if let Some(i) = body.inst_at(loc) {
-                i.for_each_use(read_global);
+        let mut n = f.locs();
+        for block in &body.blocks {
+            for inst in &block.insts {
+                inst.for_each_use(|op| {
+                    if let Operand::Global(g) = op {
+                        let gn = self.global_def(g);
+                        self.add_edge(gn, n);
+                    }
+                });
+                n += 1;
             }
+            if let Some(Operand::Global(g)) = block.terminator.operand() {
+                let gn = self.global_def(g);
+                self.add_edge(gn, n);
+            }
+            n += 1;
         }
     }
 
-    fn add_control_edges(&mut self, body: &FuncBody) {
-        let control = &self.control[&body.id];
-        let deps_per_block: Vec<Vec<(NodeId, BranchEdge)>> = (0..body.blocks.len())
-            .map(|b| {
-                control.deps[b]
-                    .iter()
-                    .filter_map(|(branch_block, edge)| {
-                        let tloc = InstLoc::terminator(body.id, *branch_block);
-                        self.node(&NodeKind::Inst(tloc)).map(|n| (n, edge.clone()))
-                    })
-                    .collect()
-            })
-            .collect();
-        let node_blocks: Vec<(NodeId, usize)> = body
-            .all_locs()
-            .filter_map(|loc| {
-                self.node(&NodeKind::Inst(loc))
-                    .map(|n| (n, loc.block.index()))
-            })
-            .collect();
-        match &mut self.store {
-            Store::Log {
-                ctrl_of,
-                ctrl_lists,
-                ..
-            } => {
-                // Each block's dependence list is stored once and shared by
-                // id rather than cloned into every node of the block.
-                let ids: Vec<u32> = deps_per_block
-                    .into_iter()
-                    .map(|deps| {
-                        if deps.is_empty() {
-                            NO_CTRL
-                        } else {
-                            ctrl_lists.push(deps);
-                            (ctrl_lists.len() - 1) as u32
-                        }
-                    })
-                    .collect();
-                for (n, b) in node_blocks {
-                    ctrl_of[n as usize] = ids[b];
-                }
+    fn add_control_edges(&mut self, pos: usize, body: &FuncBody) {
+        let f = self.funcs[pos];
+        let control = &self.control[pos];
+        // Each block's dependence list is stored once and shared by id
+        // rather than cloned into every node of the block.
+        for b in 0..body.blocks.len() {
+            let deps = control.deps(b);
+            if deps.is_empty() {
+                continue;
             }
-            Store::Csr { .. } => unreachable!("control edges added after finalize"),
+            for (branch, edge) in deps {
+                let (_, term) = f
+                    .block(&self.block_starts, branch.index())
+                    .expect("branch block of the function");
+                self.ctrl_lists.push((term, edge.clone()));
+            }
+            let id = self.ctrl_offsets.len() as u32 - 1;
+            self.ctrl_offsets.push(self.ctrl_lists.len() as u32);
+            let (lo, term) = f
+                .block(&self.block_starts, b)
+                .expect("block of the function");
+            self.ctrl_of[lo as usize..=term as usize].fill(id);
         }
     }
 
     /// Actual→formal and return→receiver edges for in-scope callees.
     fn add_interprocedural_edges(&mut self, cg: &CallGraph) {
         let mut arg_edges: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut const_args: Vec<(InstLoc, usize, i64, FuncId)> = Vec::new();
+        let mut const_args: Vec<(InstLoc, usize, i64, NodeId)> = Vec::new();
         let mut ret_edges: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut param_sites: Vec<(NodeId, NodeId)> = Vec::new();
         // The call graph groups sites by caller in function order, so
         // walking the scope in ascending order visits exactly the sites a
         // filtered walk over all of `cg.sites()` would, in the same order:
         // the edge log is unchanged and the cost no longer grows with the
         // module around the scope.
-        let funcs: Vec<FuncId> = self.scope.iter().copied().collect();
-        for site in funcs.into_iter().flat_map(|f| cg.sites_of(f)) {
-            let Some(call_node) = self.node(&NodeKind::Inst(site.loc)) else {
-                continue;
-            };
-            let body = self.module.body(site.caller);
-            let Some(Inst::Call { args, .. }) = body.inst_at(site.loc) else {
-                continue;
-            };
-            for target in &site.targets {
-                let CallTarget::Defined(callee) = target else {
+        for pos in 0..self.funcs.len() {
+            for site in cg.sites_of(self.funcs[pos].id) {
+                let Some(call_node) = self.node(&NodeKind::Inst(site.loc)) else {
                     continue;
                 };
-                if !self.scope.contains(callee) {
+                let body = self.module.body(site.caller);
+                let Some(Inst::Call { args, .. }) = body.inst_at(site.loc) else {
                     continue;
-                }
-                for (i, a) in args.iter().enumerate() {
-                    let param = NodeKind::Param {
-                        func: *callee,
-                        index: i,
-                    };
-                    let Some(pn) = self.node(&param) else {
+                };
+                // One call node per site, so a duplicate pair can only come
+                // from this site.
+                let site_start = param_sites.len();
+                for target in &site.targets {
+                    let CallTarget::Defined(callee) = target else {
                         continue;
                     };
-                    let sites = self.param_sites.entry(pn).or_default();
-                    if !sites.contains(&call_node) {
-                        sites.push(call_node);
-                    }
-                    match a {
-                        Operand::Local(l) => {
-                            for d in self.defs_of_operand(call_node, *l).to_vec() {
-                                arg_edges.push((d, pn));
+                    let Some(&callee) = self.func_nodes(*callee) else {
+                        continue;
+                    };
+                    for (i, a) in args.iter().enumerate() {
+                        let Some(pn) = callee.param(i) else {
+                            continue;
+                        };
+                        if !param_sites[site_start..].contains(&(pn, call_node)) {
+                            param_sites.push((pn, call_node));
+                        }
+                        match a {
+                            Operand::Local(l) => {
+                                let defs = self.op_defs.get(call_node, *l);
+                                arg_edges.extend(defs.iter().map(|&d| (d, pn)));
                             }
+                            Operand::Const(c) => const_args.push((site.loc, i, *c, pn)),
+                            Operand::Null => const_args.push((site.loc, i, 0, pn)),
+                            Operand::Global(g) => {
+                                let gn = self.global_def(g);
+                                arg_edges.push((gn, pn));
+                            }
+                            _ => {}
                         }
-                        Operand::Const(c) => {
-                            const_args.push((site.loc, i, *c, *callee));
-                        }
-                        Operand::Null => {
-                            const_args.push((site.loc, i, 0, *callee));
-                        }
-                        Operand::Global(g) => {
-                            let gn = self.intern(NodeKind::GlobalDef { name: g.clone() });
-                            arg_edges.push((gn, pn));
-                        }
-                        _ => {}
                     }
-                }
-                if let Some(ret) = self.node(&NodeKind::Ret { func: *callee }) {
-                    ret_edges.push((ret, call_node));
+                    if callee.ret != NONE {
+                        ret_edges.push((callee.ret, call_node));
+                    }
                 }
             }
         }
         for (from, to) in arg_edges {
             self.add_edge(from, to);
         }
-        for (loc, index, value, callee) in const_args {
-            let cn = self.intern(NodeKind::ConstArg { loc, index, value });
-            if let Some(pn) = self.node(&NodeKind::Param {
-                func: callee,
-                index,
-            }) {
-                self.add_edge(cn, pn);
-            }
+        for (loc, index, value, pn) in const_args {
+            let cn = match self.const_args.get(&(loc, index, value)) {
+                Some(&cn) => cn,
+                None => {
+                    let cn = self.push_node(NodeKind::ConstArg { loc, index, value }, None);
+                    self.const_args.insert((loc, index, value), cn);
+                    cn
+                }
+            };
+            self.add_edge(cn, pn);
         }
         for (from, to) in ret_edges {
             self.add_edge(from, to);
         }
+        if let Store::Log {
+            param_sites: log, ..
+        } = &mut self.store
+        {
+            *log = param_sites;
+        }
     }
 }
 
-/// Reaching local definitions: sorted, duplicate-free `(local, defining
-/// node)` pairs.
-type Defs = Vec<(LocalId, NodeId)>;
-
-/// The nodes defining `l` in a definition set, ascending.
-fn defs_of(defs: &Defs, l: LocalId) -> impl Iterator<Item = NodeId> + '_ {
-    let at = defs.partition_point(|&(d, _)| d < l);
-    defs[at..]
-        .iter()
-        .take_while(move |&&(d, _)| d == l)
-        .map(|&(_, n)| n)
+/// The sites defining local `l`, ascending.
+fn sites<'a>(local_off: &[u32], local_sites: &'a [u32], l: LocalId) -> &'a [u32] {
+    match local_off.get(l.index() + 1) {
+        Some(&hi) => &local_sites[local_off[l.index()] as usize..hi as usize],
+        None => &[],
+    }
 }
 
-/// Def-use transfer function: the definitions at block end given those at
-/// block start and the block's generated definitions (which kill every
-/// earlier definition of their locals).
-fn block_out(in_defs: &Defs, gen: &Defs) -> Defs {
-    let mut out: Defs = in_defs
+/// The nodes defining `l` in the current reaching set, ascending.
+fn reaching(sc: &Scratch, l: LocalId) -> impl Iterator<Item = NodeId> + '_ {
+    sites(&sc.local_off, &sc.local_sites, l)
         .iter()
-        .filter(|(l, _)| gen.binary_search_by_key(l, |&(g, _)| g).is_err())
-        .copied()
-        .chain(gen.iter().copied())
-        .collect();
-    out.sort_unstable();
-    out
+        .filter(|&&s| sc.cur[s as usize / 64] >> (s % 64) & 1 == 1)
+        .map(|&s| sc.site_node[s as usize])
 }
 
-fn dedup_mem(mem: &mut Vec<(Cell, NodeId)>) {
-    mem.sort();
-    mem.dedup();
+fn set(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+fn unset(bits: &mut [u64], i: usize) {
+    bits[i / 64] &= !(1 << (i % 64));
 }
 
 /// Convenience: derive the deref-style cells reachable from a node for
@@ -1359,10 +1590,11 @@ mod tests {
         let pdg2 = Pdg::build(&m2, &cg2, &full_scope(&m2));
         for (m, pdg) in [(&m, &pdg), (&m2, &pdg2)] {
             for body in &m.functions {
-                let control = &pdg.control[&body.id];
+                let control = pdg.control_facts(body.id).unwrap();
                 for loc in body.all_locs() {
                     let n = pdg.node(&NodeKind::Inst(loc)).unwrap();
-                    let expected: Vec<(NodeId, BranchEdge)> = control.deps[loc.block.index()]
+                    let expected: Vec<(NodeId, BranchEdge)> = control
+                        .deps(loc.block.index())
                         .iter()
                         .map(|(b, edge)| {
                             let t = InstLoc::terminator(body.id, *b);

@@ -11,26 +11,25 @@ use seal_ir::body::FuncBody;
 use seal_ir::ids::{InstLoc, LocalId};
 use seal_ir::tac::{Inst, Operand, Place, PlaceBase, Projection, Rvalue};
 use seal_kir::types::Type;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Points-to facts for one function.
 #[derive(Debug, Default, Clone)]
 pub struct PointsTo {
-    /// Per-local points-to sets.
-    pts: HashMap<LocalId, BTreeSet<Cell>>,
+    /// Points-to set of each local, indexed by local id.
+    pts: Vec<BTreeSet<Cell>>,
 }
 
 impl PointsTo {
     /// Runs the fixpoint for a function body.
     pub fn compute(body: &FuncBody) -> Self {
-        let mut an = PointsTo::default();
+        let mut an = PointsTo {
+            pts: vec![BTreeSet::new(); body.locals.len()],
+        };
         // Seed pointer parameters.
         for (i, p) in body.params().enumerate() {
             if is_pointerish(&body.locals[p.index()].ty) {
-                an.pts
-                    .entry(p)
-                    .or_default()
-                    .insert(Cell::root(CellRoot::ParamObj(body.id, i)));
+                an.pts[p.index()].insert(Cell::root(CellRoot::ParamObj(body.id, i)));
             }
         }
         // Iterate to fixpoint.
@@ -49,7 +48,7 @@ impl PointsTo {
 
     /// The points-to set of a local (empty for non-pointers).
     pub fn of(&self, l: LocalId) -> impl Iterator<Item = &Cell> {
-        self.pts.get(&l).into_iter().flatten()
+        self.pts.get(l.index()).into_iter().flatten()
     }
 
     /// Cells named by a place (the memory locations a load/store touches).
@@ -141,7 +140,10 @@ impl PointsTo {
             }
             _ => return false,
         };
-        let set = self.pts.entry(dest).or_default();
+        if dest.index() >= self.pts.len() {
+            self.pts.resize_with(dest.index() + 1, BTreeSet::new);
+        }
+        let set = &mut self.pts[dest.index()];
         let before = set.len();
         set.extend(new_cells);
         set.len() != before
