@@ -35,6 +35,14 @@ impl EdgeArena {
         Self::default()
     }
 
+    /// An empty log with room for `edges` edges.
+    pub fn with_capacity(edges: usize) -> Self {
+        EdgeArena {
+            pairs: Vec::with_capacity(edges),
+            seen: FxHashSet::with_capacity_and_hasher(edges, Default::default()),
+        }
+    }
+
     /// Appends a directed edge unless it was already recorded. Returns
     /// whether the edge was new.
     pub fn push(&mut self, from: NodeId, to: NodeId) -> bool {
@@ -65,6 +73,38 @@ impl EdgeArena {
     }
 }
 
+/// Stable counting sort of `(row, value)` pairs into compressed rows, in
+/// the caller's buffers: afterwards `flat[offsets[r]..offsets[r + 1]]`
+/// holds row `r`'s values in iteration order. One pass counts row `r` into
+/// `offsets[r + 2]`; the prefix sum turns `offsets[r + 1]` into row `r`'s
+/// start; placing with that entry as the cursor leaves it at the row's
+/// end, which is row `r + 1`'s start, so no separate cursor array is
+/// needed. `fill` only pre-sizes `flat`.
+pub(crate) fn scatter_rows<T: Clone>(
+    rows: usize,
+    pairs: impl Iterator<Item = (usize, T)> + Clone,
+    fill: T,
+    offsets: &mut Vec<u32>,
+    flat: &mut Vec<T>,
+) {
+    offsets.clear();
+    offsets.resize(rows + 2, 0);
+    for (r, _) in pairs.clone() {
+        offsets[r + 2] += 1;
+    }
+    for i in 2..rows + 2 {
+        offsets[i] += offsets[i - 1];
+    }
+    flat.clear();
+    flat.resize(offsets[rows + 1] as usize, fill);
+    for (r, v) in pairs {
+        let at = &mut offsets[r + 1];
+        flat[*at as usize] = v;
+        *at += 1;
+    }
+    offsets.pop();
+}
+
 /// Compressed sparse rows: per-row slices carved out of one flat array.
 #[derive(Debug, Default)]
 pub struct Csr {
@@ -74,24 +114,14 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Builds the table from `(row, value)` pairs with a counting sort:
-    /// one pass to size the rows, one stable pass to place the values, so
-    /// each row preserves the pairs' iteration order.
+    /// Builds the table from `(row, value)` pairs with a counting sort
+    /// ([`scatter_rows`]), so each row preserves the pairs' iteration
+    /// order.
     pub(crate) fn scatter(rows: usize, pairs: impl Iterator<Item = (u32, NodeId)> + Clone) -> Csr {
-        let mut offsets = vec![0u32; rows + 1];
-        for (r, _) in pairs.clone() {
-            offsets[r as usize + 1] += 1;
-        }
-        for i in 0..rows {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut flat = vec![0 as NodeId; offsets[rows] as usize];
-        let mut cursor: Vec<u32> = offsets[..rows].to_vec();
-        for (r, v) in pairs {
-            flat[cursor[r as usize] as usize] = v;
-            cursor[r as usize] += 1;
-        }
-        Csr { offsets, flat }
+        let mut csr = Csr::default();
+        let pairs = pairs.map(|(r, v)| (r as usize, v));
+        scatter_rows(rows, pairs, 0, &mut csr.offsets, &mut csr.flat);
+        csr
     }
 
     /// Row `r` as a slice (empty for rows with no entries).

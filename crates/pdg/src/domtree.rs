@@ -7,6 +7,7 @@
 //! order over `E_o`; back edges are handled by reverse post-order, which
 //! the paper's partial order also relies on).
 
+use crate::arena::scatter_rows;
 use seal_ir::body::FuncBody;
 use seal_ir::ids::BlockId;
 use seal_ir::tac::Terminator;
@@ -94,24 +95,11 @@ impl ControlFacts {
             sc.succ_off.push(sc.succ.len() as u32);
         }
         sc.succ_off.push(sc.succ.len() as u32); // the exit has none
-        sc.rev_off.clear();
-        sc.rev_off.resize(total + 2, 0);
-        for &s in &sc.succ {
-            sc.rev_off[s as usize + 2] += 1;
-        }
-        for i in 2..total + 2 {
-            sc.rev_off[i] += sc.rev_off[i - 1];
-        }
-        sc.rev.clear();
-        sc.rev.resize(sc.succ.len(), 0);
-        for b in 0..total {
-            for k in sc.succ_off[b]..sc.succ_off[b + 1] {
-                let at = &mut sc.rev_off[sc.succ[k as usize] as usize + 1];
-                sc.rev[*at as usize] = b as u32;
-                *at += 1;
-            }
-        }
-        sc.rev_off.pop();
+        let edges = (0..total).flat_map(|b| {
+            let row = &sc.succ[sc.succ_off[b] as usize..sc.succ_off[b + 1] as usize];
+            row.iter().map(move |&s| (s as usize, b as u32))
+        });
+        scatter_rows(total, edges, 0, &mut sc.rev_off, &mut sc.rev);
 
         // Reverse post-order on the forward graph (for Ω) from entry.
         let order = rpo_order(n, sc);
@@ -158,24 +146,21 @@ impl ControlFacts {
             }
         }
 
-        // Scatter the marks into per-block rows with a stable counting
-        // sort (counts in `dep_offsets[x + 2]`, the cursor of row `x` in
-        // `dep_offsets[x + 1]`), then compact each row in place, dropping
-        // an entry equal to the one kept before it.
-        let mut dep_offsets = vec![0u32; n + 2];
-        for &(x, _, _) in &sc.marks {
-            dep_offsets[x as usize + 2] += 1;
-        }
-        for i in 2..n + 2 {
-            dep_offsets[i] += dep_offsets[i - 1];
-        }
-        let mut dep_list = vec![(BlockId(0), BranchEdge::True); sc.marks.len()];
-        for (x, a, edge) in sc.marks.drain(..) {
-            let at = &mut dep_offsets[x as usize + 1];
-            dep_list[*at as usize] = (BlockId(a), edge);
-            *at += 1;
-        }
-        dep_offsets.pop();
+        // Scatter the marks into per-block rows, then compact each row in
+        // place, dropping an entry equal to the one kept before it.
+        let mut dep_offsets = Vec::new();
+        let mut dep_list = Vec::new();
+        let marks = sc
+            .marks
+            .iter()
+            .map(|(x, a, edge)| (*x as usize, (BlockId(*a), edge.clone())));
+        scatter_rows(
+            n,
+            marks,
+            (BlockId(0), BranchEdge::True),
+            &mut dep_offsets,
+            &mut dep_list,
+        );
         let mut kept = 0;
         for b in 0..n {
             let (lo, hi) = (dep_offsets[b] as usize, dep_offsets[b + 1] as usize);

@@ -14,7 +14,7 @@
 //! PDGs are built *on demand* for a set of functions (paper §7,
 //! "Demand-driven PDG Generation").
 
-use crate::arena::{Csr, EdgeArena};
+use crate::arena::{scatter_rows, Csr, EdgeArena};
 use crate::cell::{Cell, CellRoot};
 use crate::domtree::{BranchEdge, ControlFacts};
 use crate::points_to::PointsTo;
@@ -24,6 +24,7 @@ use seal_ir::ids::{BlockId, FuncId, InstLoc, LocalId};
 use seal_ir::module::Module;
 use seal_ir::tac::{Callee, Inst, Operand, Place, PlaceBase, Projection, Rvalue, Terminator};
 use seal_runtime::FxHashMap;
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 
 /// Index of a PDG node.
@@ -210,6 +211,16 @@ struct OperandDefs {
 }
 
 impl OperandDefs {
+    /// Room for `nodes` rows, and about one entry and one definition per
+    /// row: most locations read one or two locals with one definition.
+    fn with_capacity(nodes: usize) -> Self {
+        OperandDefs {
+            rows: Vec::with_capacity(nodes),
+            entries: Vec::with_capacity(nodes),
+            defs: Vec::with_capacity(nodes),
+        }
+    }
+
     /// Opens node `n`'s row; the rows of nodes skipped since the last one
     /// opened stay empty.
     fn open(&mut self, n: NodeId) {
@@ -325,9 +336,17 @@ impl std::fmt::Display for PdgError {
 
 impl std::error::Error for PdgError {}
 
-/// Working buffers of the per-function construction passes. One scratch
-/// serves every function of a build, so the passes allocate only while the
-/// largest function grows them.
+thread_local! {
+    /// Each thread's construction buffers, kept between builds: a detection
+    /// worker builds thousands of small PDGs, and each build starts with
+    /// buffers an earlier one already grew.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Working buffers of the per-function construction passes. Every pass
+/// clears what it uses first, so one scratch serves every function of
+/// every build on a thread, and the passes allocate only while the largest
+/// function yet grows them.
 #[derive(Default)]
 struct Scratch {
     cfg: crate::domtree::CfgScratch,
@@ -462,36 +481,18 @@ impl<'m> Pdg<'m> {
             const_args: FxHashMap::default(),
             global_defs: HashMap::new(),
             store: Store::Log {
-                edges: EdgeArena::new(),
+                edges: EdgeArena::with_capacity(func_nodes),
                 param_sites: Vec::new(),
             },
             omega: Vec::with_capacity(func_nodes),
             ctrl_of: Vec::with_capacity(func_nodes),
             ctrl_offsets: vec![0],
             ctrl_lists: Vec::new(),
-            op_defs: OperandDefs::default(),
+            op_defs: OperandDefs::with_capacity(func_nodes),
             pts: Vec::with_capacity(scope.len()),
             control: Vec::with_capacity(scope.len()),
         };
-        let mut sc = Scratch::default();
-        for &fid in scope {
-            let body = module.body(fid);
-            pdg.pts.push(PointsTo::compute(body));
-            let control = ControlFacts::compute_in(body, &mut sc.cfg);
-            pdg.add_function_nodes(body, &control.order);
-            pdg.control.push(control);
-        }
-        // Moved out so the memory pass can read a function's facts while
-        // it adds nodes and edges.
-        let pts = std::mem::take(&mut pdg.pts);
-        for (pos, (&fid, pts)) in scope.iter().zip(&pts).enumerate() {
-            let body = module.body(fid);
-            sc.preds.fill(body);
-            pdg.add_local_def_use(pos, body, &mut sc);
-            pdg.add_memory_edges(pos, body, pts, &mut sc);
-            pdg.add_control_edges(pos, body);
-        }
-        pdg.pts = pts;
+        SCRATCH.with(|sc| pdg.add_function_facts(scope, &mut sc.borrow_mut()));
         pdg.add_interprocedural_edges(cg);
         pdg.finalize_store();
         seal_obs::metrics::counter_add("pdg.builds", 1);
@@ -499,6 +500,30 @@ impl<'m> Pdg<'m> {
         seal_obs::metrics::counter_add("pdg.edges", pdg.edge_count() as u64);
         seal_obs::metrics::hist_observe("pdg.nodes_per_build", pdg.nodes.len() as u64);
         pdg
+    }
+
+    /// Numbers every scope function's nodes, then adds each function's
+    /// def-use, memory and control edges.
+    fn add_function_facts(&mut self, scope: &BTreeSet<FuncId>, sc: &mut Scratch) {
+        let module = self.module;
+        for &fid in scope {
+            let body = module.body(fid);
+            self.pts.push(PointsTo::compute(body));
+            let control = ControlFacts::compute_in(body, &mut sc.cfg);
+            self.add_function_nodes(body, &control.order);
+            self.control.push(control);
+        }
+        // Moved out so the memory pass can read a function's facts while
+        // it adds nodes and edges.
+        let pts = std::mem::take(&mut self.pts);
+        for (pos, (&fid, pts)) in scope.iter().zip(&pts).enumerate() {
+            let body = module.body(fid);
+            sc.preds.fill(body);
+            self.add_local_def_use(pos, body, sc);
+            self.add_memory_edges(pos, body, pts, sc);
+            self.add_control_edges(pos, body);
+        }
+        self.pts = pts;
     }
 
     /// Scatters the edge and call-site logs into CSR form; construction is
@@ -962,26 +987,17 @@ impl<'m> Pdg<'m> {
             }
             n += 1;
         }
-        // Group the sites by local: a stable counting sort, as in
-        // `Predecessors::fill`.
+        // Group the sites by local.
         let nlocals = sc.site_local.iter().map(|l| l.index() + 1).max();
-        let nlocals = nlocals.unwrap_or(0);
-        sc.local_off.clear();
-        sc.local_off.resize(nlocals + 2, 0);
-        for l in &sc.site_local {
-            sc.local_off[l.index() + 2] += 1;
-        }
-        for i in 2..nlocals + 2 {
-            sc.local_off[i] += sc.local_off[i - 1];
-        }
-        sc.local_sites.clear();
-        sc.local_sites.resize(sc.site_local.len(), 0);
-        for (s, l) in sc.site_local.iter().enumerate() {
-            let at = &mut sc.local_off[l.index() + 1];
-            sc.local_sites[*at as usize] = s as u32;
-            *at += 1;
-        }
-        sc.local_off.pop();
+        let by_local = sc.site_local.iter().enumerate();
+        let by_local = by_local.map(|(s, l)| (l.index(), s as u32));
+        scatter_rows(
+            nlocals.unwrap_or(0),
+            by_local,
+            0,
+            &mut sc.local_off,
+            &mut sc.local_sites,
+        );
 
         let words = sc.site_node.len().div_ceil(64);
         for set in [&mut sc.gen, &mut sc.kill, &mut sc.reach] {
