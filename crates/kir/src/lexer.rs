@@ -129,6 +129,16 @@ impl<'a> Lexer<'a, '_> {
         KirError::single(Stage::Lex, msg, self.span(), self.file)
     }
 
+    /// An error naming the non-ASCII character that starts at byte `at`
+    /// of the current line, pointing at its first byte.
+    fn err_multibyte(&self, at: usize, msg: impl FnOnce(char) -> String) -> KirError {
+        // Tokens end on ASCII bytes, so `at` starts a character.
+        let c = self.src.get(at..).and_then(|s| s.chars().next());
+        let c = c.unwrap_or(char::REPLACEMENT_CHARACTER);
+        let span = Span::new(self.line, (at - self.line_start + 1) as u32);
+        KirError::single(Stage::Lex, msg(c), span, self.file)
+    }
+
     /// Lexes the current segment to its end.
     fn run(&mut self) -> Result<(), KirError> {
         loop {
@@ -276,6 +286,11 @@ impl<'a> Lexer<'a, '_> {
 
     fn char_lit(&mut self) -> Result<TokenKind, KirError> {
         self.bump(); // opening quote
+        if self.peek().is_some_and(|c| !c.is_ascii()) {
+            return Err(self.err_multibyte(self.pos, |c| {
+                format!("multi-byte character `{c}` in char literal")
+            }));
+        }
         let c = match self.bump() {
             Some(b'\\') => match self.bump() {
                 Some(b'n') => b'\n' as i64,
@@ -283,6 +298,11 @@ impl<'a> Lexer<'a, '_> {
                 Some(b'0') => 0,
                 Some(b'\\') => b'\\' as i64,
                 Some(b'\'') => b'\'' as i64,
+                Some(c) if !c.is_ascii() => {
+                    return Err(
+                        self.err_multibyte(self.pos - 1, |c| format!("unsupported escape `\\{c}`"))
+                    )
+                }
                 other => {
                     return Err(self.err(format!(
                         "unsupported escape `\\{}`",
@@ -435,6 +455,11 @@ impl<'a> Lexer<'a, '_> {
                 } else {
                     two(self, b'=', Ge, Gt)
                 }
+            }
+            other if !other.is_ascii() => {
+                return Err(
+                    self.err_multibyte(self.pos - 1, |c| format!("unexpected character `{c}`"))
+                );
             }
             other => {
                 return Err(self.err(format!("unexpected character `{}`", other as char)));
@@ -616,6 +641,37 @@ mod tests {
         assert_eq!(toks[3].span, Span::new(40, 3));
         assert_eq!(toks[6].kind, TokenKind::Int(4));
         assert_eq!(toks.last().unwrap().span, Span::new(40, 13));
+    }
+
+    #[test]
+    fn multi_byte_characters_are_named_whole_at_their_first_byte() {
+        let err = |src: &str| {
+            lex(src, "t.c", &mut NameTable::new())
+                .unwrap_err()
+                .to_string()
+        };
+        // `é` starts at byte column 10 of line 2 and is two bytes long.
+        assert_eq!(
+            err("int f(void) {\n  return é;\n}"),
+            "t.c:2:10: lex error: unexpected character `é`"
+        );
+        assert_eq!(
+            err("int f(void) {\n  return 'é';\n}"),
+            "t.c:2:11: lex error: multi-byte character `é` in char literal"
+        );
+        assert_eq!(
+            err("int c = '\\€';"),
+            "t.c:1:11: lex error: unsupported escape `\\€`"
+        );
+        // ASCII diagnostics keep their text and column.
+        assert_eq!(
+            err("int f(void) {\n  return 1 @ 2;\n}"),
+            "t.c:2:13: lex error: unexpected character `@`"
+        );
+        assert_eq!(
+            err("int c = 'ab';"),
+            "t.c:1:12: lex error: unterminated char literal"
+        );
     }
 
     #[test]
