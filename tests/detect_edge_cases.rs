@@ -187,3 +187,37 @@ int vbi(struct riscmem *risc) {
         reports.iter().map(|r| r.to_string()).collect::<Vec<_>>()
     );
 }
+
+/// The two search counters `--bin ablation` prints beside its reports
+/// (the evaluation corpus drives both to 0): a nested guard contradicting
+/// its outer guard prunes the search subtree under it, and an allocation
+/// whose value reaches no sink is skipped before any path is enumerated.
+const PRUNED_AND_SKIPPED: &str = "
+void *kmalloc(unsigned long n);
+int nested_contradiction(int x) {
+    int *p = (int *)kmalloc(8);
+    if (x > 10) {
+        if (x < 5) {
+            *p = x;
+        }
+    }
+    return 0;
+}
+int never_used(int *q) {
+    int *p = (int *)kmalloc(8);
+    return *q;
+}
+";
+
+#[test]
+fn contradictory_guards_prune_and_dead_sources_are_skipped() {
+    let module = module_of(PRUNED_AND_SKIPPED);
+    let (reports, stats, errors) =
+        seal::core::detect_bugs_isolated(&module, &[npd_spec()], &DetectConfig::default(), 1);
+    assert!(errors.is_empty(), "{errors:?}");
+    assert!(stats.subtrees_pruned > 0, "{stats:?}");
+    assert!(stats.sources_skipped_unreachable > 0, "{stats:?}");
+    // The dereference under the contradiction is unreachable, and the
+    // unused allocation is never dereferenced.
+    assert!(reports.is_empty(), "{reports:?}");
+}
