@@ -353,15 +353,15 @@ struct Scratch {
     preds: Predecessors,
     // Reaching definitions. Definition sites are numbered in node order
     // (parameters, then defining instructions), so a set of sites is a
-    // bitset of `words` words and iterating it ascends by node.
+    // bitset of one bit per site, and iterating it ascends by node.
     site_node: Vec<NodeId>,
     site_local: Vec<LocalId>,
     /// `local_sites[local_off[l]..local_off[l + 1]]`: the sites defining
     /// local `l`, ascending.
     local_off: Vec<u32>,
     local_sites: Vec<u32>,
-    /// Per block, `words` words each: generated sites (the last definition
-    /// of each local the block assigns), killed sites (every definition of
+    /// Per block, one bitset each: generated sites (the last definition of
+    /// each local the block assigns), killed sites (every definition of
     /// those locals), and the sites reaching block entry.
     gen: Vec<u64>,
     kill: Vec<u64>,
@@ -392,7 +392,7 @@ struct Effect {
     hi: u32,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum EffectKind {
     Load,
     Store,
@@ -642,6 +642,7 @@ impl<'m> Pdg<'m> {
             .sum();
         data + ctrl
     }
+
     /// Order stamp (absent for pseudo-nodes like globals).
     pub fn omega(&self, n: NodeId) -> Option<Omega> {
         self.omega[n as usize]
