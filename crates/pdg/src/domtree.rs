@@ -439,6 +439,39 @@ mod tests {
     }
 
     #[test]
+    fn a_join_after_two_cases_lists_both_case_edges_in_label_order() {
+        // `g()` runs after case 2 or case 1 but not on the default path, so
+        // its block depends on the switch through both case edges.
+        for _ in 0..8 {
+            let (m, cf) = facts(
+                "int a(void);\nint b(void);\nint g(void);\n\
+                 int f(int s) {\n\
+                   switch (s) { case 2: a(); break; case 1: b(); break; default: return 0; }\n\
+                   return g();\n\
+                 }",
+                "f",
+            );
+            let f = m.function("f").unwrap();
+            let join = f
+                .blocks
+                .iter()
+                .position(|b| {
+                    b.insts.iter().any(|i| {
+                        matches!(i, seal_ir::Inst::Call { callee: seal_ir::Callee::Direct(n), .. } if n == "g")
+                    })
+                })
+                .unwrap();
+            let edges: Vec<&BranchEdge> = cf.deps(join).iter().map(|(_, e)| e).collect();
+            assert_eq!(
+                edges,
+                [&BranchEdge::Case(vec![2]), &BranchEdge::Case(vec![1])],
+                "{:?}",
+                cf.deps(join)
+            );
+        }
+    }
+
+    #[test]
     fn switch_case_edges() {
         let (m, cf) = facts(
             "int f(int s) { int r = 0; switch (s) { case 1: r = 1; break; default: r = 9; } return r; }",
